@@ -52,8 +52,6 @@ from .report import (
     write_report_atomic,
 )
 
-IDENTITY_CHOICES = ("euler", "lifting", "globalinv", "density", "sha", "tnc", "all")
-
 BUDGET_ENV = "TAMAGAWA_BUDGET"
 
 
@@ -253,6 +251,8 @@ _RUNNERS = {
     "sha": run_sha,
     "tnc": run_tnc,
 }
+
+IDENTITY_CHOICES = (*_RUNNERS, "all")
 
 
 def run_all(torus: TorusSpec, cfg: RunConfig):

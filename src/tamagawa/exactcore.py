@@ -1,8 +1,6 @@
 """Exact arithmetic substrate.
 
-Arbitrary-precision rationals (stdlib Fraction already satisfies the
-lowest-terms / positive-denominator invariants, so BigRat is an alias),
-integer matrices with Smith and Hermite normal forms, characteristic
+Integer matrices with Smith and Hermite normal forms, characteristic
 polynomials, the Kronecker symbol, and polynomial factorization over F_p.
 
 Everything here is immutable and pure; safe to share between threads.
@@ -11,22 +9,13 @@ Everything here is immutable and pure; safe to share between threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 
 from .errors import BudgetExceededError
 
-BigRat = Fraction
-
 # Enumeration cap for exhaustive equal-degree factor search.
 _POLY_ENUM_BUDGET = 10 ** 6
-
-
-def rat_str(q) -> str:
-    """Canonical textual rendering "num/den" used in reports."""
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -327,20 +316,6 @@ def vstack(mats) -> IntMatrix:
     return IntMatrix(sum(m.rows for m in mats), nc, flat)
 
 
-def hstack(mats) -> IntMatrix:
-    mats = list(mats)
-    nr = mats[0].rows
-    if any(m.rows != nr for m in mats):
-        raise ValueError("row mismatch")
-    rows = []
-    for i in range(nr):
-        row = []
-        for m in mats:
-            row.extend(m.row(i))
-        rows.append(row)
-    return IntMatrix.from_rows(rows) if rows else IntMatrix(0, sum(m.cols for m in mats), ())
-
-
 @dataclass(frozen=True)
 class SnfResult:
     """u * m * v == diag(d), with d_i | d_{i+1} and d_i >= 0.
@@ -493,19 +468,17 @@ def smith_normal_form(m: IntMatrix, want_u: bool = True) -> SnfResult:
     return SnfResult(d, umat, vmat, vinvmat)
 
 
-def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """(h, u) with u*m == h, u unimodular, h in row echelon with positive
-    pivots and entries above each pivot reduced into [0, pivot)."""
+def hermite_normal_form(m: IntMatrix) -> IntMatrix:
+    """Row echelon form h of m with the same row lattice: positive pivots
+    and entries above each pivot reduced into [0, pivot)."""
     nr, nc = m.rows, m.cols
     a = m.to_rows()
-    u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
 
     def combine(i, j, s, t, x, y):
         # rows i,j <- (s*Ri + t*Rj, -y*Ri + x*Rj); unimodular since s*x + t*y == 1
-        for mat in (a, u):
-            ri, rj = mat[i], mat[j]
-            for c in range(len(ri)):
-                ri[c], rj[c] = s * ri[c] + t * rj[c], -y * ri[c] + x * rj[c]
+        ri, rj = a[i], a[j]
+        for c in range(nc):
+            ri[c], rj[c] = s * ri[c] + t * rj[c], -y * ri[c] + x * rj[c]
 
     pr = 0
     for c in range(nc):
@@ -518,21 +491,18 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             combine(i0, i, s, t, a[i0][c] // g, a[i][c] // g)
         if i0 != pr:
             a[pr], a[i0] = a[i0], a[pr]
-            u[pr], u[i0] = u[i0], u[pr]
         if a[pr][c] < 0:
             a[pr] = [-x for x in a[pr]]
-            u[pr] = [-x for x in u[pr]]
         p = a[pr][c]
+        src = a[pr]
         for i in range(pr):
             q = a[i][c] // p
             if q:
-                for mat, src in ((a, a[pr]), (u, u[pr])):
-                    row = mat[i]
-                    for t in range(len(row)):
-                        row[t] -= q * src[t]
+                row = a[i]
+                for t in range(nc):
+                    row[t] -= q * src[t]
         pr += 1
-    h = IntMatrix.from_rows(a) if nr else IntMatrix(0, nc, ())
-    return h, (IntMatrix.from_rows(u) if nr else IntMatrix(0, 0, ()))
+    return IntMatrix.from_rows(a) if nr else IntMatrix(0, nc, ())
 
 
 def _pivots(h: IntMatrix) -> list[tuple[int, int]]:
@@ -548,7 +518,7 @@ def _pivots(h: IntMatrix) -> list[tuple[int, int]]:
 
 def row_lattice_index(m: IntMatrix) -> int:
     """Index of the row lattice of m inside Z^cols; 0 when not full rank."""
-    h, _ = hermite_normal_form(m)
+    h = hermite_normal_form(m)
     piv = _pivots(h)
     if len(piv) < m.cols:
         return 0
@@ -560,7 +530,7 @@ def row_lattice_index(m: IntMatrix) -> int:
 
 def in_row_lattice(m: IntMatrix, vec) -> bool:
     """Membership of an integer vector in the row lattice of m."""
-    h, _ = hermite_normal_form(m)
+    h = hermite_normal_form(m)
     v = list(vec)
     for i, j in _pivots(h):
         p = h.get(i, j)

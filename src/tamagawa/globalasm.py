@@ -401,8 +401,9 @@ def _norm_one_class_index(field: QuadField) -> CGammaResult:
     )
 
 
+@lru_cache(maxsize=64)
 def c_gamma(torus: TorusSpec) -> CGammaResult:
-    """The class-group constant of the torus.
+    """The class-group constant of the torus, computed once per torus.
 
     res-scalars over an imaginary field: the class number, exact.
     norm-one / quotient-by-gm over any quadratic field: the stabilized

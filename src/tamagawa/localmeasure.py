@@ -8,11 +8,9 @@ Two independent routes, kept deliberately separate:
     Z/p^k for increasing k, with the density read off the stabilized
     ratio count / p^{k d}.
 
-A count that fails to stabilize within the level budget is a
-distinguished, non-fatal outcome: brute_force_density returns the full
-trace with stabilized=False, and callers that need a stabilized value
-(bad_prime_density, the global assembly) raise NotStabilizedError with
-that trace attached.
+A count that fails to stabilize within the level budget raises
+NotStabilizedError with the full (k, count, ratio) trace attached;
+callers such as the CLI turn it into an INCONCLUSIVE row.
 """
 
 from __future__ import annotations
@@ -49,28 +47,6 @@ def max_feasible_level(model: AffineModel, p: int, budget: int = COUNT_BUDGET) -
     while p ** ((k + 1) * model.nvars) <= budget:
         k += 1
     return k
-
-
-def brute_force_density(
-    model: AffineModel,
-    p: int,
-    k_max: int,
-    jobs: int = 1,
-    budget: int = COUNT_BUDGET,
-) -> LocalDensity:
-    """Count points mod p^k for k = 1..k_max and report the ratio trace.
-
-    stabilized is set when the last two ratios agree; a False flag is
-    not an error here, the caller decides whether it is fatal.
-    """
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
-    trace = []
-    for k in range(1, k_max + 1):
-        count = count_points_mod(model, p, k, jobs=jobs, budget=budget)
-        trace.append((k, count, Fraction(count, p ** (k * model.dim))))
-    stabilized = len(trace) >= 2 and trace[-1][2] == trace[-2][2]
-    return LocalDensity(p, trace[-1][2], "brute-force", tuple(trace), stabilized)
 
 
 def _stabilized_density(model, p, jobs, budget, confirm=True):

@@ -17,9 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 
-import numpy as np
-
-from .errors import BudgetExceededError
 from .exactcore import (
     AbelianGroupInvariants,
     factorize,
@@ -28,8 +25,6 @@ from .exactcore import (
     squarefree_part,
     xgcd,
 )
-
-_COUNT_BUDGET = 10 ** 8
 
 
 def is_fundamental_discriminant(D: int) -> bool:
@@ -329,42 +324,6 @@ def norm_one_unit(D: int) -> UnitData:
     hx = (u.hx * u.hx + D * u.hy * u.hy) // 2
     hy = u.hx * u.hy
     return _unit_from_halves(D, hx, hy)
-
-
-# ---------------------------------------------------------------------------
-# residue rings
-
-
-def residue_ring_norm_count(field: QuadField, p: int, k: int, target: int,
-                            budget: int = _COUNT_BUDGET) -> int:
-    """#{(a,b) mod p^k : N(a + b*w) = target mod p^k and a + b*w a unit}.
-
-    A residue class a + b*w is a unit of O/p^k iff p does not divide N(a+b*w),
-    so for unit targets the norm condition subsumes the unit condition and for
-    non-unit targets the count is 0.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    q = p ** k
-    if q * q > budget:
-        raise BudgetExceededError(f"p^2k = {q * q} exceeds budget {budget}")
-    t = target % q
-    if t % p == 0:
-        return 0
-    D = field.D
-    nw = (D * D - D) // 4
-    b = np.arange(q, dtype=np.int64)
-    b_sq = (nw % q) * ((b * b) % q) % q
-    b_lin = (D % q) * b % q
-    count = 0
-    step = max(1, 10 ** 7 // q)
-    for start in range(0, q, step):
-        a = np.arange(start, min(start + step, q), dtype=np.int64)[:, None]
-        vals = ((a * a) % q + a * b_lin[None, :] + b_sq[None, :]) % q
-        count += int(np.count_nonzero(vals == t))
-    return count
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from tamagawa.cli import main, parse_torus
 from tamagawa.errors import ConfigError
+from tamagawa.globalasm import c_gamma
 from tamagawa.report import (
     FAIL,
     INCONCLUSIVE,
@@ -271,6 +272,14 @@ def test_all_flagship_end_to_end(capsys):
     assert abs(tnc["values"]["tau_tam"]["value"] - 2.0) < 1e-4
     sha = by_ident["sha-bk"][0]
     assert sha["values"]["sha_bk"] == 1 and sha["values"]["sha"] == 1
+
+
+def test_all_computes_c_gamma_once(capsys):
+    # the sha-bk and tnc rows share one c_gamma computation
+    c_gamma.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "all", "--torus", "norm1:-1")
+    assert code == 0
+    assert c_gamma.cache_info().misses == 1
 
 
 def test_multiple_tori_in_one_run(capsys):

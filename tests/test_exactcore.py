@@ -19,7 +19,6 @@ from tamagawa.exactcore import (
     factorize,
     hensel_lift_root,
     hermite_normal_form,
-    hstack,
     in_row_lattice,
     invariants_from_relations,
     is_prime,
@@ -132,7 +131,6 @@ def test_matrix_algebra():
     assert (2 * a).entries == a.scale(2).entries
     assert a.transpose().transpose().entries == a.entries
     assert vstack([a, a]).rows == 6
-    assert hstack([b, b]).cols == 4
 
 
 def test_smith_normal_form_properties():
@@ -157,14 +155,38 @@ def test_smith_normal_form_properties():
 def test_hermite_normal_form_properties():
     for _ in range(60):
         m = _rand_matrix(_rng.randint(1, 5), _rng.randint(1, 5))
-        h, u = hermite_normal_form(m)
-        assert (u * m).entries == h.entries
-        assert abs(u.det()) == 1
+        h = hermite_normal_form(m)
+        assert isinstance(h, IntMatrix)
+        assert (h.rows, h.cols) == (m.rows, m.cols)
+        # echelon shape: pivot columns strictly increase, zero rows come last
+        pivots = []
+        for i in range(h.rows):
+            nz = [j for j, x in enumerate(h.row(i)) if x]
+            if not nz:
+                assert not any(h.entries[i * h.cols:])
+                break
+            pivots.append((i, nz[0]))
+        cols = [j for _, j in pivots]
+        assert cols == sorted(set(cols))
+        for i, j in pivots:
+            p = h.get(i, j)
+            assert p > 0
+            for above in range(i):
+                assert 0 <= h.get(above, j) < p
         # row lattice preserved both ways
         for i in range(m.rows):
             assert in_row_lattice(h, m.row(i))
         for i in range(h.rows):
             assert in_row_lattice(m, h.row(i))
+
+
+def test_row_lattice_index_matches_bareiss_det():
+    # independent oracle: for square m the row lattice has index |det m|
+    rng = random.Random(11)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        m = _rand_matrix(n, n, rng=rng)
+        assert row_lattice_index(m) == abs(m.det())
 
 
 def test_row_lattice_index():

@@ -11,13 +11,12 @@ from tamagawa.errors import BudgetExceededError, NotStabilizedError, Unsupported
 from tamagawa.galois import build_torus, is_good_prime
 from tamagawa.localmeasure import (
     bad_prime_density,
-    brute_force_density,
     cross_validate_density,
     local_density,
     local_density_good,
     max_feasible_level,
 )
-from tamagawa.models import count_points_mod, norm_form_model, unit_group_model
+from tamagawa.models import count_points_mod, unit_group_model
 from tamagawa.quadfield import BiquadField, QuadField
 from tamagawa.report import PASS
 
@@ -96,16 +95,6 @@ def test_smooth_lifting_property(d, family, p, k):
     c_k = count_points_mod(t.model, p, k)
     c_next = count_points_mod(t.model, p, k + 1)
     assert c_next == p**t.dim * c_k
-
-
-def test_brute_force_density_flags():
-    model = norm_form_model(QuadField.from_d(-1))
-    one = brute_force_density(model, 2, 1)
-    assert not one.stabilized and len(one.trace) == 1
-    two = brute_force_density(model, 2, 4)
-    assert two.stabilized and two.value == 2
-    with pytest.raises(ValueError):
-        brute_force_density(model, 2, 0)
 
 
 def test_budget_exhaustion():

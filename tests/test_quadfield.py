@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from tamagawa.errors import BudgetExceededError
 from tamagawa.exactcore import factor_poly_mod_p, kronecker_symbol, primes_up_to
+from tamagawa.models import count_points_mod, norm_form_model, unit_group_model
 from tamagawa.quadfield import (
     BiquadField,
     QuadField,
@@ -20,7 +21,6 @@ from tamagawa.quadfield import (
     principal_form,
     reduce_form,
     reduced_forms,
-    residue_ring_norm_count,
     splitting_type,
 )
 
@@ -171,42 +171,42 @@ def test_norm_one_unit():
 
 
 # ---------------------------------------------------------------------------
-# residue-ring norm counts
+# residue-ring norm counts (the models' mod p^k kernel)
 
 
 def test_residue_ring_norm_count_frozen():
     k = QuadField.from_d(-1)
-    assert residue_ring_norm_count(k, 3, 1, 1) == 4
-    assert residue_ring_norm_count(k, 5, 1, 1) == 4
-    assert residue_ring_norm_count(k, 5, 2, 1) == 20
+    model = norm_form_model(k)
+    assert count_points_mod(model, 3, 1) == 4
+    assert count_points_mod(model, 5, 1) == 4
+    assert count_points_mod(model, 5, 2) == 20
 
 
 def test_residue_ring_norm_count_brute():
-    # direct double loop oracle at small moduli
-    for d, p, k, t in ((-1, 3, 2, 1), (-3, 5, 1, 2), (5, 3, 2, 1), (-7, 3, 1, 1)):
+    # direct double loop oracle at small moduli, both models
+    for d, p, k in ((-1, 3, 2), (5, 3, 2), (-7, 3, 1), (-3, 2, 3), (5, 2, 3)):
         field = QuadField.from_d(d)
         q = p**k
-        want = sum(
-            1 for a in range(q) for b in range(q)
-            if field.norm(a, b) % q == t % q and field.norm(a, b) % p != 0
-        )
-        assert residue_ring_norm_count(field, p, k, t) == want
+        norms = [field.norm(a, b) for a in range(q) for b in range(q)]
+        want_one = sum(1 for n in norms if n % q == 1 % q)
+        want_unit = sum(1 for n in norms if n % p != 0)
+        assert count_points_mod(norm_form_model(field), p, k) == want_one
+        assert count_points_mod(unit_group_model(field), p, k) == want_unit
 
 
 def test_residue_count_unit_condition():
-    # a norm divisible by p is never a unit target
+    # the unit-group model counts the units of O/p^k: (p-1)^2 p^(2(k-1)) at split p
     k = QuadField.from_d(-1)
-    assert residue_ring_norm_count(k, 5, 2, 5) == 0
+    assert count_points_mod(unit_group_model(k), 5, 2) == 16 * 5**2
     with pytest.raises(BudgetExceededError):
-        residue_ring_norm_count(k, 97, 4, 1, budget=10**6)
+        count_points_mod(norm_form_model(k), 97, 4, budget=10**6)
 
 
 def test_residue_count_group_size():
-    # totals over all unit targets = #(O/p^k)^x for split p
+    # #(O/p)^x for split p: (Z/5)^x x (Z/5)^x
     k = QuadField.from_d(-1)
-    p, lvl = 5, 1
-    total = sum(residue_ring_norm_count(k, p, lvl, t) for t in range(1, p))
-    assert total == (p - 1) ** 2  # split: (Z/5)^x x (Z/5)^x
+    p = 5
+    assert count_points_mod(unit_group_model(k), p, 1) == (p - 1) ** 2
 
 
 # ---------------------------------------------------------------------------
