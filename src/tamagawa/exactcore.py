@@ -1,7 +1,7 @@
 """Exact arithmetic substrate.
 
 Integer matrices with Smith and Hermite normal forms, characteristic
-polynomials, the Kronecker symbol, and polynomial factorization over F_p.
+polynomials, primes and the Kronecker symbol.
 
 Everything here is immutable and pure; safe to share between threads.
 """
@@ -10,12 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import isqrt
-
-from .errors import BudgetExceededError
-
-# Enumeration cap for exhaustive equal-degree factor search.
-_POLY_ENUM_BUDGET = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +55,7 @@ def primes_up_to(n: int) -> tuple[int, ...]:
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p::p] = bytearray(len(range(p * p, n + 1, p)))
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+    return tuple(compress(range(n + 1), sieve))
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -75,17 +71,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def valuation(n: int, p: int) -> int:
-    if n == 0:
-        raise ValueError("valuation of 0 is undefined")
-    n = abs(n)
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -148,35 +133,6 @@ def kronecker_symbol(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def hensel_lift_root(coeffs: tuple[int, ...], p: int, root: int, k: int) -> int:
-    """Lift a simple root of f mod p to a root mod p**k (Newton doubling).
-
-    f'(root) must be a unit mod p.
-    """
-    f = tuple(coeffs)
-
-    def ev(poly, x, m):
-        acc = 0
-        for c in reversed(poly):
-            acc = (acc * x + c) % m
-        return acc
-
-    deriv = tuple(i * c for i, c in enumerate(f))[1:]
-    if ev(f, root, p) != 0:
-        raise ValueError("not a root mod p")
-    if ev(deriv, root, p) % p == 0:
-        raise ValueError("root is not simple mod p")
-    m = p
-    target = p ** k
-    r = root % p
-    while m < target:
-        m = min(m * m, target)
-        fr = ev(f, r, m)
-        dr = ev(deriv, r, m)
-        r = (r - fr * pow(dr, -1, m)) % m
-    return r
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +338,6 @@ def smith_normal_form(m: IntMatrix, want_u: bool = True) -> SnfResult:
         for r in v:
             r[i], r[j] = r[j], r[i]
         vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def col_neg(j):
-        for r in a:
-            r[j] = -r[j]
-        for r in v:
-            r[j] = -r[j]
-        vinv[j] = [-x for x in vinv[j]]
 
     def eliminate(start: int) -> int:
         """Diagonalize the submatrix from (start, start); returns #pivots placed."""
@@ -627,192 +576,3 @@ def invariants_from_relations(ambient_rank: int, relations: IntMatrix) -> Abelia
     nonzero = [x for x in snf.d if x]
     return AbelianGroupInvariants(ambient_rank - len(nonzero), tuple(x for x in nonzero if x > 1))
 
-
-# ---------------------------------------------------------------------------
-# polynomials over F_p (tuples of coefficients, low degree first)
-
-
-def _ptrim(f):
-    f = list(f)
-    while f and f[-1] == 0:
-        f.pop()
-    return tuple(f)
-
-
-def _pdeg(f):
-    return len(f) - 1
-
-
-def _pmul(f, g, p):
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return _ptrim(out)
-
-
-def _pdivmod(f, g, p):
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    f = list(f)
-    q = [0] * max(len(f) - len(g) + 1, 0)
-    inv_lead = pow(g[-1], -1, p)
-    while len(f) >= len(g) and any(f):
-        if f[-1] == 0:
-            f.pop()
-            continue
-        shift = len(f) - len(g)
-        coef = f[-1] * inv_lead % p
-        q[shift] = coef
-        for i, b in enumerate(g):
-            f[shift + i] = (f[shift + i] - coef * b) % p
-        f.pop()
-    return _ptrim(q), _ptrim(f)
-
-
-def _pmonic(f, p):
-    if not f:
-        return f
-    inv = pow(f[-1], -1, p)
-    return tuple(c * inv % p for c in f)
-
-
-def _pgcd(f, g, p):
-    f, g = _ptrim(f), _ptrim(g)
-    while g:
-        f, g = g, _pdivmod(f, g, p)[1]
-    return _pmonic(f, p)
-
-
-def _ppowmod(base, e, mod, p):
-    result = (1,)
-    base = _pdivmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _pdivmod(_pmul(result, base, p), mod, p)[1]
-        base = _pdivmod(_pmul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
-
-
-def _pderiv(f, p):
-    return _ptrim(tuple(i * c % p for i, c in enumerate(f)))[1:] if len(f) > 1 else ()
-
-
-def _psub(f, g, p):
-    n = max(len(f), len(g))
-    f = list(f) + [0] * (n - len(f))
-    g = list(g) + [0] * (n - len(g))
-    return _ptrim(tuple((a - b) % p for a, b in zip(f, g)))
-
-
-def _squarefree_parts(f, p):
-    """[(g, m)] with f = prod g^m, g monic squarefree, pairwise coprime."""
-    out: dict[tuple, int] = {}
-    df = _pderiv(f, p)
-    c = _pgcd(f, df, p) if df else f
-    w = _pdivmod(f, c, p)[0]
-    i = 1
-    while _pdeg(w) > 0:
-        y = _pgcd(w, c, p)
-        z = _pdivmod(w, y, p)[0]
-        if _pdeg(z) > 0:
-            out[z] = out.get(z, 0) + i
-        w = y
-        c = _pdivmod(c, y, p)[0]
-        i += 1
-    if _pdeg(c) > 0:
-        # c is a p-th power: coefficients of x^{jp} survive, a^{1/p} = a in F_p
-        root = tuple(c[j] for j in range(0, len(c), p))
-        for g, m in _squarefree_parts(_pmonic(root, p), p):
-            out[g] = out.get(g, 0) + m * p
-    return sorted(out.items())
-
-
-def _distinct_degree(g, p):
-    """[(h, d)]: h = product of the irreducible factors of g of degree d."""
-    out = []
-    x_poly = (0, 1)
-    h = _pdivmod(x_poly, g, p)[1]
-    d = 0
-    while _pdeg(g) >= 2 * (d + 1):
-        d += 1
-        h = _ppowmod(h, p, g, p)
-        gd = _pgcd(g, _psub(h, x_poly, p), p)
-        if _pdeg(gd) > 0:
-            out.append((gd, d))
-            g = _pdivmod(g, gd, p)[0]
-            h = _pdivmod(h, g, p)[1]
-    if _pdeg(g) > 0:
-        out.append((g, _pdeg(g)))
-    return out
-
-
-def _equal_degree(h, d, p):
-    """Split a product of degree-d irreducibles exhaustively."""
-    factors = []
-    if d == 1:
-        for a in range(p):
-            if _pdeg(h) == 0:
-                break
-            if eval_poly(h, a) % p == 0:
-                lin = ((-a) % p, 1)
-                factors.append(lin)
-                h = _pdivmod(h, lin, p)[0]
-        return factors
-    if _pdeg(h) == d:
-        return [h]
-    if p ** d > _POLY_ENUM_BUDGET:
-        raise BudgetExceededError(f"equal-degree search p^{d} = {p ** d} exceeds {_POLY_ENUM_BUDGET}")
-    # enumerate monic candidates of degree d in lexicographic order
-    counters = [0] * d
-    while _pdeg(h) > d:
-        cand = tuple(counters) + (1,)
-        q, r = _pdivmod(h, cand, p)
-        if not r:
-            factors.append(cand)
-            h = q
-            continue
-        for i in range(d):
-            counters[i] += 1
-            if counters[i] < p:
-                break
-            counters[i] = 0
-        else:
-            raise ArithmeticError("exhausted candidates without splitting")
-    factors.append(h)
-    return factors
-
-
-def factor_poly_mod_p(coeffs, p: int):
-    """Full factorization of a nonzero integer polynomial mod p.
-
-    Returns (leading_unit, ((monic_factor, multiplicity), ...)) with factors
-    as low-first coefficient tuples, sorted for determinism.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    f = _ptrim(tuple(c % p for c in coeffs))
-    if not f:
-        raise ValueError("polynomial is zero mod p")
-    lead = f[-1]
-    f = _pmonic(f, p)
-    if _pdeg(f) == 0:
-        return lead, ()
-    out = []
-    for g, mult in _squarefree_parts(f, p):
-        for h, d in _distinct_degree(g, p):
-            for irr in _equal_degree(h, d, p):
-                out.append((irr, mult))
-    out.sort(key=lambda t: (len(t[0]), t[0]))
-    return lead, tuple(out)
-
-
-def poly_roots_mod_p(coeffs, p: int) -> tuple[int, ...]:
-    """Roots in F_p of a nonzero integer polynomial, sorted, without multiplicity."""
-    _, factors = factor_poly_mod_p(coeffs, p)
-    roots = sorted((-g[0]) % p for g, _ in factors if len(g) == 2)
-    return tuple(roots)

@@ -26,13 +26,10 @@ from .errors import (
 )
 from .exactcore import (
     IntMatrix,
-    hensel_lift_root,
     is_prime,
     kronecker_symbol,
-    poly_roots_mod_p,
     primes_up_to,
     row_lattice_index,
-    valuation,
 )
 from .galois import INF, TorusSpec, euler_factor_at_one, is_good_prime, point_count_Fp, q_rank
 from .localmeasure import local_density
@@ -304,32 +301,16 @@ class CGammaResult:
     trace: tuple  # ((prime_bound, box, index), ...) for the lattice route
 
 
-@lru_cache(maxsize=64)
-def _split_root(D: int, p: int, prec: int) -> int:
-    """A root of the minimal polynomial of omega mod p^prec, fixing one
-    prime above the split p consistently across precisions."""
-    coeffs = ((D * D - D) // 4, -D, 1)
-    roots = poly_roots_mod_p(coeffs, p)
-    if len(roots) != 2:
-        raise ValueError(f"p={p} is not split for D={D}")
-    return hensel_lift_root(coeffs, p, min(roots), prec)
-
-
-def _vp_at_split(D: int, p: int, x: int, y: int, e: int) -> int:
-    """Valuation of x + y*omega at the fixed prime above split p, given
-    e = v_p of the absolute norm."""
-    mod = p ** (e + 1)
-    r = _split_root(D, p, e + 1)
-    z = (x + y * r) % mod
-    if z == 0:
-        return e
-    return min(valuation(z, p), e)
-
-
 def _window_vectors(field: QuadField, prime_bound: int, box: int):
     """Valuation vectors (2 v_P - v_p(N)) over split p <= prime_bound of
     all elements with norm supported on primes <= prime_bound and the
-    ramified primes.  Returns (split_primes, vectors, witness_ok)."""
+    ramified primes.  Returns (split_primes, vectors, witness_ok).
+
+    P = (p, w - r) is fixed by the least root r of w's minimal
+    polynomial mod p.  For alpha = x + y*w with e = v_p(N(alpha)) and
+    p^m the exact power of p dividing x and y, the entry is e - 2m if
+    x/p^m + (y/p^m)*r = 0 mod p and -(e - 2m) otherwise: P != Pbar and
+    P*Pbar = pO, so alpha/p^m lies in at most one of them."""
     D = field.D
     small = primes_up_to(prime_bound)
     split = [p for p in small if kronecker_symbol(D, p) == 1]
@@ -350,23 +331,24 @@ def _window_vectors(field: QuadField, prime_bound: int, box: int):
             mask = (rem > 0) & (rem % p == 0)
         if p in split:
             exps[p] = e
-    accepted = np.argwhere(rem == 1)
-    vectors = set()
-    witnessed = {p: False for p in split}
-    for i, j in accepted:
-        x = int(coords[i])
-        y = int(coords[j])
-        vec = []
-        for p in split:
-            e = int(exps[p][i, j])
-            vec.append(2 * _vp_at_split(D, p, x, y, e) - e if e else 0)
-        vec = tuple(vec)
-        if any(vec):
-            vectors.add(vec)
-            support = [(k, c) for k, c in enumerate(vec) if c]
-            if len(support) == 1 and abs(support[0][1]) == 1:
-                witnessed[split[support[0][0]]] = True
-    return split, sorted(vectors), all(witnessed.values()) if split else True
+    accepted = rem == 1
+    vecs = np.zeros((np.count_nonzero(accepted), len(split)), dtype=np.int64)
+    for i, p in enumerate(split):
+        r = min(r for r in range(p) if (r * r - D * r + nw) % p == 0)
+        x, y = A[accepted], B[accepted]
+        k = exps[p][accepted]
+        mask = (x % p == 0) & (y % p == 0)
+        while mask.any():
+            x[mask] //= p
+            y[mask] //= p
+            k[mask] -= 2
+            mask = (x % p == 0) & (y % p == 0)
+        vecs[:, i] = np.where((x + y * r) % p == 0, k, -k)
+    vecs = np.unique(vecs[vecs.any(axis=1)], axis=0)
+    # p is witnessed by a vector +-1 at p and 0 elsewhere
+    unit = vecs[np.abs(vecs).sum(axis=1) == 1]
+    witnessed = bool(unit.any(axis=0).all())
+    return split, [tuple(v) for v in vecs.tolist()], witnessed
 
 
 def _norm_one_class_index(field: QuadField) -> CGammaResult:

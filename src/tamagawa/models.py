@@ -36,11 +36,6 @@ class AffineModel:
     base_point: tuple[int, ...]
     gauge: str
 
-    def norm_coeffs(self) -> tuple[int, int, int]:
-        """N(x, y) = x^2 + c1*x*y + c2*y^2 with (c1, c2) = (D, (D^2-D)/4)."""
-        D = self.D
-        return (1, D, (D * D - D) // 4)
-
     def jacobian_at_base(self) -> tuple[int, ...]:
         D = self.D
         if self.kind == "norm-one":

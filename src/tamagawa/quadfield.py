@@ -1,4 +1,4 @@
-"""Quadratic fields: discriminants, splitting, class groups, units.
+"""Quadratic fields: discriminants, class groups, units.
 
 Conventions: K = Q(sqrt(d)) with d squarefree, fundamental discriminant
 D = d (d = 1 mod 4) or 4d, ring basis (1, w) with w = (D + sqrt(D))/2, so
@@ -20,7 +20,6 @@ from math import gcd, isqrt
 from .exactcore import (
     AbelianGroupInvariants,
     factorize,
-    is_prime,
     kronecker_symbol,
     squarefree_part,
     xgcd,
@@ -60,11 +59,6 @@ class QuadField:
     def is_imaginary(self) -> bool:
         return self.d < 0
 
-    def minpoly_omega(self) -> tuple[int, int, int]:
-        """Coefficients (c0, c1, c2) of x^2 - D x + (D^2 - D)/4, low first."""
-        D = self.D
-        return ((D * D - D) // 4, -D, 1)
-
     def norm(self, a: int, b: int) -> int:
         """N(a + b*w) for the ring basis (1, w)."""
         D = self.D
@@ -72,25 +66,6 @@ class QuadField:
 
     def ramified_primes(self) -> tuple[int, ...]:
         return tuple(sorted(factorize(self.D)))
-
-
-@dataclass(frozen=True)
-class SplittingData:
-    p: int
-    kind: str  # "split" | "inert" | "ramified"
-    e: tuple[int, ...]
-    f: tuple[int, ...]
-
-
-def splitting_type(field: QuadField, p: int) -> SplittingData:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    chi = kronecker_symbol(field.D, p)
-    if chi == 1:
-        return SplittingData(p, "split", (1, 1), (1, 1))
-    if chi == -1:
-        return SplittingData(p, "inert", (1,), (2,))
-    return SplittingData(p, "ramified", (2,), (1,))
 
 
 # ---------------------------------------------------------------------------

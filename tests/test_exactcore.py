@@ -1,35 +1,29 @@
-"""Exact-arithmetic substrate: primes, matrices, normal forms, charpoly,
-polynomial factorization mod p."""
+"""Exact-arithmetic substrate: primes, matrices, normal forms, charpoly."""
 
 import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from tamagawa.errors import BudgetExceededError
 from tamagawa.exactcore import (
     AbelianGroupInvariants,
     IntMatrix,
     charpoly,
     eval_poly,
-    factor_poly_mod_p,
     factorize,
-    hensel_lift_root,
     hermite_normal_form,
     in_row_lattice,
     invariants_from_relations,
     is_prime,
     kernel_basis,
     kronecker_symbol,
-    poly_roots_mod_p,
     primes_up_to,
     row_lattice_index,
     smith_normal_form,
     squarefree_part,
-    valuation,
     vstack,
     xgcd,
 )
@@ -40,6 +34,10 @@ from tamagawa.exactcore import (
 
 def test_primes_small():
     assert primes_up_to(30) == (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+    assert primes_up_to(1) == ()
+    assert primes_up_to(2) == (2,)
+    big = primes_up_to(10**6)
+    assert len(big) == 78498 and big[-1] == 999983
     assert is_prime(2) and is_prime(97) and is_prime(2**31 - 1)
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
     assert not is_prime(561)  # Carmichael
@@ -53,8 +51,6 @@ def test_xgcd_identity(a, b):
 
 
 def test_valuation_and_factorize():
-    assert valuation(48, 2) == 4
-    assert valuation(-45, 3) == 2
     assert factorize(2 * 2 * 3 * 49) == {2: 2, 3: 1, 7: 2}
     assert factorize(1) == {}
     assert squarefree_part(-12) == -3
@@ -77,16 +73,6 @@ def test_kronecker_quadratic_residues():
         assert kronecker_symbol(p, p) == 0
     # the 2-adic supplement
     assert kronecker_symbol(2, 7) == 1 and kronecker_symbol(2, 3) == -1
-
-
-def test_hensel_lift():
-    # x^2 + 1 at p=5: root 2 lifts uniquely
-    coeffs = (1, 0, 1)
-    r = hensel_lift_root(coeffs, 5, 2, 4)
-    assert eval_poly(coeffs, r) % 5**4 == 0
-    assert r % 5 == 2
-    with pytest.raises(ValueError):
-        hensel_lift_root((1, 0, 1), 5, 1, 3)  # not a root
 
 
 # ---------------------------------------------------------------------------
@@ -228,52 +214,3 @@ def test_invariants_from_relations():
     with pytest.raises(ValueError):
         AbelianGroupInvariants(0, (3, 2))  # violates divisibility order
 
-
-# ---------------------------------------------------------------------------
-# polynomial factorization mod p
-
-
-def _poly_mul_mod(f, g, p):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    return tuple(out)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.lists(st.integers(0, 22), min_size=1, max_size=5),
-    st.sampled_from([2, 3, 5, 7, 11, 23]),
-)
-def test_factor_poly_reassembles(coeffs, p):
-    coeffs = tuple(c % p for c in coeffs)
-    if not any(coeffs):
-        return
-    lead, factors = factor_poly_mod_p(coeffs, p)
-    prod = (lead % p,)
-    for f, mult in factors:
-        assert f[-1] == 1  # monic
-        for _ in range(mult):
-            prod = _poly_mul_mod(prod, f, p)
-    want = tuple(c % p for c in coeffs)
-    while want and want[-1] == 0:
-        want = want[:-1]
-    assert prod == want
-
-
-def test_poly_roots():
-    # x^2 + 1 mod 5: roots 2, 3
-    assert poly_roots_mod_p((1, 0, 1), 5) == (2, 3)
-    assert poly_roots_mod_p((1, 0, 1), 7) == ()
-    # (x - 1)^2 x mod 7
-    assert poly_roots_mod_p((0, 1, -2, 1), 7) == (0, 1)
-
-
-def test_factor_budget():
-    # (x^2 - 11)(x^2 - 44) mod 1009: both quadratics irreducible (11 is a
-    # non-residue), so equal-degree splitting must enumerate 1009^2 > 1e6
-    # monic quadratics and the guard fires first
-    assert kronecker_symbol(11, 1009) == -1
-    with pytest.raises(BudgetExceededError):
-        factor_poly_mod_p((484, 0, -55, 0, 1), 1009)

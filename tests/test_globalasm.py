@@ -13,8 +13,10 @@ from tamagawa.errors import (
     QRankError,
     UnsupportedTorusError,
 )
+from tamagawa.exactcore import factorize, kronecker_symbol, primes_up_to
 from tamagawa.galois import INF, build_torus
 from tamagawa.globalasm import (
+    _window_vectors,
     adaptive_simpson,
     analytic_class_number,
     archimedean_volume,
@@ -189,6 +191,62 @@ def test_c_gamma_res_scalars_is_class_number():
 
 def test_c_gamma_quotient_matches_norm_one():
     assert c_gamma(build_torus("quotient-by-gm", QuadField.from_d(-1))).value == 1
+
+
+def _window_vectors_oracle(D, prime_bound, box):
+    """Point-by-point valuation vectors: v_P(x + y*w) is the largest
+    j <= e with x + y*r_j = 0 mod p^j, where r_j lifts the least root of
+    w's minimal polynomial mod p one p-adic digit at a time."""
+    nw = (D * D - D) // 4
+    small = primes_up_to(prime_bound)
+    split = [p for p in small if kronecker_symbol(D, p) == 1]
+    lifts = {}
+    for p in split:
+        r = min(r for r in range(p) if (r * r - D * r + nw) % p == 0)
+        roots = [0, r]
+        for j in range(1, 40):
+            step = [r + t * p**j for t in range(p)]
+            (r,) = [c for c in step if (c * c - D * c + nw) % p ** (j + 1) == 0]
+            roots.append(r)
+        lifts[p] = roots
+    smooth = set(small) | set(factorize(D))
+    vectors = set()
+    witnessed = set()
+    for x in range(-box, box + 1):
+        for y in range(-box, box + 1):
+            n = abs(x * x + D * x * y + nw * y * y)
+            if n == 0:
+                continue
+            exps = {}
+            for p in smooth:
+                while n % p == 0:
+                    n //= p
+                    exps[p] = exps.get(p, 0) + 1
+            if n != 1:
+                continue
+            vec = []
+            for p in split:
+                e = exps.get(p, 0)
+                roots = lifts[p]
+                vp = max(j for j in range(e + 1) if (x + y * roots[j]) % p**j == 0)
+                vec.append(2 * vp - e)
+            if any(vec):
+                vectors.add(tuple(vec))
+            if sum(map(abs, vec)) == 1:
+                witnessed.add(next(p for p, c in zip(split, vec) if c))
+    return split, sorted(vectors), witnessed == set(split)
+
+
+@pytest.mark.parametrize("D", [-4, -7, -23, -71, 5, 13, 17])
+def test_window_vectors_match_digit_lift_oracle(D):
+    field = QuadField.from_d(D if D % 4 == 1 else D // 4)
+    split, vectors, witnessed = _window_vectors(field, 20, 20)
+    want_split, want_vectors, want_witnessed = _window_vectors_oracle(D, 20, 20)
+    assert split == want_split
+    assert sorted(vectors) == want_vectors
+    assert witnessed == want_witnessed
+    if D in (-7, 17):
+        assert split[0] == 2
 
 
 # ---------------------------------------------------------------------------

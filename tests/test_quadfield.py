@@ -1,4 +1,4 @@
-"""Quadratic fields: discriminants, splitting, form class groups, units,
+"""Quadratic fields: discriminants, form class groups, units,
 residue-ring counts, biquadratic bookkeeping."""
 
 import math
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamagawa.errors import BudgetExceededError
-from tamagawa.exactcore import factor_poly_mod_p, kronecker_symbol, primes_up_to
 from tamagawa.models import count_points_mod, norm_form_model, unit_group_model
 from tamagawa.quadfield import (
     BiquadField,
@@ -21,7 +20,6 @@ from tamagawa.quadfield import (
     principal_form,
     reduce_form,
     reduced_forms,
-    splitting_type,
 )
 
 FUNDAMENTAL = [-3, -4, -7, -8, -11, -15, -19, -20, -23, -47, -84, 5, 8, 12, 13, 17, 21]
@@ -53,26 +51,6 @@ def test_norm_form():
     assert k.norm(0, 1) == 5
     k3 = QuadField.from_d(-3)
     assert k3.norm(1, 1) == 1  # a sixth root of unity
-
-
-def test_splitting_type_matches_kronecker_and_factorization():
-    for d in (-1, -2, -3, -5, -7, 2, 5, 13):
-        k = QuadField.from_d(d)
-        for p in primes_up_to(50):
-            s = splitting_type(k, p)
-            chi = kronecker_symbol(k.D, p)
-            if chi == 1:
-                assert (s.kind, s.e, s.f) == ("split", (1, 1), (1, 1))
-            elif chi == -1:
-                assert (s.kind, s.e, s.f) == ("inert", (1,), (2,))
-            else:
-                assert (s.kind, s.e, s.f) == ("ramified", (2,), (1,))
-            assert sum(a * b for a, b in zip(s.e, s.f)) == 2  # efg = n
-            # cross-route: factorization shape of the minimal polynomial
-            if p % 2 == 1 and k.D % p != 0:
-                _, factors = factor_poly_mod_p(k.minpoly_omega(), p)
-                degs = sorted(len(f) - 1 for f, _ in factors)
-                assert degs == ([1, 1] if chi == 1 else [2])
 
 
 # ---------------------------------------------------------------------------
