@@ -25,7 +25,6 @@ from .exactcore import (
     in_row_lattice,
     invariants_from_relations,
     kernel_basis,
-    primes_up_to,
     row_lattice_index,
     smith_normal_form,
     vstack,
@@ -41,7 +40,6 @@ from .galois import (
 from .quadfield import QuadField
 
 _COL_BUDGET = 20000
-_UNRAMIFIED_SAMPLES = 50
 
 
 def _submatrix(m: IntMatrix, r0: int, r1: int, c0: int, c1: int) -> IntMatrix:
@@ -258,22 +256,15 @@ def stacked_kernel_order(maps: list[CohomologyMap]) -> int:
 
 
 def _knot_group_order(t: TorusSpec) -> int:
-    """ker(H^3(G, Z) -> prod_v H^3(D_v, Z)) over ramified v, infinity, and a
-    sample of unramified Frobenius places."""
+    """ker(H^3(G, Z) -> prod_v H^3(D_v, Z)) over ramified v, infinity, and the
+    unramified places, whose decomposition groups are by Chebotarev exactly the
+    cyclic subgroups of G."""
     G = t.group
     lat = trivial_lattice(G)
     subs = {decomposition_subgroup(t, INF)}
     for p in t.ramified_primes():
         subs.add(decomposition_subgroup(t, p))
-    disc = t.splitting_disc()
-    found = 0
-    for p in primes_up_to(10000):
-        if disc % p == 0:
-            continue
-        subs.add(decomposition_subgroup(t, p))
-        found += 1
-        if found >= _UNRAMIFIED_SAMPLES:
-            break
+    subs |= {G.subgroup_closure((g,)) for g in range(G.order)}
     maps = [restriction(G, s, lat, 3) for s in sorted(subs)]
     return stacked_kernel_order(maps)
 

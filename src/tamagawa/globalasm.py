@@ -202,17 +202,17 @@ def archimedean_volume(torus: TorusSpec, tol: float = 1e-9) -> ArchVolume:
 # L-values
 
 
-@lru_cache(maxsize=8)
-def _prime_array(cutoff: int):
-    return np.fromiter(primes_up_to(cutoff), dtype=np.int64)
+@lru_cache(maxsize=1)
+def _prime_array():
+    return np.fromiter(primes_up_to(EULER_CUTOFF), dtype=np.int64)
 
 
-def _euler_product(D: int, cutoff: int):
+def _euler_product(D: int):
     """Truncated Euler product for L(1, chi_D) with a fluctuation-based
     tail bound.  The bound is heuristic (no unconditional tail estimate
     at this cutoff): four times the largest swing of the partial
     log-products over the top octave and a 5e-5 relative floor."""
-    P = _prime_array(cutoff)
+    P = _prime_array()
     table = np.array([kronecker_symbol(D, r) for r in range(abs(D))], dtype=np.int8)
     chi = table[P % abs(D)]
     nz = chi != 0
@@ -222,7 +222,7 @@ def _euler_product(D: int, cutoff: int):
     log_l = -cums[-1]
     fluct = 0.0
     for num in (1, 2, 3, 4, 5, 6):
-        i = int(np.searchsorted(nzP, num * cutoff // 8, side="right"))
+        i = int(np.searchsorted(nzP, num * EULER_CUTOFF // 8, side="right"))
         if i >= 1:
             fluct = max(fluct, abs(-cums[i - 1] - log_l))
     value = math.exp(log_l)
@@ -239,7 +239,7 @@ class LValue:
     euler_abs_err: float  # heuristic tail bound, see _euler_product
 
 
-def l_value(D: int, tol: float = 1e-9, euler_cutoff: int = EULER_CUTOFF) -> LValue:
+def l_value(D: int, tol: float = 1e-9) -> LValue:
     """L(1, chi_D) by the closed-form character sum, cross-checked
     against the truncated Euler product."""
     if not is_fundamental_discriminant(D):
@@ -258,7 +258,7 @@ def l_value(D: int, tol: float = 1e-9, euler_cutoff: int = EULER_CUTOFF) -> LVal
         )
         value = -s / math.sqrt(m)
         abs_err = 1e-13 * (1.0 + abs(value))
-    ev, eerr = _euler_product(D, euler_cutoff)
+    ev, eerr = _euler_product(D)
     if abs(value - ev) > abs_err + eerr:
         raise ArithmeticError(
             f"L(1) methods disagree at D={D}: closed form {value}, "

@@ -1,4 +1,5 @@
-"""Quadratic fields: discriminants, class groups, units.
+"""Quadratic fields: discriminants, class numbers by counting reduced forms,
+units.
 
 Conventions: K = Q(sqrt(d)) with d squarefree, fundamental discriminant
 D = d (d = 1 mod 4) or 4d, ring basis (1, w) with w = (D + sqrt(D))/2, so
@@ -15,15 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
-from .exactcore import (
-    AbelianGroupInvariants,
-    factorize,
-    kronecker_symbol,
-    squarefree_part,
-    xgcd,
-)
+from .exactcore import factorize, kronecker_symbol, squarefree_part
 
 
 def is_fundamental_discriminant(D: int) -> bool:
@@ -69,12 +64,7 @@ class QuadField:
 
 
 # ---------------------------------------------------------------------------
-# class groups of imaginary quadratic fields via reduced binary forms
-
-
-def principal_form(D: int) -> tuple[int, int, int]:
-    b = D % 2
-    return (1, b, (b * b - D) // 4)
+# class numbers of imaginary quadratic fields by counting reduced forms
 
 
 def reduced_forms(D: int) -> tuple[tuple[int, int, int], ...]:
@@ -97,130 +87,18 @@ def reduced_forms(D: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted(forms))
 
 
-def reduce_form(form: tuple[int, int, int], D: int) -> tuple[int, int, int]:
-    a, b, c = form
-    if b * b - 4 * a * c != D:
-        raise ValueError("form discriminant mismatch")
-    while True:
-        if c < a:
-            a, b, c = c, -b, a
-            continue
-        if b > a or b <= -a:
-            r = b % (2 * a)
-            if r > a:
-                r -= 2 * a
-            b = r
-            c = (b * b - D) // (4 * a)
-            continue
-        break
-    if b < 0 and a == c:
-        b = -b
-    return (a, b, c)
-
-
-def _transform_form(form, x, y, u, v):
-    # substitution (X, Y) -> (x X + u Y, y X + v Y); must have x v - y u = 1
-    a, b, c = form
-    a2 = a * x * x + b * x * y + c * y * y
-    b2 = 2 * a * x * u + b * (x * v + y * u) + 2 * c * y * v
-    c2 = a * u * u + b * u * v + c * v * v
-    return (a2, b2, c2)
-
-
-def _coprime_leading_rep(form, n):
-    """Equivalent form whose leading coefficient is coprime to n."""
-    if gcd(form[0], n) == 1:
-        return form
-    for r in range(1, 64):
-        for x in range(-r, r + 1):
-            for y in range(-r, r + 1):
-                if max(abs(x), abs(y)) != r or gcd(x, y) != 1:
-                    continue
-                a, b, c = form
-                m = a * x * x + b * x * y + c * y * y
-                if m != 0 and gcd(m, n) == 1:
-                    g, s, t = xgcd(x, y)
-                    # columns (x, y), (-t, s): det = x s + t y = 1
-                    return _transform_form(form, x, y, -t, s)
-    raise ArithmeticError("no small representative coprime to n")
-
-
-def _crt(r1, m1, r2, m2):
-    g, s, _ = xgcd(m1, m2)
-    if (r2 - r1) % g:
-        raise ArithmeticError("incompatible congruences")
-    lcm = m1 // g * m2
-    return (r1 + m1 * ((r2 - r1) // g) * s) % lcm
-
-
-def compose_forms(f1, f2, D) -> tuple[int, int, int]:
-    """Gauss composition (Dirichlet's method), result reduced."""
-    a1, b1, _ = f1
-    a2, b2, _ = _coprime_leading_rep(f2, f1[0])
-    B = _crt(b1, 2 * a1, b2, 2 * a2)
-    A = a1 * a2
-    if (B * B - D) % (4 * A):
-        raise ArithmeticError("composition produced a non-form")
-    return reduce_form((A, B, (B * B - D) // (4 * A)), D)
-
-
-def _abelian_invariants_from_table(elements, compose, identity):
-    """Ascending invariant factors of a finite abelian group given by a
-    multiplication rule; max-order element extraction + quotient recursion."""
-    if len(elements) == 1:
-        return ()
-    best, best_ord = None, 1
-    for g in elements:
-        o = 1
-        x = g
-        while x != identity:
-            x = compose(x, g)
-            o += 1
-        if o > best_ord:
-            best, best_ord = g, o
-    cyc = []
-    x = identity
-    for _ in range(best_ord):
-        cyc.append(x)
-        x = compose(x, best)
-    coset_of = {}
-    reps = []
-    for g in elements:
-        if g in coset_of:
-            continue
-        members = sorted(compose(g, z) for z in cyc)
-        rep = members[0]
-        reps.append(rep)
-        for m in members:
-            coset_of[m] = rep
-
-    def qcompose(u, v):
-        return coset_of[compose(u, v)]
-
-    rest = _abelian_invariants_from_table(sorted(reps), qcompose, coset_of[identity])
-    return rest + (best_ord,)
-
-
 @dataclass(frozen=True)
 class ClassGroupData:
     D: int
     h: int
-    invariants: AbelianGroupInvariants
     forms: tuple[tuple[int, int, int], ...]
 
 
 @lru_cache(maxsize=256)
 def class_group(D: int) -> ClassGroupData:
+    """The class number h of Q(sqrt(D)), D < 0, as the number of reduced forms."""
     forms = reduced_forms(D)
-
-    def compose(f, g):
-        return compose_forms(f, g, D)
-
-    factors = _abelian_invariants_from_table(list(forms), compose, principal_form(D))
-    inv = AbelianGroupInvariants(0, factors)
-    if inv.order != len(forms):
-        raise ArithmeticError("composition table inconsistent with form count")
-    return ClassGroupData(D, len(forms), inv, forms)
+    return ClassGroupData(D, len(forms), forms)
 
 
 # ---------------------------------------------------------------------------

@@ -19,10 +19,17 @@ from tamagawa.exactcore import (
     IntMatrix,
     invariants_from_relations,
     kernel_basis,
+    primes_up_to,
     smith_normal_form,
     vstack,
 )
-from tamagawa.galois import FiniteGroup, GaloisLattice, build_torus, trivial_lattice
+from tamagawa.galois import (
+    FiniteGroup,
+    GaloisLattice,
+    build_torus,
+    decomposition_subgroup,
+    trivial_lattice,
+)
 from tamagawa.quadfield import BiquadField, QuadField
 
 
@@ -235,6 +242,21 @@ def test_ono_constant_biquadratic():
     assert ono_constant(t) == 2
     t2 = build_torus("norm-one", BiquadField.from_pair(2, 3))
     assert ono_constant(t2) == 1
+
+
+@pytest.mark.parametrize("field", [
+    QuadField.from_d(-5), QuadField.from_d(13), BiquadField.from_pair(13, 17),
+    BiquadField.from_pair(2, 3), BiquadField.from_pair(-1, 5),
+])
+def test_unramified_decomposition_groups_are_the_cyclic_subgroups(field):
+    # the knot group restricts to every cyclic subgroup (Chebotarev); a sample
+    # of Frobenius places must already meet each of them and nothing else
+    t = build_torus("norm-one", field)
+    G = t.group
+    disc = t.splitting_disc()
+    unramified = [p for p in primes_up_to(10000) if disc % p][:50]
+    sampled = {decomposition_subgroup(t, p) for p in unramified}
+    assert sampled == {G.subgroup_closure((g,)) for g in range(G.order)}
 
 
 def test_sha_order():
