@@ -5,8 +5,13 @@ class TamagawaError(Exception):
     """Base class for all library errors."""
 
 
-class ConfigError(TamagawaError):
-    """Invalid CLI or library configuration (exit code 64 territory)."""
+class ConfigError(TamagawaError, ValueError):
+    """Invalid CLI or library configuration (exit code 64 territory).
+
+    Also a ValueError, so library callers that pass a bad argument value
+    (for example a tolerance below what a routine can certify) may catch
+    it as one.
+    """
 
 
 class UnsupportedTorusError(TamagawaError):

@@ -18,22 +18,37 @@ from math import isqrt
 # elementary number theory
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+# (bound, bases): Miller-Rabin on these bases is proven deterministic for
+# n < bound (Jaeschke, Math. Comp. 61, 1993).  Larger n use all of
+# _SMALL_PRIMES.
+_MR_BASE_SETS = (
+    (1_373_653, (2, 3)),
+    (3_215_031_751, (2, 3, 5, 7)),
+)
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin, deterministic for n < 3.3e24."""
+    """Miller-Rabin after trial division by the primes up to 41.
+
+    Deterministic for n < 3,317,044,064,679,887,385,961,981 (psi_13, the
+    least strong pseudoprime to all of the bases 2..41; Sorenson-Webster,
+    Math. Comp. 86, 2017); above that bound it is a strong probable-prime
+    test to those 13 bases.
+    """
     if n < 2:
         return False
-    for p in _MR_BASES:
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
+    bases = next((b for bound, b in _MR_BASE_SETS if n < bound), _SMALL_PRIMES)
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -508,10 +523,12 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix(nc, k, flat)
 
 
+@lru_cache(maxsize=256)
 def charpoly(m: IntMatrix) -> tuple[int, ...]:
     """Coefficients c_0..c_n of det(x*I - m), low degree first.
 
-    Faddeev-LeVerrier: all divisions are exact over Z.
+    Faddeev-LeVerrier: all divisions are exact over Z.  Cached: the
+    Frobenius matrices of a torus are its |G| <= 4 Galois actions.
     """
     if m.rows != m.cols:
         raise ValueError("charpoly of non-square matrix")

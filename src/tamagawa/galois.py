@@ -300,7 +300,11 @@ def _frob_inverse_matrix(t: TorusSpec, p: int) -> IntMatrix:
 
 
 def euler_factor_at_one(t: TorusSpec, p: int) -> Fraction:
-    """det(1 - Fr_p^{-1} p^{-1} | X_* x Q), via the characteristic polynomial."""
+    """det(1 - Fr_p^{-1} p^{-1} | X_* x Q), via the characteristic polynomial.
+
+    `charpoly` is cached, so it runs once per Galois element; each p only
+    evaluates the polynomial.
+    """
     if not is_good_prime(t, p):
         raise ValueError(f"p = {p} is not a good prime for {t.label}")
     b = _frob_inverse_matrix(t, p)

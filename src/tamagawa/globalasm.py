@@ -20,6 +20,7 @@ import numpy as np
 from .cohomology import cohomology, h0_torsion_dual, ono_constant, sha_bk_order
 from .errors import (
     BudgetExceededError,
+    ConfigError,
     NotStabilizedError,
     QRankError,
     UnsupportedTorusError,
@@ -245,7 +246,9 @@ def l_value(D: int, tol: float = 1e-9) -> LValue:
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
     if tol < 1e-12:
-        raise ValueError("tol below closed-form accuracy")
+        raise ConfigError(
+            f"tol: {tol:g} is below the closed-form accuracy 1e-12 of L(1, chi_D)"
+        )
     m = abs(D)
     if D < 0:
         s = sum(a * kronecker_symbol(D, a) for a in range(1, m))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import BudgetExceededError, NotStabilizedError, UnsupportedTorusError
 from .galois import TorusSpec, is_good_prime, point_count_Fp
@@ -77,13 +78,18 @@ def _stabilized_density(model, p, jobs, budget, confirm=True):
     return LocalDensity(p, trace[-1][2], "brute-force", tuple(trace), True)
 
 
+@lru_cache(maxsize=64)
 def bad_prime_density(
     torus: TorusSpec,
     p: int,
     jobs: int = 1,
     budget: int = COUNT_BUDGET,
 ) -> LocalDensity:
-    """Density at a ramified prime or p=2 by stabilized brute force."""
+    """Density at a ramified prime or p=2 by stabilized brute force.
+
+    Cached, so `verify all` counts each bad prime once for its density
+    rows and for tau; a NotStabilizedError is not cached.
+    """
     if torus.model is None:
         raise UnsupportedTorusError(
             f"no affine model attached to {torus.label}; cannot count points"

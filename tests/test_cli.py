@@ -8,7 +8,9 @@ import pytest
 
 from tamagawa.cli import main, parse_torus
 from tamagawa.errors import ConfigError
+from tamagawa.exactcore import charpoly
 from tamagawa.globalasm import c_gamma
+from tamagawa.localmeasure import bad_prime_density
 from tamagawa.report import (
     FAIL,
     INCONCLUSIVE,
@@ -154,6 +156,18 @@ def test_bad_config_exits_64(capsys, argv):
     assert "config error:" in err
 
 
+@pytest.mark.parametrize("tol", ["1e-12", "1e-13"])
+@pytest.mark.parametrize("identity", ["tnc", "all"])
+def test_tol_below_l_value_accuracy_exits_64(capsys, identity, tol):
+    # tau_tam hands tol / (2 * c_gamma) down to l_value's 1e-12 floor
+    code, out, err = run_cli(
+        capsys, "verify", identity, "--torus", "norm1:-1", "--tol", tol)
+    assert code == 64
+    assert out == ""
+    assert "config error: tol:" in err
+    assert "Traceback" not in err
+
+
 def test_config_file(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"identity": "euler", "torus": "norm1:-1", "pmax": 7}))
@@ -280,6 +294,23 @@ def test_all_computes_c_gamma_once(capsys):
     code, _, _ = run_cli(capsys, "verify", "all", "--torus", "norm1:-1")
     assert code == 0
     assert c_gamma.cache_info().misses == 1
+
+
+def test_all_computes_each_bad_prime_density_once(capsys):
+    # the density rows and tau_coh share one count per bad prime
+    bad_prime_density.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "all", "--torus", "norm1:13")
+    assert code == 0
+    assert bad_prime_density.cache_info().misses == len(
+        parse_torus("norm1:13").bad_primes())
+
+
+def test_euler_computes_one_charpoly_per_galois_element(capsys):
+    charpoly.cache_clear()
+    code, _, _ = run_cli(
+        capsys, "verify", "euler", "--torus", "res:5,-3", "--pmax", "2000")
+    assert code == 0
+    assert charpoly.cache_info().misses <= 4
 
 
 def test_multiple_tori_in_one_run(capsys):

@@ -43,6 +43,26 @@ def test_primes_small():
     assert not is_prime(561)  # Carmichael
 
 
+@pytest.mark.parametrize("n", [
+    2047,  # strong pseudoprime to base 2
+    1373653,  # to bases 2, 3
+    25326001,  # to bases 2, 3, 5
+    3215031751,  # to bases 2, 3, 5, 7
+    3825123056546413051,  # to bases 2..23
+    318665857834031151167461,  # psi_12: to bases 2..37
+])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_matches_sieve():
+    # below 2e5, and across the switch from bases (2, 3) to (2, 3, 5, 7)
+    hi = 1373653 + 10**5
+    sieve = set(primes_up_to(hi))
+    for n in (*range(2 * 10**5), *range(1373653 - 10**5, hi)):
+        assert is_prime(n) == (n in sieve), n
+
+
 @given(st.integers(-500, 500), st.integers(-500, 500))
 def test_xgcd_identity(a, b):
     g, s, t = xgcd(a, b)
