@@ -203,14 +203,8 @@ def run_density(torus: TorusSpec, cfg: RunConfig):
 
 
 def run_sha(torus: TorusSpec, cfg: RunConfig):
-    inputs = {"torus": torus.label}
     i_t = ono_constant(torus)
-    try:
-        c = c_gamma(torus)
-    except NotStabilizedError as exc:
-        return [VerificationReport(
-            "sha-bk", inputs, {"i_t": i_t, "trace": exc.trace},
-            INCONCLUSIVE, cause=str(exc))]
+    c = c_gamma(torus)
     shabk = sha_bk_order(torus, c.value)
     values = {"c_gamma": c.value, "c_gamma_heuristic": c.heuristic,
               "i_t": i_t, "sha_bk": shabk}
@@ -218,7 +212,7 @@ def run_sha(torus: TorusSpec, cfg: RunConfig):
         values["sha"] = sha_order(torus)
     ok = shabk == c.value * i_t
     return [VerificationReport(
-        "sha-bk", inputs, values,
+        "sha-bk", {"torus": torus.label}, values,
         PASS if ok else FAIL,
         cause=None if ok else f"sha_bk {shabk} != c_gamma * i(T) = {c.value * i_t}",
     )]

@@ -1,5 +1,6 @@
 """Global assembly: archimedean volumes, L-values, the class-group
-constant c_gamma, and the Tamagawa-number identities.
+constant c_gamma (exact, by genus theory from the narrow class number),
+and the Tamagawa-number identities.
 
 Everything rational stays a Fraction until the final assembly; the only
 floating-point inputs are the archimedean volume (adaptive quadrature
@@ -25,13 +26,7 @@ from .errors import (
     QRankError,
     UnsupportedTorusError,
 )
-from .exactcore import (
-    IntMatrix,
-    is_prime,
-    kronecker_symbol,
-    primes_up_to,
-    row_lattice_index,
-)
+from .exactcore import is_prime, kronecker_symbol, primes_up_to
 from .galois import INF, TorusSpec, euler_factor_at_one, is_good_prime, point_count_Fp, q_rank
 from .localmeasure import local_density
 from .models import COUNT_BUDGET
@@ -108,16 +103,9 @@ class ArchVolume:
 
 
 def torsion_unit_order(field: QuadField) -> int:
-    """Order of the torsion unit group (roots of unity) of the field."""
-    if field.d > 0:
-        return 2
-    box_a = abs(field.D) + 2
-    count = 0
-    for a in range(-box_a, box_a + 1):
-        for b in (-2, -1, 0, 1, 2):
-            if field.norm(a, b) == 1:
-                count += 1
-    return count
+    """Order w of the group of roots of unity of the field: 6 for Q(sqrt(-3)),
+    4 for Q(i), 2 otherwise."""
+    return 6 if field.D == -3 else 4 if field.D == -4 else 2
 
 
 def _curve_integrand(field: QuadField):
@@ -300,110 +288,48 @@ def partial_l_value(torus: TorusSpec, places, tol: float = 1e-9) -> Real:
 @dataclass(frozen=True)
 class CGammaResult:
     value: int
-    heuristic: bool
-    trace: tuple  # ((prime_bound, box, index), ...) for the lattice route
-
-
-def _window_vectors(field: QuadField, prime_bound: int, box: int):
-    """Valuation vectors (2 v_P - v_p(N)) over split p <= prime_bound of
-    all elements with norm supported on primes <= prime_bound and the
-    ramified primes.  Returns (split_primes, vectors, witness_ok).
-
-    P = (p, w - r) is fixed by the least root r of w's minimal
-    polynomial mod p.  For alpha = x + y*w with e = v_p(N(alpha)) and
-    p^m the exact power of p dividing x and y, the entry is e - 2m if
-    x/p^m + (y/p^m)*r = 0 mod p and -(e - 2m) otherwise: P != Pbar and
-    P*Pbar = pO, so alpha/p^m lies in at most one of them."""
-    D = field.D
-    small = primes_up_to(prime_bound)
-    split = [p for p in small if kronecker_symbol(D, p) == 1]
-    strip = sorted(set(small) | set(field.ramified_primes()))
-    coords = np.arange(-box, box + 1, dtype=np.int64)
-    A, B = np.meshgrid(coords, coords, indexing="ij")
-    nw = (D * D - D) // 4
-    N = np.abs(A * A + D * A * B + nw * B * B)
-    rem = N.copy()
-    rem[rem == 0] = -1
-    exps = {}
-    for p in strip:
-        e = np.zeros(rem.shape, dtype=np.int16)
-        mask = (rem > 0) & (rem % p == 0)
-        while mask.any():
-            rem[mask] //= p
-            e[mask] += 1
-            mask = (rem > 0) & (rem % p == 0)
-        if p in split:
-            exps[p] = e
-    accepted = rem == 1
-    vecs = np.zeros((np.count_nonzero(accepted), len(split)), dtype=np.int64)
-    for i, p in enumerate(split):
-        r = min(r for r in range(p) if (r * r - D * r + nw) % p == 0)
-        x, y = A[accepted], B[accepted]
-        k = exps[p][accepted]
-        mask = (x % p == 0) & (y % p == 0)
-        while mask.any():
-            x[mask] //= p
-            y[mask] //= p
-            k[mask] -= 2
-            mask = (x % p == 0) & (y % p == 0)
-        vecs[:, i] = np.where((x + y * r) % p == 0, k, -k)
-    vecs = np.unique(vecs[vecs.any(axis=1)], axis=0)
-    # p is witnessed by a vector +-1 at p and 0 elsewhere
-    unit = vecs[np.abs(vecs).sum(axis=1) == 1]
-    witnessed = bool(unit.any(axis=0).all())
-    return split, [tuple(v) for v in vecs.tolist()], witnessed
-
-
-def _norm_one_class_index(field: QuadField) -> CGammaResult:
-    """Index in Z^{split primes} of the valuation-vector lattice of
-    norm-smooth elements, grown until it stabilizes three times."""
-    trace = []
-    indices = []
-    for r in range(5):
-        prime_bound = 20 + 12 * r
-        box = 6 * prime_bound
-        split, vectors, witnessed = _window_vectors(field, prime_bound, box)
-        if not split:
-            idx = 1
-        elif len(vectors) < len(split):
-            idx = 0
-        else:
-            m = IntMatrix.from_rows(vectors)
-            idx = row_lattice_index(m)
-        trace.append((prime_bound, box, idx))
-        indices.append((idx, witnessed))
-        if (
-            len(indices) >= 3
-            and idx > 0
-            and indices[-2][0] == idx
-            and indices[-3][0] == idx
-        ):
-            heuristic = not (idx == 1 and witnessed)
-            return CGammaResult(idx, heuristic, tuple(trace))
-    raise NotStabilizedError(
-        f"norm-one class index for D={field.D} did not stabilize",
-        trace=tuple(trace),
-    )
+    heuristic: bool  # always False: every route below is exact
+    trace: tuple  # always (); perfbench/tracing.py reads it
 
 
 @lru_cache(maxsize=64)
 def c_gamma(torus: TorusSpec) -> CGammaResult:
-    """The class-group constant of the torus, computed once per torus.
+    """The class-group constant of the torus, exact, computed once per torus.
 
-    res-scalars over an imaginary field: the class number, exact.
-    norm-one / quotient-by-gm over any quadratic field: the stabilized
-    valuation-lattice index (exact when self-certified by witnesses,
-    else flagged heuristic).
+    res-scalars over an imaginary field: the class number h.
+
+    norm-one over Q(sqrt(d)), and quotient-by-gm, which is Q-isomorphic to
+    it: |(Cl+)^2| = h+ / 2^(t-1), with h+ the narrow class number and t the
+    number of ramified primes (Ono, Ann. of Math. 78, 1963).  The constant
+    is the index in Z^split, over the split primes p in a set S of primes
+    that contains the ramified ones, of the relation lattice of vectors
+    (v_P(alpha) - v_Pbar(alpha))_p, alpha running over the elements whose
+    norm is supported on S and P a fixed prime above p.  That lattice is
+    the kernel of phi: Z^split -> Cl+/Cl+[2], e_p -> [P]:
+
+    - alpha/alphabar = alpha^2/N(alpha) is totally positive up to sign, so
+      prod P^(2 n_p) / p^(n_p) = (alpha/alphabar) is trivial in Cl+: the
+      lattice lies in ker phi.
+    - If a = prod P^(n_p) has [a] in Cl+[2], then a^2 = (beta) with beta
+      totally positive, and a/abar = (gamma) with gamma = beta/N(a) of
+      norm 1.  Hilbert 90 gives gamma = alpha/alphabar, and alpha divided
+      by a rational number has norm supported on S and vector n.
+
+    So the index is the order of the image of phi.  Chebotarev makes the
+    classes of the split primes generate Cl+ once S is large enough, so
+    phi is onto, and genus theory gives |Cl+[2]| = 2^(t-1).
     """
-    if not isinstance(torus.field, QuadField):
+    field = torus.field
+    if not isinstance(field, QuadField):
         raise UnsupportedTorusError("c_gamma implemented for quadratic fields")
     if torus.family == "res-scalars":
-        if not torus.field.is_imaginary:
+        if not field.is_imaginary:
             raise UnsupportedTorusError(
                 "c_gamma for res-scalars needs an imaginary field (unit rank 0)"
             )
-        return CGammaResult(class_group(torus.field.D).h, False, ())
-    return _norm_one_class_index(torus.field)
+        return CGammaResult(class_group(field.D).h, False, ())
+    t = len(field.ramified_primes())
+    return CGammaResult(class_group(field.D).h >> (t - 1), False, ())
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +466,7 @@ def verify_tnc(
 
     PASS needs both |tau_tam - ono_rhs| < tol and the finite global
     invariant #H^1(G, X^*) = #torsion(H_0(G, X^*)).  A non-stabilized
-    density or class index is INCONCLUSIVE, never silently dropped.
+    density is INCONCLUSIVE, never silently dropped.
     """
     rank = q_rank(torus)
     if rank != 0:
@@ -592,7 +518,7 @@ def analytic_class_number(D: int, tol: float = 1e-6) -> int:
         raise ValueError(f"{D} is not a fundamental discriminant")
     lv = l_value(D, min(tol, 1e-9))
     if D < 0:
-        w = 6 if D == -3 else 4 if D == -4 else 2
+        w = torsion_unit_order(QuadField(D if D % 4 == 1 else D // 4, D))
         h_float = w * lv.value * math.sqrt(abs(D)) / (2.0 * math.pi)
     else:
         reg = fundamental_unit(D).regulator

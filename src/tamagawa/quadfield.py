@@ -1,5 +1,5 @@
-"""Quadratic fields: discriminants, class numbers by counting reduced forms,
-units.
+"""Quadratic fields: discriminants, narrow class numbers by counting reduced
+forms (imaginary) or their cycles (real), units.
 
 Conventions: K = Q(sqrt(d)) with d squarefree, fundamental discriminant
 D = d (d = 1 mod 4) or 4d, ring basis (1, w) with w = (D + sqrt(D))/2, so
@@ -64,7 +64,7 @@ class QuadField:
 
 
 # ---------------------------------------------------------------------------
-# class numbers of imaginary quadratic fields by counting reduced forms
+# class numbers: reduced forms (D < 0), cycles of reduced forms (D > 0)
 
 
 def reduced_forms(D: int) -> tuple[tuple[int, int, int], ...]:
@@ -94,10 +94,65 @@ class ClassGroupData:
     forms: tuple[tuple[int, int, int], ...]
 
 
+def _cf_radicand(D: int) -> tuple[int, int]:
+    """(N, g) for a positive fundamental discriminant D: the irrationals
+    (P + sqrt(N))/Q with g | Q and g*Q | N - P^2 are the roots
+    (b + sqrt(D))/(2a) of the forms (a, b, c) of discriminant D, with
+    (a, b) = (Q, 2P) for g = 1 and (Q/2, P) for g = 2."""
+    if D <= 0 or not is_fundamental_discriminant(D):
+        raise ValueError(f"{D} is not a positive fundamental discriminant")
+    return (D // 4, 1) if D % 4 == 0 else (D, 2)
+
+
+def _cf_step(P: int, Q: int, N: int, s: int) -> tuple[int, int, int]:
+    """One continued-fraction step, s = isqrt(N), Q > 0:
+    (P + sqrt(N))/Q = a + 1/((P' + sqrt(N))/Q').  Returns (a, P', Q')."""
+    a = (P + s) // Q
+    P = a * Q - P
+    return a, P, (N - P * P) // Q
+
+
+def _cycle_representatives(D: int) -> tuple[tuple[int, int, int], ...]:
+    """One reduced indefinite form per rho-cycle of discriminant D > 0.
+
+    The reduced forms (a, b, c), 0 < b < sqrt(D) and |sqrt(D) - 2|a|| < b,
+    are the reduced irrationals (b + sqrt(D))/(2|a|) (> 1, conjugate in
+    (-1, 0)) with a sign.  rho is one continued-fraction step that also
+    flips the sign of a, so a continued-fraction cycle of even length
+    carries the two rho-cycles of (a, b, c) and (-a, b, -c), and one of odd
+    length a single rho-cycle.  The rho-cycles are the proper equivalence
+    classes of forms (Cohen, GTM 138, 5.6; Buchmann-Vollmer, Binary
+    Quadratic Forms, ch. 6), so there are h+ of them."""
+    N, g = _cf_radicand(D)
+    s = isqrt(N)
+    reduced = {
+        (P, Q)
+        for P in range(1, s + 1)
+        for Q in range(s - P + 1, s + P + 1)
+        if Q % g == 0 and (N - P * P) % (g * Q) == 0
+    }
+    forms = []
+    while reduced:
+        P, Q = min(reduced)
+        a, b = (Q, 2 * P) if g == 1 else (Q // 2, P)
+        c = (b * b - D) // (4 * a)
+        length = 0
+        while (P, Q) in reduced:
+            reduced.remove((P, Q))
+            _, P, Q = _cf_step(P, Q, N, s)
+            length += 1
+        forms.append((a, b, c))
+        if length % 2 == 0:
+            forms.append((-a, b, -c))
+    return tuple(sorted(forms))
+
+
 @lru_cache(maxsize=256)
 def class_group(D: int) -> ClassGroupData:
-    """The class number h of Q(sqrt(D)), D < 0, as the number of reduced forms."""
-    forms = reduced_forms(D)
+    """The narrow class number of Q(sqrt(D)) and one reduced form per class:
+    for D < 0 the reduced forms (h+ = h), for D > 0 one form per rho-cycle
+    of reduced indefinite forms."""
+    forms = reduced_forms(D) if D < 0 else _cycle_representatives(D)
     return ClassGroupData(D, len(forms), forms)
 
 
@@ -136,21 +191,16 @@ def _unit_from_halves(D: int, hx: int, hy: int) -> UnitData:
 
 def fundamental_unit(D: int) -> UnitData:
     """Continued-fraction expansion of the ring generator, one full period."""
-    if D <= 0 or not is_fundamental_discriminant(D):
-        raise ValueError(f"{D} is not a positive fundamental discriminant")
-    if D % 4 == 0:
-        P, Q, N = 0, 1, D // 4
-    else:
-        P, Q, N = 1, 2, D
+    N, g = _cf_radicand(D)
+    P, Q = (0, 1) if g == 1 else (1, 2)
     s = isqrt(N)
     seen: dict[tuple[int, int], int] = {}
     seq = []
     while (P, Q) not in seen:
         seen[(P, Q)] = len(seq)
-        a = (P + s) // Q
+        a, P1, Q1 = _cf_step(P, Q, N, s)
         seq.append((P, Q, a))
-        P = a * Q - P
-        Q = (N - P * P) // Q
+        P, Q = P1, Q1
     j = seen[(P, Q)]
     Pj, Qj = seq[j][0], seq[j][1]
     km2, km1 = 1, 0  # convergent denominators k_{-2}, k_{-1}

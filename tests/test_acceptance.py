@@ -184,7 +184,7 @@ def test_criterion_8_sha_consistency():
 
 
 def test_criterion_9_analytic_class_number_consistency():
-    # L(1)·sqrt|D|/pi against the composition-based form count; the lone
+    # L(1)·sqrt|D|/pi against the count of reduced forms; the lone
     # torsion correction is D = -4 where w = 4 doubles the literal value
     t0 = time.monotonic()
     for D in (-8, -20, -23, -47):

@@ -288,6 +288,17 @@ def test_all_flagship_end_to_end(capsys):
     assert sha["values"]["sha_bk"] == 1 and sha["values"]["sha"] == 1
 
 
+def test_all_passes_where_the_class_lattice_never_stabilized(capsys):
+    # c_gamma = h/2^(t-1) = 4/4 over Q(sqrt(-177)), exact, no window search
+    code, doc, _ = run_json(capsys, "verify", "all", "--torus", "norm1:-177")
+    assert code == 0
+    rows = {r["identity"]: r for r in doc["reports"]}
+    for ident in ("sha-bk", "tnc"):
+        assert rows[ident]["verdict"] == "PASS", rows[ident]
+        assert rows[ident]["values"]["c_gamma"] == 1
+        assert rows[ident]["values"]["c_gamma_heuristic"] is False
+
+
 def test_all_computes_c_gamma_once(capsys):
     # the sha-bk and tnc rows share one c_gamma computation
     c_gamma.cache_clear()

@@ -9,14 +9,18 @@ import pytest
 
 from tamagawa.errors import (
     BudgetExceededError,
-    NotStabilizedError,
     QRankError,
     UnsupportedTorusError,
 )
-from tamagawa.exactcore import factorize, kronecker_symbol, primes_up_to
+from tamagawa.exactcore import (
+    IntMatrix,
+    factorize,
+    kronecker_symbol,
+    primes_up_to,
+    row_lattice_index,
+)
 from tamagawa.galois import INF, build_torus
 from tamagawa.globalasm import (
-    _window_vectors,
     adaptive_simpson,
     analytic_class_number,
     archimedean_volume,
@@ -171,12 +175,11 @@ def test_c_gamma_norm_one_suite():
 
 
 def test_c_gamma_minus_23_heuristic():
+    # h = 3, one ramified prime: the closed form is certified, not heuristic
     res = c_gamma(norm_one(-23))
     assert res.value == 3
-    assert res.heuristic  # index > 1 cannot be witnessed from below
-    bounds = [row[0] for row in res.trace]
-    assert bounds == sorted(bounds)
-    assert [row[2] for row in res.trace][-3:] == [3, 3, 3]
+    assert res.heuristic is False
+    assert res.trace == ()
 
 
 def test_c_gamma_res_scalars_is_class_number():
@@ -194,9 +197,12 @@ def test_c_gamma_quotient_matches_norm_one():
 
 
 def _window_vectors_oracle(D, prime_bound, box):
-    """Point-by-point valuation vectors: v_P(x + y*w) is the largest
-    j <= e with x + y*r_j = 0 mod p^j, where r_j lifts the least root of
-    w's minimal polynomial mod p one p-adic digit at a time."""
+    """The nonzero valuation vectors (2 v_P - v_p(N)) over split
+    p <= prime_bound of the x + y*w, |x|, |y| <= box, whose norm is
+    supported on the primes <= prime_bound and the ramified primes, point by
+    point: v_P(x + y*w) is the largest j <= e with x + y*r_j = 0 mod p^j,
+    where r_j lifts the least root of w's minimal polynomial mod p one
+    p-adic digit at a time."""
     nw = (D * D - D) // 4
     small = primes_up_to(prime_bound)
     split = [p for p in small if kronecker_symbol(D, p) == 1]
@@ -211,7 +217,6 @@ def _window_vectors_oracle(D, prime_bound, box):
         lifts[p] = roots
     smooth = set(small) | set(factorize(D))
     vectors = set()
-    witnessed = set()
     for x in range(-box, box + 1):
         for y in range(-box, box + 1):
             n = abs(x * x + D * x * y + nw * y * y)
@@ -232,21 +237,28 @@ def _window_vectors_oracle(D, prime_bound, box):
                 vec.append(2 * vp - e)
             if any(vec):
                 vectors.add(tuple(vec))
-            if sum(map(abs, vec)) == 1:
-                witnessed.add(next(p for p, c in zip(split, vec) if c))
-    return split, sorted(vectors), witnessed == set(split)
+    return sorted(vectors)
 
 
-@pytest.mark.parametrize("D", [-4, -7, -23, -71, 5, 13, 17])
-def test_window_vectors_match_digit_lift_oracle(D):
+# (D, prime bound, box) where the lattice index has stabilized; 328 and 568
+# need the larger window
+LATTICE_WINDOWS = [(D, 20, 120) for D in (-4, -7, -23, -47, -56, -71, -104,
+                                          5, 13, 17, 136, 316)]
+LATTICE_WINDOWS += [(328, 32, 192), (568, 32, 192)]
+
+
+@pytest.mark.parametrize(
+    "D, prime_bound, box", LATTICE_WINDOWS, ids=[str(w[0]) for w in LATTICE_WINDOWS]
+)
+def test_c_gamma_matches_lattice_oracle(D, prime_bound, box):
+    # the index of the norm-smooth valuation lattice is h+/2^(t-1), for
+    # norm-one and for quot
+    vectors = _window_vectors_oracle(D, prime_bound, box)
+    index = row_lattice_index(IntMatrix.from_rows(vectors))
     field = QuadField.from_d(D if D % 4 == 1 else D // 4)
-    split, vectors, witnessed = _window_vectors(field, 20, 20)
-    want_split, want_vectors, want_witnessed = _window_vectors_oracle(D, 20, 20)
-    assert split == want_split
-    assert sorted(vectors) == want_vectors
-    assert witnessed == want_witnessed
-    if D in (-7, 17):
-        assert split[0] == 2
+    for family in ("norm-one", "quotient-by-gm"):
+        res = c_gamma(build_torus(family, field))
+        assert res.value == index and res.heuristic is False, (family, res)
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +296,7 @@ def test_tau_coh_rank_gate():
 
 def test_tau_tam_scales_by_c_gamma():
     tau, c = tau_tam(norm_one(-23), tol=1e-3)
-    assert c.value == 3 and c.heuristic
+    assert c.value == 3 and c.heuristic is False
     assert abs(tau.value - 2.0) < 1e-3
     assert ono_rhs(norm_one(-23)) == Fraction(2)
 
@@ -310,7 +322,7 @@ def test_verify_tnc_flagship():
 def test_verify_tnc_minus_23():
     rep = verify_tnc(norm_one(-23), tol=1e-3)
     assert rep.verdict == "PASS"
-    assert rep.c_gamma == 3 and rep.c_gamma_heuristic
+    assert rep.c_gamma == 3 and rep.c_gamma_heuristic is False
     assert rep.sha_bk == 3
 
 

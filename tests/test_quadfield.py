@@ -1,11 +1,12 @@
-"""Quadratic fields: discriminants, class numbers by counting reduced forms,
-units, residue-ring counts, biquadratic bookkeeping."""
+"""Quadratic fields: discriminants, class numbers by counting reduced forms
+and their cycles, units, residue-ring counts, biquadratic bookkeeping."""
 
 import math
 
 import pytest
 
 from tamagawa.errors import BudgetExceededError
+from tamagawa.globalasm import analytic_class_number
 from tamagawa.models import count_points_mod, norm_form_model, unit_group_model
 from tamagawa.quadfield import (
     BiquadField,
@@ -66,6 +67,24 @@ def test_reduced_form_counts():
             assert -a < b <= a <= c
             if a == c or b == a:
                 assert b >= 0
+
+
+NARROW_H = {5: 1, 8: 1, 12: 2, 13: 1, 40: 2, 60: 4, 136: 4, 221: 4, 316: 6,
+            328: 4, 568: 6}
+
+
+def test_narrow_class_numbers():
+    for D, h in NARROW_H.items():
+        cg = class_group(D)
+        assert cg.h == h, (D, cg)
+        for (a, b, c) in cg.forms:
+            assert b * b - 4 * a * c == D
+            assert 0 < b < math.sqrt(D) and abs(math.sqrt(D) - 2 * abs(a)) < b
+    # h+ = h, doubled when no unit has norm -1; h from L(1, chi_D)
+    for D in range(5, 400):
+        if is_fundamental_discriminant(D):
+            want = analytic_class_number(D) * (2 if fundamental_unit(D).norm == 1 else 1)
+            assert class_group(D).h == want, D
 
 
 # ---------------------------------------------------------------------------
