@@ -4,7 +4,8 @@
 
 Identities: euler, lifting, globalinv, density, sha, tnc, all.
 Exit codes: 0 all PASS, 1 any FAIL, 2 INCONCLUSIVE only, 64 config error
-or violated structural assumption (Q-rank gate, unsupported family).
+or violated structural assumption (Q-rank gate, unsupported family), 70
+internal error (a failed internal consistency check).
 
 Reports are byte-identical across --jobs values: worker count and output
 path are excluded from the config echo, timings go to stderr only.
@@ -53,6 +54,8 @@ from .report import (
 )
 
 BUDGET_ENV = "TAMAGAWA_BUDGET"
+# count_points_mod forms int64 products up to q^2 + 2q, with q^2 <= budget
+BUDGET_CEILING = 2**62
 
 
 @dataclass(frozen=True)
@@ -79,6 +82,8 @@ class RunConfig:
             raise ConfigError("tol: tolerance must be positive")
         if self.budget < 10**4:
             raise ConfigError("budget: enumeration budget must be >= 10^4")
+        if self.budget > BUDGET_CEILING:
+            raise ConfigError("budget: enumeration budget must be <= 2^62")
         if self.jobs < 1:
             raise ConfigError("jobs: worker count must be >= 1")
 
@@ -362,6 +367,9 @@ def main(argv=None) -> int:
     except (QRankError, UnsupportedTorusError, BudgetExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
+    except ArithmeticError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 70
     text = render_report(reports, cfg.echo())
     sys.stdout.write(text)
     if cfg.out:

@@ -3,10 +3,10 @@ constant c_gamma (exact, by genus theory from the narrow class number),
 and the Tamagawa-number identities.
 
 Everything rational stays a Fraction until the final assembly; the only
-floating-point inputs are the archimedean volume (adaptive quadrature
-with a tracked error bound) and L(1, chi_D) (closed-form character sum,
-cross-checked against a truncated Euler product whose tail bound is
-heuristic and labeled as such).
+floating-point inputs are the archimedean volume and L(1, chi_D), both in
+closed form with their rounding bounds (L(1) is cross-checked against a
+truncated Euler product whose tail bound is heuristic and labeled as
+such).
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from .cohomology import cohomology, h0_torsion_dual, ono_constant, sha_bk_order
 from .errors import (
-    BudgetExceededError,
     ConfigError,
     NotStabilizedError,
     QRankError,
@@ -45,52 +44,6 @@ GOOD_FACTOR_BOUND = 97
 
 
 # ---------------------------------------------------------------------------
-# quadrature
-
-
-def adaptive_simpson(f, a, b, tol, max_depth=40, max_evals=200000):
-    """Adaptive Simpson with the standard |S2-S1|/15 error estimate.
-
-    Returns (value, error_bound, evaluations).  Deterministic: the
-    recursion tree and accumulation order depend only on f and tol.
-    """
-    if not (b > a):
-        raise ValueError("need b > a")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    evals = [0]
-
-    def ev(x):
-        evals[0] += 1
-        if evals[0] > max_evals:
-            raise BudgetExceededError("quadrature evaluation budget exhausted")
-        return f(x)
-
-    def simpson(lo, hi, flo, fmid, fhi):
-        return (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, tol_here, depth):
-        mid = 0.5 * (lo + hi)
-        lm = 0.5 * (lo + mid)
-        rm = 0.5 * (mid + hi)
-        flm = ev(lm)
-        frm = ev(rm)
-        left = simpson(lo, mid, flo, flm, fmid)
-        right = simpson(mid, hi, fmid, frm, fhi)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * tol_here or depth >= max_depth:
-            return left + right + delta / 15.0, abs(delta) / 15.0
-        lv, le = recurse(lo, mid, flo, flm, fmid, left, tol_here / 2.0, depth + 1)
-        rv, re = recurse(mid, hi, fmid, frm, fhi, right, tol_here / 2.0, depth + 1)
-        return lv + rv, le + re
-
-    fa, fm, fb = ev(a), ev(0.5 * (a + b)), ev(b)
-    whole = simpson(a, b, fa, fm, fb)
-    value, err = recurse(a, b, fa, fm, fb, whole, tol, 0)
-    return value, err, evals[0]
-
-
-# ---------------------------------------------------------------------------
 # archimedean volume
 
 
@@ -99,7 +52,7 @@ class ArchVolume:
     value: float
     abs_err: float
     torsion_order: int
-    evaluations: int
+    evaluations: int  # always 0: closed forms; perfbench/tracing.py reads it
 
 
 def torsion_unit_order(field: QuadField) -> int:
@@ -108,83 +61,58 @@ def torsion_unit_order(field: QuadField) -> int:
     return 6 if field.D == -3 else 4 if field.D == -4 else 2
 
 
-def _curve_integrand(field: QuadField):
-    """Max-denominator chart of the invariant 1-form on N(x,y)=1.
+def archimedean_volume(torus: TorusSpec) -> ArchVolume:
+    """Volume of T(R)/T(Z) for the invariant 1-form, in closed form:
+    2*pi/(w*sqrt|D|) for D < 0, log(lambda)/sqrt(D) for D > 0, with w the
+    number of roots of unity and lambda the least norm-one unit > 1.
 
-    Charts are |x'(t)/F_y| and |y'(t)/F_x|; on the curve they agree
-    wherever both denominators are nonzero, which we assert.
-    """
-    D = field.D
-    nw2 = (D * D - D) / 2.0
+    T is the conic F(x, y) = N(x + y*omega) = x^2 + D*x*y + (D^2 - D)/4*y^2
+    = 1, omega = (D + sqrt(D))/2, and its invariant form is dx/F_y (Weil,
+    Adeles and Algebraic Groups, ch. 2).  In u = x + D*y/2, v = sqrt|D|*y/2
+    the conic is u^2 + v^2 = 1 (D < 0) or u^2 - v^2 = 1 (D > 0), and
+    F_y = D*u + sqrt|D|*v, resp. D*u - sqrt(D)*v.
 
-    def from_point(x, y, dx, dy):
-        fy = D * x + nw2 * y
-        fx = 2.0 * x + D * y
-        g_y = abs(dx / fy) if fy != 0.0 else None
-        g_x = abs(dy / fx) if fx != 0.0 else None
-        if g_y is not None and g_x is not None and min(abs(fx), abs(fy)) > 0.1:
-            if abs(g_y - g_x) > 1e-9 * (1.0 + abs(g_y)):
-                raise ArithmeticError("chart disagreement on the norm curve")
-        if g_y is None and g_x is None:
-            raise ArithmeticError("singular point on the norm curve")
-        if g_x is None or (g_y is not None and abs(fy) >= abs(fx)):
-            return g_y
-        return g_x
+    D < 0: theta -> (x, y) = (cos theta - (D/sqrt|D|) sin theta,
+    2 sin theta/sqrt|D|) is (u, v) = (cos theta, sin theta).  As
+    D/sqrt|D| = -sqrt|D|, dx/dtheta = sqrt|D| cos theta - sin theta and
+    F_y = -sqrt|D| (sqrt|D| cos theta - sin theta), so
+    dx/F_y = -dtheta/sqrt|D|: T(R) has volume 2*pi/sqrt|D|, and T(Z), the
+    w roots of unity, acts freely on it.
 
-    return from_point
+    D > 0: t -> u + v = t, u - v = 1/t, i.e. y = (t - 1/t)/sqrt(D) and
+    x = (t + 1/t - D*y)/2, is the identity component, and t is the image of
+    x + y*omega under the embedding with sqrt(D) > 0, so T(Z) = +-lambda^Z
+    acts by t -> +-lambda*t and [1, lambda) is a fundamental domain.  With
+    E = sqrt(D) (t + 1/t) - (t - 1/t) > 0, dx/dt = -E/(2t) and
+    F_y = sqrt(D) E/2, so dx/F_y = -dt/(t sqrt(D)), with integral
+    log(lambda)/sqrt(D) over [1, lambda].
 
+    abs_err counts the float roundings, each at most u = 2^-53 relative
+    (libm's log, at most 1 ulp, is 2u); u*|value| is below 1 ulp of value:
 
-def archimedean_volume(torus: TorusSpec, tol: float = 1e-9) -> ArchVolume:
-    """Volume of the norm-one real points for the invariant 1-form.
-
-    Imaginary field: the compact circle group, volume divided by the
-    torsion unit order.  Real field: one period of the identity
-    component, t from 1 to the fundamental norm-one unit > 1.
+    - D < 0: math.pi is 0.35u off pi; sqrt, w*sqrt (exact for w = 2, 4)
+      and the division round once each, and float(|D|) at most once, which
+      sqrt halves: under 4u relative, bounded by 8 ulps.
+    - D > 0: norm_one_unit(D).regulator computes log(lambda) as
+      log(hx) + log(g), with hx = lambda + 1/lambda >= 3 and
+      g = (1 + sqrt(1 - 4/hx^2))/2 in (0.87, 1).  Python's log of the int
+      hx is off by at most 3u + 4.1u*log(hx); log(g) by 2.3u, as 4/hx^2 is
+      correctly rounded and three roundings and the log follow; the sum
+      rounds once.  log(hx) <= 1.15 log(lambda) and log(lambda) >=
+      log((3 + sqrt 5)/2) > 0.96 make that 11.2u relative, and sqrt(D) and
+      the division add 2u: 13.2u, bounded by 16 ulps.
     """
     if not isinstance(torus.field, QuadField):
         raise UnsupportedTorusError("archimedean volume needs a quadratic field")
     if torus.family not in ("norm-one", "quotient-by-gm"):
         raise UnsupportedTorusError(f"no volume normalization for {torus.family}")
-    field = torus.field
-    D = field.D
-    chart = _curve_integrand(field)
-
-    if field.is_imaginary:
-        s = math.sqrt(abs(D))
-        w = torsion_unit_order(field)
-
-        def integrand(theta):
-            x = math.cos(theta) - (D / s) * math.sin(theta)
-            y = 2.0 * math.sin(theta) / s
-            dx = -math.sin(theta) - (D / s) * math.cos(theta)
-            dy = 2.0 * math.cos(theta) / s
-            return chart(x, y, dx, dy)
-
-        raw, err, n = adaptive_simpson(integrand, 0.0, 2.0 * math.pi, tol * w * 0.5)
-        value = raw / w
-        bound = err / w + 1e-15 * abs(value)
-        if bound >= tol:
-            raise ArithmeticError("quadrature error bound exceeds requested tolerance")
-        return ArchVolume(value, bound, w, n)
-
-    sq = math.sqrt(D)
-    unit = norm_one_unit(D)
-    lam = (unit.hx + unit.hy * sq) / 2.0
-    if not lam > 1.0:
-        raise ArithmeticError(f"fundamental norm-one unit {lam} is not > 1")
-
-    def integrand(t):
-        y = (t - 1.0 / t) / sq
-        x = (t + 1.0 / t - D * y) / 2.0
-        dy = (1.0 + 1.0 / (t * t)) / sq
-        dx = (1.0 - 1.0 / (t * t) - D * dy) / 2.0
-        return chart(x, y, dx, dy)
-
-    raw, err, n = adaptive_simpson(integrand, 1.0, lam, tol * 0.5)
-    bound = err + 1e-15 * abs(raw)
-    if bound >= tol:
-        raise ArithmeticError("quadrature error bound exceeds requested tolerance")
-    return ArchVolume(raw, bound, 2, n)
+    D = torus.field.D
+    if D < 0:
+        w = torsion_unit_order(torus.field)
+        value = 2.0 * math.pi / (w * math.sqrt(-D))
+        return ArchVolume(value, 8 * math.ulp(value), w, 0)
+    value = norm_one_unit(D).regulator / math.sqrt(D)
+    return ArchVolume(value, 16 * math.ulp(value), 2, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +169,9 @@ def l_value(D: int, tol: float = 1e-9) -> LValue:
     if D < 0:
         s = sum(a * kronecker_symbol(D, a) for a in range(1, m))
         value = -math.pi * s / (m * math.sqrt(m))
-        abs_err = 4e-16 * abs(value) + 1e-18
+        # math.pi is 3.9e-17 off pi, relative; pi*s, sqrt, m*sqrt and the
+        # division round by 2^-53 each (m and s convert exactly): 4.83e-16
+        abs_err = 4.9e-16 * abs(value)
     else:
         s = sum(
             kronecker_symbol(D, a) * math.log(math.sin(math.pi * a / m))
@@ -395,8 +325,7 @@ def tau_coh(
     for _, val in densities:
         dens_prod *= val
     l_s = partial_l_value(torus, (INF, *s_finite), tol=min(1e-9, tol))
-    vol_tol = tol * l_s.value / (4.0 * float(dens_prod))
-    vol = archimedean_volume(torus, vol_tol)
+    vol = archimedean_volume(torus)
     value = float(dens_prod) * vol.value / l_s.value
     err = (
         abs(value) * (l_s.abs_err / l_s.value)

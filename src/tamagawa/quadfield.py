@@ -185,7 +185,9 @@ def _unit_from_halves(D: int, hx: int, hy: int) -> UnitData:
     if (hx - hy * D) % 2:
         raise ArithmeticError("not integral in the ring basis")
     x = (hx - hy * D) // 2
-    reg = math.log((hx + hy * math.sqrt(D)) / 2)
+    # (hx + hy*sqrt(D))/2 = hx*(1 + sqrt(1 - 4*nrm/hx^2))/2 as hx^2 - D*hy^2 =
+    # 4*nrm: the log of the int hx takes any size, where a float overflows
+    reg = math.log(hx) + math.log((1.0 + math.sqrt(1.0 - 4 * nrm / (hx * hx))) / 2.0)
     return UnitData(D, x, hy, hx, hy, nrm, reg)
 
 

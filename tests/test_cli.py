@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from tamagawa.cli import main, parse_torus
+from tamagawa import globalasm
+from tamagawa.cli import RunConfig, main, parse_torus
 from tamagawa.errors import ConfigError
 from tamagawa.exactcore import charpoly
 from tamagawa.globalasm import c_gamma
@@ -168,6 +169,26 @@ def test_tol_below_l_value_accuracy_exits_64(capsys, identity, tol):
     assert "Traceback" not in err
 
 
+def test_budget_ceiling():
+    # count_points_mod's int64 products reach q^2 + 2q, with q^2 <= budget
+    RunConfig("euler", ("norm1:-1",), budget=2**62).validate()
+    with pytest.raises(ConfigError, match="budget"):
+        RunConfig("euler", ("norm1:-1",), budget=2**62 + 1).validate()
+
+
+def test_internal_arithmetic_error_exits_70(capsys, monkeypatch):
+    # a failed internal consistency check is exit 70, never 1 (FAIL)
+    def disagree(D, tol=1e-9):
+        raise ArithmeticError(f"L(1) methods disagree at D={D}")
+
+    monkeypatch.setattr(globalasm, "l_value", disagree)
+    code, out, err = run_cli(capsys, "verify", "tnc", "--torus", "norm1:-1")
+    assert code == 70
+    assert out == ""
+    assert "internal error: L(1) methods disagree at D=-4" in err
+    assert "Traceback" not in err
+
+
 def test_config_file(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"identity": "euler", "torus": "norm1:-1", "pmax": 7}))
@@ -297,6 +318,15 @@ def test_all_passes_where_the_class_lattice_never_stabilized(capsys):
         assert rows[ident]["verdict"] == "PASS", rows[ident]
         assert rows[ident]["values"]["c_gamma"] == 1
         assert rows[ident]["values"]["c_gamma_heuristic"] is False
+
+
+def test_tnc_real_field_with_large_unit(capsys):
+    # log(lambda) = 28.9 over Q(sqrt(481)); the volume is in closed form
+    code, doc, err = run_json(capsys, "verify", "tnc", "--torus", "norm1:481")
+    assert code == 0
+    (row,) = doc["reports"]
+    assert row["verdict"] == "PASS", row
+    assert "Traceback" not in err
 
 
 def test_all_computes_c_gamma_once(capsys):

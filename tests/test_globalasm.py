@@ -3,25 +3,22 @@ assembled Tamagawa identities, each checked against closed forms or a
 second route."""
 
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
 
-from tamagawa.errors import (
-    BudgetExceededError,
-    QRankError,
-    UnsupportedTorusError,
-)
+from tamagawa.errors import QRankError, UnsupportedTorusError
 from tamagawa.exactcore import (
     IntMatrix,
     factorize,
     kronecker_symbol,
     primes_up_to,
     row_lattice_index,
+    squarefree_part,
 )
 from tamagawa.galois import INF, build_torus
 from tamagawa.globalasm import (
-    adaptive_simpson,
     analytic_class_number,
     archimedean_volume,
     assert_good_factors,
@@ -41,29 +38,27 @@ def norm_one(d):
     return build_torus("norm-one", QuadField.from_d(d))
 
 
-# ---------------------------------------------------------------------------
-# quadrature
+# pi to 40 digits: the oracles below compute at 40 digits, far past a double
+PI_40 = Decimal("3.141592653589793238462643383279502884197")
+
+SQUAREFREE_600 = [d for d in range(-600, 601)
+                  if d not in (0, 1) and squarefree_part(d) == d]
 
 
-def test_adaptive_simpson_closed_forms():
-    v, err, n = adaptive_simpson(lambda x: x * x, 0.0, 1.0, 1e-12)
-    assert abs(v - 1.0 / 3.0) <= max(err, 1e-14)
-    v, err, n = adaptive_simpson(math.sin, 0.0, math.pi, 1e-10)
-    assert abs(v - 2.0) <= err + 1e-12
-    assert n >= 5
-    v, err, _ = adaptive_simpson(lambda x: 1.0 / x, 1.0, math.e, 1e-11)
-    assert abs(v - 1.0) <= err + 1e-12
+def within_bound(got, abs_err, exact):
+    """|got - exact| <= abs_err, decided at 40 digits (Decimal(float) is exact)."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        return abs(Decimal(got) - exact) <= Decimal(abs_err)
 
 
-def test_adaptive_simpson_validation():
-    with pytest.raises(ValueError):
-        adaptive_simpson(math.sin, 1.0, 1.0, 1e-8)
-    with pytest.raises(ValueError):
-        adaptive_simpson(math.sin, 0.0, 1.0, 0.0)
-    with pytest.raises(BudgetExceededError):
-        adaptive_simpson(
-            lambda x: math.sin(1.0 / (x + 1e-6)), 0.0, 1.0, 1e-15, max_evals=50
-        )
+def real_volume_40(D):
+    """log(lambda)/sqrt(D) at 40 digits, lambda = (hx + hy*sqrt(D))/2."""
+    u = norm_one_unit(D)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        root = Decimal(D).sqrt()
+        return ((u.hx + u.hy * root) / 2).ln() / root
 
 
 # ---------------------------------------------------------------------------
@@ -79,28 +74,39 @@ def test_torsion_unit_orders():
 
 def test_imaginary_volume_closed_form():
     # circle volume is 2*pi / (sqrt|D| * w)
-    for d, w in ((-1, 4), (-3, 6), (-5, 2), (-7, 2)):
+    for d in SQUAREFREE_600:
+        if d > 0:
+            continue
         t = norm_one(d)
-        vol = archimedean_volume(t, tol=1e-10)
-        want = 2.0 * math.pi / (math.sqrt(abs(t.field.D)) * w)
+        w = {-1: 4, -3: 6}.get(d, 2)
+        vol = archimedean_volume(t)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = 2 * PI_40 / (w * Decimal(-t.field.D).sqrt())
         assert vol.torsion_order == w
-        assert abs(vol.value - want) <= vol.abs_err + 1e-12, (d, vol.value, want)
+        assert within_bound(vol.value, vol.abs_err, exact), (d, vol)
 
 
 def test_flagship_volume_is_quarter_pi():
-    vol = archimedean_volume(norm_one(-1), tol=1e-11)
-    assert abs(vol.value - math.pi / 4.0) < 1e-11
+    vol = archimedean_volume(norm_one(-1))
+    assert within_bound(vol.value, vol.abs_err, PI_40 / 4)
 
 
 def test_real_volume_is_log_of_norm_one_unit():
-    for d in (5, 13):
+    for d in SQUAREFREE_600:
+        if d < 0:
+            continue
         t = norm_one(d)
-        D = t.field.D
-        u = norm_one_unit(D)
-        lam = (u.hx + u.hy * math.sqrt(D)) / 2.0
-        vol = archimedean_volume(t, tol=1e-10)
+        vol = archimedean_volume(t)
         assert vol.torsion_order == 2
-        assert abs(vol.value - math.log(lam) / math.sqrt(D)) <= vol.abs_err + 1e-12
+        assert within_bound(vol.value, vol.abs_err, real_volume_40(t.field.D)), (d, vol)
+
+
+def test_real_volume_past_the_float_range():
+    # over Q(sqrt(999953)) the norm-one unit is about e^1203
+    assert norm_one_unit(999953).hx.bit_length() > 1024
+    vol = archimedean_volume(norm_one(999953))
+    assert within_bound(vol.value, vol.abs_err, real_volume_40(999953)), vol
 
 
 def test_volume_unsupported_families():
@@ -125,6 +131,20 @@ def test_l_value_closed_forms():
     assert abs(l_value(-3).value - math.pi / (3.0 * math.sqrt(3.0))) < 1e-12
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     assert abs(l_value(5).value - 2.0 * math.log(phi) / math.sqrt(5.0)) < 1e-12
+
+
+def test_l_value_imaginary_bound():
+    # L(1, chi_D) = -pi * sum(a * chi(a)) / |D|^(3/2) for D < 0; every 8th
+    # field, as each l_value call also runs the Euler-product cross-check
+    for d in [d for d in SQUAREFREE_600 if d < 0][::8]:
+        D = QuadField.from_d(d).D
+        m = -D
+        s = sum(a * kronecker_symbol(D, a) for a in range(1, m))
+        lv = l_value(D)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            exact = -PI_40 * s / (m * Decimal(m).sqrt())
+        assert within_bound(lv.value, lv.abs_err, exact), (D, lv)
 
 
 def test_l_value_validation():
@@ -292,6 +312,14 @@ def test_tau_coh_s_independence():
 def test_tau_coh_rank_gate():
     with pytest.raises(QRankError):
         tau_coh(build_torus("res-scalars", QuadField.from_d(-1)))
+
+
+@pytest.mark.parametrize("d", [-399, -390, -385, -377, -374])
+def test_tau_tam_error_bar_covers_ono_prediction(d):
+    # tau_tam = #H^1/i(T) exactly (Ono), so the reported abs_err must cover
+    # the gap
+    tau, _ = tau_tam(norm_one(d), tol=1e-6)
+    assert abs(Fraction(tau.value) - ono_rhs(norm_one(d))) <= Fraction(tau.abs_err)
 
 
 def test_tau_tam_scales_by_c_gamma():
