@@ -298,12 +298,14 @@ def _merge_config(args) -> RunConfig:
     torus_specs = args.torus or file_cfg.get("torus") or []
     if isinstance(torus_specs, str):
         torus_specs = [torus_specs]
+    if not isinstance(torus_specs, list) or not all(isinstance(s, str) for s in torus_specs):
+        raise ConfigError("torus: expected a spec string or a list of them")
     env_budget = os.environ.get(BUDGET_ENV)
     default_budget = COUNT_BUDGET
     if env_budget is not None:
         try:
             default_budget = int(float(env_budget))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"budget: bad {BUDGET_ENV}={env_budget!r}") from exc
     try:
         cfg = RunConfig(
@@ -316,8 +318,10 @@ def _merge_config(args) -> RunConfig:
             jobs=int(pick(args.jobs, "jobs", 1)),
             out=pick(args.out, "out", None),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"config: bad field value: {exc}") from exc
+    if cfg.out is not None and not isinstance(cfg.out, str):
+        raise ConfigError("out: expected a file path string")
     cfg.validate()
     return cfg
 

@@ -82,10 +82,6 @@ class FiniteGroup:
             elems |= nxt
         return tuple(sorted(elems))
 
-    def is_subgroup(self, indices) -> bool:
-        s = set(indices)
-        return 0 in s and all(self.table[a][b] in s for a in s for b in s)
-
     def is_cyclic_subset(self, indices) -> bool:
         s = set(indices)
         return any(set(self._powers(g)) == s for g in s)
@@ -96,15 +92,6 @@ class FiniteGroup:
             out.append(x)
             x = self.table[x][g]
         return out
-
-    def subgroup(self, indices) -> tuple["FiniteGroup", tuple[int, ...]]:
-        """Subgroup as its own FiniteGroup plus the embedding index map."""
-        if not self.is_subgroup(indices):
-            raise ValueError("not closed under the table")
-        emb = tuple(sorted(set(indices)))  # identity 0 sorts first
-        pos = {g: i for i, g in enumerate(emb)}
-        table = tuple(tuple(pos[self.table[a][b]] for b in emb) for a in emb)
-        return FiniteGroup(tuple(self.labels[g] for g in emb), table), emb
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
@@ -145,9 +132,6 @@ class GaloisLattice:
         G = self.group
         return GaloisLattice(G, self.rank,
                              tuple(self.mats[G.inv(g)].transpose() for g in range(G.order)))
-
-    def restrict(self, sub: FiniteGroup, emb: tuple[int, ...]) -> "GaloisLattice":
-        return GaloisLattice(sub, self.rank, tuple(self.mats[g] for g in emb))
 
 
 def trivial_lattice(group: FiniteGroup, rank: int = 1) -> GaloisLattice:

@@ -220,6 +220,34 @@ def test_config_file_errors(capsys, tmp_path):
     assert code == 64 and "cannot read" in err
 
 
+@pytest.mark.parametrize("fields", [
+    {"identity": "euler", "torus": [5]},
+    {"identity": "euler", "torus": 5},
+    {"identity": "euler", "torus": "norm1:-1", "pmax": 7, "out": 5},
+])
+def test_config_non_string_values_exit_64(capsys, tmp_path, fields):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert code == 64
+    assert out == ""
+    assert "config error:" in err
+
+
+def test_infinite_budget_exits_64(capsys, monkeypatch, tmp_path):
+    # int(float("inf")) raises OverflowError, not ValueError
+    argv = ("verify", "euler", "--torus", "norm1:-1")
+    code, out, err = run_cli(capsys, *argv, "--budget", "inf")
+    assert (code, out) == (64, "") and "config error:" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"budget": "1e400"}))
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (64, "") and "config error:" in err
+    monkeypatch.setenv("TAMAGAWA_BUDGET", "inf")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (64, "") and "TAMAGAWA_BUDGET" in err
+
+
 def test_budget_env(capsys, monkeypatch):
     monkeypatch.setenv("TAMAGAWA_BUDGET", "1e5")
     code, doc, _ = run_json(capsys, "verify", "euler", "--torus", "norm1:-1")

@@ -1,6 +1,8 @@
 """Group cohomology of lattices: bar-resolution computation checked
-against the periodic resolution for cyclic groups, Shapiro vanishing,
-restriction maps, and the knot-group constants."""
+against the periodic resolution for cyclic groups, Shapiro vanishing, and
+the knot-group constants checked against local square classes."""
+
+from math import gcd
 
 import pytest
 
@@ -9,10 +11,8 @@ from tamagawa.cohomology import (
     cohomology,
     h0_torsion_dual,
     ono_constant,
-    restriction,
     sha_bk_order,
     sha_order,
-    stacked_kernel_order,
 )
 from tamagawa.errors import QRankError, UnsupportedTorusError
 from tamagawa.exactcore import (
@@ -189,34 +189,6 @@ def test_h0_torsion_dual():
         h0_torsion_dual(c2, swap)
 
 
-def test_restriction_to_trivial_subgroup_kills_h2():
-    # restricting H^2(C2, Z) = Z/2 to the trivial subgroup is zero
-    c2 = FiniteGroup.cyclic(2)
-    tl = trivial_lattice(c2, 1)
-    r = restriction(c2, (0,), tl, 2)
-    assert r.is_zero()
-    assert r.kernel_order() == 2
-    # restricting to the full group is the identity: kernel is trivial
-    r_full = restriction(c2, (0, 1), tl, 2)
-    assert r_full.kernel_order() == 1
-    assert not r_full.is_zero()
-
-
-def test_restriction_klein_to_lines():
-    # H^2((Z/2)^2, Z) = (Z/2)^2; each of the three order-2 subgroups sees
-    # a different quotient, and the simultaneous kernel is trivial
-    k4 = FiniteGroup.klein_four()
-    tl = trivial_lattice(k4, 1)
-    maps = [restriction(k4, (0, i), tl, 2) for i in (1, 2, 3)]
-    for m in maps:
-        assert m.kernel_order() == 2
-    assert stacked_kernel_order(maps) == 1
-    assert stacked_kernel_order(maps[:1]) == 2
-    # restricting to the trivial subgroup kills everything
-    triv = restriction(k4, (0,), tl, 2)
-    assert triv.kernel_order() == 4
-
-
 def test_sign_lattice_h_odd():
     sign = _sign_lattice()
     c2 = sign.group
@@ -244,13 +216,44 @@ def test_ono_constant_biquadratic():
     assert ono_constant(t2) == 1
 
 
+def _squarefree(n):
+    return all(n % (p * p) for p in range(2, abs(n)))
+
+
+def _is_local_square(d, p):
+    """Whether the squarefree integer d is a square in Q_p."""
+    if p == 2:
+        return d % 8 == 1
+    return d % p != 0 and pow(d, (p - 1) // 2, p) == 1
+
+
+def _knot_order_oracle(d1, d2):
+    # i(T) = 2 unless some D_p is all of G, i.e. unless d1, d2 and d1*d2 are
+    # all non-squares in some Q_p; only p | 2*d1*d2 can qualify
+    ds = (d1, d2, d1 * d2 // gcd(d1, d2) ** 2)
+    for p in primes_up_to(2 * abs(d1 * d2)):
+        if (2 * d1 * d2) % p == 0 and not any(_is_local_square(d, p) for d in ds):
+            return 1
+    return 2
+
+
+def test_ono_constant_matches_local_square_oracle():
+    ds = [d for d in range(-30, 31) if d not in (0, 1) and _squarefree(d)]
+    pairs = [(a, b) for i, a in enumerate(ds) for b in ds[i + 1:]]
+    assert len(pairs) == 666
+    got = {(a, b): ono_constant(build_torus("norm-one", BiquadField.from_pair(a, b)))
+           for a, b in pairs}
+    assert got == {(a, b): _knot_order_oracle(a, b) for a, b in pairs}
+    assert sum(v == 2 for v in got.values()) == 39
+
+
 @pytest.mark.parametrize("field", [
     QuadField.from_d(-5), QuadField.from_d(13), BiquadField.from_pair(13, 17),
     BiquadField.from_pair(2, 3), BiquadField.from_pair(-1, 5),
 ])
 def test_unramified_decomposition_groups_are_the_cyclic_subgroups(field):
-    # the knot group restricts to every cyclic subgroup (Chebotarev); a sample
-    # of Frobenius places must already meet each of them and nothing else
+    # by Chebotarev the unramified decomposition groups are exactly the cyclic
+    # subgroups; a sample of Frobenius places must meet each and nothing else
     t = build_torus("norm-one", field)
     G = t.group
     disc = t.splitting_disc()
