@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -78,8 +79,8 @@ class RunConfig:
             raise ConfigError("pmax: prime bound must be >= 3")
         if self.kmax < 1:
             raise ConfigError("kmax: level bound must be >= 1")
-        if not self.tol > 0:
-            raise ConfigError("tol: tolerance must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ConfigError("tol: tolerance must be positive and finite")
         if self.budget < 10**4:
             raise ConfigError("budget: enumeration budget must be >= 10^4")
         if self.budget > BUDGET_CEILING:
@@ -269,6 +270,33 @@ def run_all(torus: TorusSpec, cfg: RunConfig):
     return rows
 
 
+def _config_number(key: str, raw, integral: bool):
+    """The value of a numeric field as a flag, the config file or
+    TAMAGAWA_BUDGET gives it: a number or a numeric string.  A bool, or a
+    fraction in an integral field, is an error rather than coerced
+    (int(9.9) == 9, float(True) == 1.0)."""
+    if isinstance(raw, str):
+        try:
+            raw = int(raw)
+        except ValueError:
+            try:
+                raw = float(raw)
+            except ValueError:
+                raise ConfigError(f"{key}: not a number: {raw!r}") from None
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(f"{key}: not a number: {raw!r}")
+    if not integral:
+        try:
+            return float(raw)
+        except OverflowError:
+            raise ConfigError(f"{key}: out of range: {raw!r}") from None
+    if isinstance(raw, float):
+        if not raw.is_integer():
+            raise ConfigError(f"{key}: not an integer: {raw!r}")
+        return int(raw)
+    return raw
+
+
 def _merge_config(args) -> RunConfig:
     file_cfg = {}
     if args.config:
@@ -304,22 +332,20 @@ def _merge_config(args) -> RunConfig:
     default_budget = COUNT_BUDGET
     if env_budget is not None:
         try:
-            default_budget = int(float(env_budget))
-        except (ValueError, OverflowError) as exc:
+            default_budget = _config_number("budget", env_budget, integral=True)
+        except ConfigError as exc:
             raise ConfigError(f"budget: bad {BUDGET_ENV}={env_budget!r}") from exc
-    try:
-        cfg = RunConfig(
-            identity=pick(args.identity, "identity", None),
-            tori=tuple(torus_specs),
-            pmax=int(pick(args.pmax, "pmax", 97)),
-            kmax=int(pick(args.kmax, "kmax", 3)),
-            tol=float(pick(args.tol, "tol", 1e-6)),
-            budget=int(float(pick(args.budget, "budget", default_budget))),
-            jobs=int(pick(args.jobs, "jobs", 1)),
-            out=pick(args.out, "out", None),
-        )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"config: bad field value: {exc}") from exc
+    cfg = RunConfig(
+        identity=pick(args.identity, "identity", None),
+        tori=tuple(torus_specs),
+        pmax=_config_number("pmax", pick(args.pmax, "pmax", 97), integral=True),
+        kmax=_config_number("kmax", pick(args.kmax, "kmax", 3), integral=True),
+        tol=_config_number("tol", pick(args.tol, "tol", 1e-6), integral=False),
+        budget=_config_number(
+            "budget", pick(args.budget, "budget", default_budget), integral=True),
+        jobs=_config_number("jobs", pick(args.jobs, "jobs", 1), integral=True),
+        out=pick(args.out, "out", None),
+    )
     if cfg.out is not None and not isinstance(cfg.out, str):
         raise ConfigError("out: expected a file path string")
     cfg.validate()
@@ -341,7 +367,7 @@ def build_parser():
     verify.add_argument("--pmax", type=int, help="good-prime bound (default 97)")
     verify.add_argument("--kmax", type=int, help="lifting level bound (default 3)")
     verify.add_argument("--tol", type=float, help="analytic tolerance (default 1e-6)")
-    verify.add_argument("--budget", type=float,
+    verify.add_argument("--budget",
                         help=f"enumeration budget (default {COUNT_BUDGET}, "
                              f"env {BUDGET_ENV})")
     verify.add_argument("--jobs", type=int, help="worker threads (default 1)")

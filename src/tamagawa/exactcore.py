@@ -1,7 +1,7 @@
 """Exact arithmetic substrate.
 
-Integer matrices with Smith and Hermite normal forms, characteristic
-polynomials, primes and the Kronecker symbol.
+Integer matrices with the Smith normal form, characteristic polynomials,
+primes and the Kronecker symbol.
 
 Everything here is immutable and pure; safe to share between threads.
 """
@@ -71,21 +71,6 @@ def primes_up_to(n: int) -> tuple[int, ...]:
         if sieve[p]:
             sieve[p * p::p] = bytearray(len(range(p * p, n + 1, p)))
     return tuple(compress(range(n + 1), sieve))
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b == g == gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -432,80 +417,20 @@ def smith_normal_form(m: IntMatrix, want_u: bool = True) -> SnfResult:
     return SnfResult(d, umat, vmat, vinvmat)
 
 
-def hermite_normal_form(m: IntMatrix) -> IntMatrix:
-    """Row echelon form h of m with the same row lattice: positive pivots
-    and entries above each pivot reduced into [0, pivot)."""
-    nr, nc = m.rows, m.cols
-    a = m.to_rows()
-
-    def combine(i, j, s, t, x, y):
-        # rows i,j <- (s*Ri + t*Rj, -y*Ri + x*Rj); unimodular since s*x + t*y == 1
-        ri, rj = a[i], a[j]
-        for c in range(nc):
-            ri[c], rj[c] = s * ri[c] + t * rj[c], -y * ri[c] + x * rj[c]
-
-    pr = 0
-    for c in range(nc):
-        nz = [i for i in range(pr, nr) if a[i][c]]
-        if not nz:
-            continue
-        i0 = nz[0]
-        for i in nz[1:]:
-            g, s, t = xgcd(a[i0][c], a[i][c])
-            combine(i0, i, s, t, a[i0][c] // g, a[i][c] // g)
-        if i0 != pr:
-            a[pr], a[i0] = a[i0], a[pr]
-        if a[pr][c] < 0:
-            a[pr] = [-x for x in a[pr]]
-        p = a[pr][c]
-        src = a[pr]
-        for i in range(pr):
-            q = a[i][c] // p
-            if q:
-                row = a[i]
-                for t in range(nc):
-                    row[t] -= q * src[t]
-        pr += 1
-    return IntMatrix.from_rows(a) if nr else IntMatrix(0, nc, ())
-
-
-def _pivots(h: IntMatrix) -> list[tuple[int, int]]:
-    out = []
-    for i in range(h.rows):
-        row = h.row(i)
-        for j, x in enumerate(row):
-            if x:
-                out.append((i, j))
-                break
-    return out
-
-
 def row_lattice_index(m: IntMatrix) -> int:
-    """Index of the row lattice of m inside Z^cols; 0 when not full rank."""
-    h = hermite_normal_form(m)
-    piv = _pivots(h)
-    if len(piv) < m.cols:
+    """Index of the row lattice of m inside Z^cols; 0 when not full rank.
+
+    u*m*v = diag(d) with u, v unimodular, so the row lattice of m is carried
+    onto that of diag(d) by an automorphism of Z^cols: the index is the
+    product of the Smith invariants.
+    """
+    snf = smith_normal_form(m, want_u=False)
+    if snf.rank < m.cols:
         return 0
     idx = 1
-    for i, j in piv:
-        idx *= h.get(i, j)
+    for x in snf.d:
+        idx *= x
     return idx
-
-
-def in_row_lattice(m: IntMatrix, vec) -> bool:
-    """Membership of an integer vector in the row lattice of m."""
-    h = hermite_normal_form(m)
-    v = list(vec)
-    for i, j in _pivots(h):
-        p = h.get(i, j)
-        if v[j] % p:
-            return False
-        q = v[j] // p
-        if q:
-            row = h.row(i)
-            for t in range(len(v)):
-                v[t] -= q * row[t]
-    return not any(v)
 
 
 def kernel_basis(m: IntMatrix) -> IntMatrix:

@@ -4,9 +4,7 @@ and the Tamagawa-number identities.
 
 Everything rational stays a Fraction until the final assembly; the only
 floating-point inputs are the archimedean volume and L(1, chi_D), both in
-closed form with their rounding bounds (L(1) is cross-checked against a
-truncated Euler product whose tail bound is heuristic and labeled as
-such).
+closed form with error bounds that count every float rounding.
 """
 
 from __future__ import annotations
@@ -15,8 +13,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from .cohomology import cohomology, h0_torsion_dual, ono_constant, sha_bk_order
 from .errors import (
@@ -37,8 +33,6 @@ from .quadfield import (
     norm_one_unit,
 )
 from .report import Real
-
-EULER_CUTOFF = 10**6
 
 GOOD_FACTOR_BOUND = 97
 
@@ -119,46 +113,17 @@ def archimedean_volume(torus: TorusSpec) -> ArchVolume:
 # L-values
 
 
-@lru_cache(maxsize=1)
-def _prime_array():
-    return np.fromiter(primes_up_to(EULER_CUTOFF), dtype=np.int64)
-
-
-def _euler_product(D: int):
-    """Truncated Euler product for L(1, chi_D) with a fluctuation-based
-    tail bound.  The bound is heuristic (no unconditional tail estimate
-    at this cutoff): four times the largest swing of the partial
-    log-products over the top octave and a 5e-5 relative floor."""
-    P = _prime_array()
-    table = np.array([kronecker_symbol(D, r) for r in range(abs(D))], dtype=np.int8)
-    chi = table[P % abs(D)]
-    nz = chi != 0
-    nzP = P[nz].astype(np.float64)
-    terms = np.log1p(-chi[nz].astype(np.float64) / nzP)
-    cums = np.cumsum(terms)
-    log_l = -cums[-1]
-    fluct = 0.0
-    for num in (1, 2, 3, 4, 5, 6):
-        i = int(np.searchsorted(nzP, num * EULER_CUTOFF // 8, side="right"))
-        if i >= 1:
-            fluct = max(fluct, abs(-cums[i - 1] - log_l))
-    value = math.exp(log_l)
-    err = abs(value) * math.expm1(4.0 * fluct + 5e-5)
-    return value, err
-
-
 @dataclass(frozen=True)
 class LValue:
     D: int
     value: float
     abs_err: float
-    euler_value: float
-    euler_abs_err: float  # heuristic tail bound, see _euler_product
 
 
 def l_value(D: int, tol: float = 1e-9) -> LValue:
-    """L(1, chi_D) by the closed-form character sum, cross-checked
-    against the truncated Euler product."""
+    """L(1, chi_D) by its closed-form character sum, with abs_err a count
+    of the float roundings (u = 2^-53; libm's sin and log, at most 1 ulp,
+    are 2u relative)."""
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
     if tol < 1e-12:
@@ -172,20 +137,32 @@ def l_value(D: int, tol: float = 1e-9) -> LValue:
         # math.pi is 3.9e-17 off pi, relative; pi*s, sqrt, m*sqrt and the
         # division round by 2^-53 each (m and s convert exactly): 4.83e-16
         abs_err = 4.9e-16 * abs(value)
-    else:
-        s = sum(
-            kronecker_symbol(D, a) * math.log(math.sin(math.pi * a / m))
-            for a in range(1, m)
-        )
-        value = -s / math.sqrt(m)
-        abs_err = 1e-13 * (1.0 + abs(value))
-    ev, eerr = _euler_product(D)
-    if abs(value - ev) > abs_err + eerr:
-        raise ArithmeticError(
-            f"L(1) methods disagree at D={D}: closed form {value}, "
-            f"Euler product {ev} +/- {eerr}"
-        )
-    return LValue(D, value, abs_err, ev, eerr)
+        return LValue(D, value, abs_err)
+    # L = -(1/sqrt m) sum_{0<a<m} chi(a) log sin(pi a/m), and chi(m - a) =
+    # chi(a) as chi(-1) = +1, so L = -(2/sqrt m) S with S the sum of
+    # t_a = chi(a) log sin(x_a), x_a = pi a/m, over 0 < a < m/2.  There
+    # x_a < pi/2, so 0 <= x cot x <= 1.  Per term with chi(a) != 0:
+    # - math.pi is 0.352u off pi and pi*a and /m round once each (a and m
+    #   convert exactly): x_a carries 2.352u relative, which sin passes on
+    #   scaled by x cot x <= 1; sin's own ulp adds 2u: 4.352u relative;
+    # - log turns that into 4.352u absolute, plus its own ulp, 2u |t_a|:
+    #   4.36u + 2u |t_a| with the second-order terms.
+    # fsum is correctly rounded: u |S|.  sqrt(m) and the division add 2u
+    # relative, -2.0*S is exact.  The constants below are rounded up, which
+    # also covers |t_a| against its computed value and the float
+    # evaluation of the bound itself.
+    terms = [
+        chi * math.log(math.sin(math.pi * a / m))
+        for a in range(1, (m + 1) // 2)
+        if (chi := kronecker_symbol(D, a))
+    ]
+    s = math.fsum(terms)
+    root = math.sqrt(m)
+    value = -2.0 * s / root
+    u = 2.0**-53
+    sum_err = u * (4.4 * len(terms) + 2.1 * math.fsum(map(abs, terms)) + 1.1 * abs(s))
+    abs_err = 2.0 * sum_err / root + 2.1 * u * abs(value)
+    return LValue(D, value, abs_err)
 
 
 def partial_l_value(torus: TorusSpec, places, tol: float = 1e-9) -> Real:

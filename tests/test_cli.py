@@ -1,10 +1,15 @@
 """CLI: torus grammar, config merging, exit codes, report schema, and
 byte-identical output across worker counts."""
 
+import io
 import json
+import math
 import os
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tamagawa import globalasm
 from tamagawa.cli import RunConfig, main, parse_torus
@@ -169,11 +174,15 @@ def test_tol_below_l_value_accuracy_exits_64(capsys, identity, tol):
     assert "Traceback" not in err
 
 
-def test_budget_ceiling():
+def test_budget_ceiling(capsys):
     # count_points_mod's int64 products reach q^2 + 2q, with q^2 <= budget
     RunConfig("euler", ("norm1:-1",), budget=2**62).validate()
     with pytest.raises(ConfigError, match="budget"):
         RunConfig("euler", ("norm1:-1",), budget=2**62 + 1).validate()
+    # the flag is read as an integer, not rounded to the float 2^62
+    code, out, err = run_cli(
+        capsys, "verify", "euler", "--torus", "norm1:-1", "--budget", str(2**62 + 1))
+    assert (code, out) == (64, "") and "config error: budget" in err
 
 
 def test_internal_arithmetic_error_exits_70(capsys, monkeypatch):
@@ -246,6 +255,73 @@ def test_infinite_budget_exits_64(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("TAMAGAWA_BUDGET", "inf")
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (64, "") and "TAMAGAWA_BUDGET" in err
+
+
+@pytest.mark.parametrize("fields", [
+    # int(9.9) == 9 and float(True) == 1.0: neither may pass silently
+    {"identity": "euler", "torus": "norm1:-1", "pmax": 9.9, "tol": True, "kmax": 2.5},
+    {"identity": "euler", "torus": "norm1:-1", "pmax": 7, "jobs": True},
+])
+def test_config_numbers_are_not_coerced(capsys, tmp_path, fields):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert (code, out) == (64, "")
+    assert "config error:" in err
+
+
+def test_config_integral_float_is_valid(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"identity": "euler", "torus": "norm1:-1", "pmax": 7.0, "budget": 1e8}))
+    code, doc, _ = run_json(capsys, "verify", "--config", str(cfg))
+    assert code == 0
+    assert (doc["config_echo"]["pmax"], doc["config_echo"]["budget"]) == (7, 10**8)
+
+
+def test_non_finite_tol_exits_64(capsys, tmp_path):
+    # an infinite tol would let no tnc row FAIL, and is not JSON in the echo
+    argv = ("verify", "tnc", "--torus", "norm1:-1")
+    code, out, err = run_cli(capsys, *argv, "--tol", "inf")
+    assert (code, out) == (64, "") and "config error: tol" in err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"tol": 1e400}')
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert (code, out) == (64, "") and "config error: tol" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+FUZZ_TORI = ("norm1:-1", "norm1:-7", "norm1:5", "norm1:-1,2", "res:-3", "res:2",
+             "res:-1,-3", "quot:-5", "quot:13", "quot:-1,5")
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    identity=st.sampled_from(("euler", "lifting", "density", "globalinv", "sha",
+                              "tnc", "all")),
+    torus=st.sampled_from(FUZZ_TORI),
+    tol=st.sampled_from((1e-3, 1e-6, 1e-12, 1e-13, math.inf, math.nan, 0.0)),
+    budget=st.integers(10**3, 10**6),
+    pmax=st.integers(0, 60),
+    kmax=st.integers(0, 3),
+)
+# the generator favours the rejected edges (pmax 0, kmax 0, budget 10^3);
+# pin a run where only tol is out of range
+@example(identity="tnc", torus="norm1:5", tol=math.inf, budget=10**5, pmax=13, kmax=2)
+@example(identity="all", torus="quot:-5", tol=math.nan, budget=10**5, pmax=13, kmax=2)
+def test_cli_fuzz_exit_codes_and_strict_json(identity, torus, tol, budget, pmax, kmax):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["verify", identity, "--torus", torus, "--tol", repr(tol),
+                     "--budget", str(budget), "--pmax", str(pmax),
+                     "--kmax", str(kmax)])
+    assert code in (0, 2, 64), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code != 64:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 def test_budget_env(capsys, monkeypatch):

@@ -1,6 +1,5 @@
 """Exact-arithmetic substrate: primes, matrices, normal forms, charpoly."""
 
-import math
 import random
 from fractions import Fraction
 
@@ -14,8 +13,6 @@ from tamagawa.exactcore import (
     charpoly,
     eval_poly,
     factorize,
-    hermite_normal_form,
-    in_row_lattice,
     invariants_from_relations,
     is_prime,
     kernel_basis,
@@ -25,7 +22,6 @@ from tamagawa.exactcore import (
     smith_normal_form,
     squarefree_part,
     vstack,
-    xgcd,
 )
 
 # ---------------------------------------------------------------------------
@@ -61,13 +57,6 @@ def test_is_prime_matches_sieve():
     sieve = set(primes_up_to(hi))
     for n in (*range(2 * 10**5), *range(1373653 - 10**5, hi)):
         assert is_prime(n) == (n in sieve), n
-
-
-@given(st.integers(-500, 500), st.integers(-500, 500))
-def test_xgcd_identity(a, b):
-    g, s, t = xgcd(a, b)
-    assert g == math.gcd(a, b)
-    assert s * a + t * b == g
 
 
 def test_valuation_and_factorize():
@@ -158,34 +147,6 @@ def test_smith_normal_form_properties():
         assert all(x == 0 for x in res.d[res.rank:])
 
 
-def test_hermite_normal_form_properties():
-    for _ in range(60):
-        m = _rand_matrix(_rng.randint(1, 5), _rng.randint(1, 5))
-        h = hermite_normal_form(m)
-        assert isinstance(h, IntMatrix)
-        assert (h.rows, h.cols) == (m.rows, m.cols)
-        # echelon shape: pivot columns strictly increase, zero rows come last
-        pivots = []
-        for i in range(h.rows):
-            nz = [j for j, x in enumerate(h.row(i)) if x]
-            if not nz:
-                assert not any(h.entries[i * h.cols:])
-                break
-            pivots.append((i, nz[0]))
-        cols = [j for _, j in pivots]
-        assert cols == sorted(set(cols))
-        for i, j in pivots:
-            p = h.get(i, j)
-            assert p > 0
-            for above in range(i):
-                assert 0 <= h.get(above, j) < p
-        # row lattice preserved both ways
-        for i in range(m.rows):
-            assert in_row_lattice(h, m.row(i))
-        for i in range(h.rows):
-            assert in_row_lattice(m, h.row(i))
-
-
 def test_row_lattice_index_matches_bareiss_det():
     # independent oracle: for square m the row lattice has index |det m|
     rng = random.Random(11)
@@ -199,8 +160,6 @@ def test_row_lattice_index():
     m = IntMatrix.from_rows([[2, 0], [0, 3]])
     assert row_lattice_index(m) == 6
     assert row_lattice_index(IntMatrix.from_rows([[1, 1], [2, 2]])) == 0
-    assert in_row_lattice(m, (2, 3))
-    assert not in_row_lattice(m, (1, 0))
 
 
 def test_kernel_basis():
