@@ -3,12 +3,13 @@
     tamagawa verify <identity> --torus norm1:-1 [--pmax 97] [--tol 1e-6] ...
 
 Identities: euler, lifting, globalinv, density, sha, tnc, all.
-Exit codes: 0 all PASS, 1 any FAIL, 2 INCONCLUSIVE only, 64 config error
-or violated structural assumption (Q-rank gate, unsupported family), 70
-internal error (a failed internal consistency check).
+Exit codes: 0 all PASS, 1 any FAIL, 2 INCONCLUSIVE only, 64 usage or
+config error or violated structural assumption (Q-rank gate, unsupported
+family), 70 internal error (a failed internal consistency check).
 
-Reports are byte-identical across --jobs values: worker count and output
-path are excluded from the config echo, timings go to stderr only.
+--jobs is accepted and validated but changes nothing: all work runs in one
+thread.  It and the output path are excluded from the config echo, timings
+go to stderr only.
 """
 
 from __future__ import annotations
@@ -55,7 +56,9 @@ from .report import (
 )
 
 BUDGET_ENV = "TAMAGAWA_BUDGET"
-# count_points_mod forms int64 products up to q^2 + 2q, with q^2 <= budget
+# count_points_mod's largest int64 intermediates, (D mod 4q) * y and
+# ((D mod 4q) * y mod 4q) * y with y centred (|y| <= q/2), are below 2q^2
+# in absolute value; q^2 <= budget keeps them below 2^63
 BUDGET_CEILING = 2**62
 
 
@@ -90,7 +93,7 @@ class RunConfig:
 
     def echo(self) -> dict:
         # jobs and out are deliberately not echoed: reports must be
-        # byte-identical across worker counts and output destinations.
+        # byte-identical across job counts and output destinations.
         return {
             "identity": self.identity,
             "tori": list(self.tori),
@@ -153,8 +156,7 @@ def run_lifting(torus: TorusSpec, cfg: RunConfig):
         for k in range(1, cfg.kmax + 1):
             if p ** (k * torus.model.nvars) > cfg.budget:
                 break
-            counts.append(count_points_mod(torus.model, p, k,
-                                           jobs=cfg.jobs, budget=cfg.budget))
+            counts.append(count_points_mod(torus.model, p, k, budget=cfg.budget))
         inputs = {"torus": torus.label, "p": p}
         values = {"counts": counts, "levels": len(counts)}
         if len(counts) < 2:
@@ -192,7 +194,7 @@ def run_density(torus: TorusSpec, cfg: RunConfig):
     for p in sorted(torus.bad_primes()):
         inputs = {"torus": torus.label, "p": p}
         try:
-            dens = bad_prime_density(torus, p, jobs=cfg.jobs, budget=cfg.budget)
+            dens = bad_prime_density(torus, p, budget=cfg.budget)
             rows.append(VerificationReport(
                 "local-density", inputs,
                 {"density": dens.value, "trace": dens.trace}, PASS))
@@ -203,8 +205,7 @@ def run_density(torus: TorusSpec, cfg: RunConfig):
     if torus.model is not None:
         for p in primes_up_to(min(cfg.pmax, 13)):
             if is_good_prime(torus, p):
-                rows.append(cross_validate_density(
-                    torus, p, jobs=cfg.jobs, budget=cfg.budget))
+                rows.append(cross_validate_density(torus, p, budget=cfg.budget))
     return rows
 
 
@@ -225,7 +226,7 @@ def run_sha(torus: TorusSpec, cfg: RunConfig):
 
 
 def run_tnc(torus: TorusSpec, cfg: RunConfig):
-    rep = verify_tnc(torus, tol=cfg.tol, jobs=cfg.jobs, budget=cfg.budget)
+    rep = verify_tnc(torus, tol=cfg.tol, budget=cfg.budget)
     values = {
         "ono_rhs": rep.ono,
         "h1_order": rep.h1_order,
@@ -352,8 +353,17 @@ def _merge_config(args) -> RunConfig:
     return cfg
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 64, the config-error code, not argparse's 2,
+    which would read as INCONCLUSIVE."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(64, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="tamagawa",
         description="Verify local-global invariants of algebraic tori "
                     "attached to quadratic and biquadratic fields.",
@@ -370,15 +380,18 @@ def build_parser():
     verify.add_argument("--budget",
                         help=f"enumeration budget (default {COUNT_BUDGET}, "
                              f"env {BUDGET_ENV})")
-    verify.add_argument("--jobs", type=int, help="worker threads (default 1)")
+    verify.add_argument("--jobs", type=int,
+                        help="accepted for compatibility; changes nothing (default 1)")
     verify.add_argument("--out", help="write the JSON report here (atomic)")
     verify.add_argument("--config", help="JSON config file; flags win on conflict")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (64)
+        return exc.code
     try:
         cfg = _merge_config(args)
         tori = [parse_torus(s) for s in cfg.tori]

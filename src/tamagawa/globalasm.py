@@ -276,7 +276,6 @@ def tau_coh(
     torus: TorusSpec,
     tol: float = 1e-6,
     extra_s=(),
-    jobs: int = 1,
     budget: int = COUNT_BUDGET,
 ) -> TauValue:
     """The cohomological Tamagawa number: L_S(1)^-1 times the product of
@@ -297,7 +296,7 @@ def tau_coh(
     assert_good_factors(torus, exclude=s_finite)
     densities = []
     for p in s_finite:
-        densities.append((p, local_density(torus, p, jobs=jobs, budget=budget).value))
+        densities.append((p, local_density(torus, p, budget=budget).value))
     dens_prod = Fraction(1)
     for _, val in densities:
         dens_prod *= val
@@ -317,13 +316,12 @@ def tau_coh(
 def tau_tam(
     torus: TorusSpec,
     tol: float = 1e-6,
-    jobs: int = 1,
     budget: int = COUNT_BUDGET,
 ):
     """The Tamagawa number: c_gamma times the cohomological tau.
     Returns (TauValue, CGammaResult)."""
     c = c_gamma(torus)
-    base = tau_coh(torus, tol=tol / (2 * c.value), jobs=jobs, budget=budget)
+    base = tau_coh(torus, tol=tol / (2 * c.value), budget=budget)
     scaled = TauValue(
         base.label,
         c.value * base.value,
@@ -365,7 +363,6 @@ class GlobalReport:
 def verify_tnc(
     torus: TorusSpec,
     tol: float = 1e-3,
-    jobs: int = 1,
     budget: int = COUNT_BUDGET,
 ) -> GlobalReport:
     """End-to-end check of tau against the cohomological prediction.
@@ -383,7 +380,7 @@ def verify_tnc(
     h0_order = h0d.order
     rhs = ono_rhs(torus)
     try:
-        tau, c = tau_tam(torus, tol=tol, jobs=jobs, budget=budget)
+        tau, c = tau_tam(torus, tol=tol, budget=budget)
         shabk = sha_bk_order(torus, c.value)
     except NotStabilizedError as exc:
         return GlobalReport(

@@ -50,7 +50,7 @@ def max_feasible_level(model: AffineModel, p: int, budget: int = COUNT_BUDGET) -
     return k
 
 
-def _stabilized_density(model, p, jobs, budget, confirm=True):
+def _stabilized_density(model, p, budget, confirm=True):
     """Raise levels until the ratio repeats (three in a row when the
     budget allows a confirming level), else raise NotStabilizedError."""
     k_cap = max_feasible_level(model, p, budget)
@@ -60,7 +60,7 @@ def _stabilized_density(model, p, jobs, budget, confirm=True):
         )
     trace = []
     for k in range(1, k_cap + 1):
-        count = count_points_mod(model, p, k, jobs=jobs, budget=budget)
+        count = count_points_mod(model, p, k, budget=budget)
         trace.append((k, count, Fraction(count, p ** (k * model.dim))))
         if (
             confirm
@@ -82,7 +82,6 @@ def _stabilized_density(model, p, jobs, budget, confirm=True):
 def bad_prime_density(
     torus: TorusSpec,
     p: int,
-    jobs: int = 1,
     budget: int = COUNT_BUDGET,
 ) -> LocalDensity:
     """Density at a ramified prime or p=2 by stabilized brute force.
@@ -96,7 +95,7 @@ def bad_prime_density(
         )
     if p != 2 and not is_bad_prime(torus, p):
         raise ValueError(f"p={p} is neither ramified nor 2 for {torus.label}")
-    return _stabilized_density(torus.model, p, jobs, budget, confirm=True)
+    return _stabilized_density(torus.model, p, budget, confirm=True)
 
 
 def is_bad_prime(torus: TorusSpec, p: int) -> bool:
@@ -106,19 +105,17 @@ def is_bad_prime(torus: TorusSpec, p: int) -> bool:
 def local_density(
     torus: TorusSpec,
     p: int,
-    jobs: int = 1,
     budget: int = COUNT_BUDGET,
 ) -> LocalDensity:
     """Good-formula density at good primes, brute force at bad ones."""
     if is_good_prime(torus, p):
         return local_density_good(torus, p)
-    return bad_prime_density(torus, p, jobs=jobs, budget=budget)
+    return bad_prime_density(torus, p, budget=budget)
 
 
 def cross_validate_density(
     torus: TorusSpec,
     p: int,
-    jobs: int = 1,
     budget: int = COUNT_BUDGET,
 ) -> VerificationReport:
     """Exact equality check of the two density routes at a good prime.
@@ -135,7 +132,7 @@ def cross_validate_density(
         )
     inputs = {"torus": torus.label, "p": p}
     try:
-        brute = _stabilized_density(torus.model, p, jobs, budget, confirm=False)
+        brute = _stabilized_density(torus.model, p, budget, confirm=False)
     except NotStabilizedError as exc:
         return VerificationReport(
             identity="local-density",

@@ -162,6 +162,28 @@ def test_bad_config_exits_64(capsys, argv):
     assert "config error:" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "euler", "--torus", "norm1:-1", "--pmax", "abc"),
+        ("verify", "euler", "--torus", "norm1:-1", "--jobs", "x"),
+        ("verify", "bogus", "--torus", "norm1:-1"),
+    ],
+)
+def test_usage_errors_exit_64(capsys, argv):
+    # argparse's own code 2 is the INCONCLUSIVE code
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("usage: tamagawa verify") and "error:" in err
+    assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == 0 and out.startswith("usage: tamagawa verify")
+
+
 @pytest.mark.parametrize("tol", ["1e-12", "1e-13"])
 @pytest.mark.parametrize("identity", ["tnc", "all"])
 def test_tol_below_l_value_accuracy_exits_64(capsys, identity, tol):
@@ -175,7 +197,9 @@ def test_tol_below_l_value_accuracy_exits_64(capsys, identity, tol):
 
 
 def test_budget_ceiling(capsys):
-    # count_points_mod's int64 products reach q^2 + 2q, with q^2 <= budget
+    # count_points_mod's largest int64 intermediates, (D mod 4q) * y and
+    # its residue mod 4q times y, with |y| <= q/2, are below 2q^2 in absolute
+    # value, so q^2 <= budget <= 2^62 keeps them below 2^63
     RunConfig("euler", ("norm1:-1",), budget=2**62).validate()
     with pytest.raises(ConfigError, match="budget"):
         RunConfig("euler", ("norm1:-1",), budget=2**62 + 1).validate()

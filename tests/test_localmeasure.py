@@ -16,7 +16,7 @@ from tamagawa.localmeasure import (
     local_density_good,
     max_feasible_level,
 )
-from tamagawa.models import count_points_mod, unit_group_model
+from tamagawa.models import count_points_mod
 from tamagawa.quadfield import BiquadField, QuadField
 from tamagawa.report import PASS
 
@@ -136,10 +136,3 @@ def test_res_density_routes_agree_at_2():
     direct = sum(1 for a in range(2) for b in range(2) if k.norm(a, b) % 2)
     assert d.trace[0][1] == direct
 
-
-def test_jobs_do_not_change_counts():
-    model = unit_group_model(QuadField.from_d(-3))
-    for p, k in ((3, 2), (5, 2), (2, 4)):
-        assert count_points_mod(model, p, k, jobs=1) == count_points_mod(
-            model, p, k, jobs=4
-        )
