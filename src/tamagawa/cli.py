@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cohomology import cohomology, h0_torsion_dual, ono_constant, sha_bk_order, sha_order
+from .cohomology import cohomology, h0_torsion_dual, ono_constant, sha_order
 from .errors import (
     BudgetExceededError,
     ConfigError,
@@ -56,9 +56,8 @@ from .report import (
 )
 
 BUDGET_ENV = "TAMAGAWA_BUDGET"
-# count_points_mod's largest int64 intermediates, (D mod 4q) * y and
-# ((D mod 4q) * y mod 4q) * y with y centred (|y| <= q/2), are below 2q^2
-# in absolute value; q^2 <= budget keeps them below 2^63
+# the documented upper end of --budget (README, exit codes): a larger
+# budget is a configuration error, exit 64
 BUDGET_CEILING = 2**62
 
 
@@ -212,7 +211,7 @@ def run_density(torus: TorusSpec, cfg: RunConfig):
 def run_sha(torus: TorusSpec, cfg: RunConfig):
     i_t = ono_constant(torus)
     c = c_gamma(torus)
-    shabk = sha_bk_order(torus, c.value)
+    shabk = c.value * i_t
     values = {"c_gamma": c.value, "c_gamma_heuristic": c.heuristic,
               "i_t": i_t, "sha_bk": shabk}
     if torus.family == "norm-one":

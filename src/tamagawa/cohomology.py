@@ -175,9 +175,3 @@ def ono_constant(t: TorusSpec) -> int:
         # Q-isomorphic to the norm-one torus via t -> t/s(t)
         return _knot_group_order(t)
     raise UnsupportedTorusError(f"no Sha evaluator for {t.label}")
-
-
-def sha_bk_order(t: TorusSpec, c_gamma: int) -> int:
-    if c_gamma < 1:
-        raise ValueError("c_gamma must be a positive integer")
-    return c_gamma * ono_constant(t)

@@ -274,10 +274,6 @@ def frobenius_element(t: TorusSpec, p: int) -> int:
     return {(1, 1): 0, (1, -1): 1, (-1, 1): 2, (-1, -1): 3}[(c1, c2)]
 
 
-def frobenius_matrix(t: TorusSpec, p: int) -> IntMatrix:
-    return t.xcochar.mats[frobenius_element(t, p)]
-
-
 def _frob_inverse_matrix(t: TorusSpec, p: int) -> IntMatrix:
     g = frobenius_element(t, p)
     return t.xcochar.mats[t.group.inv(g)]

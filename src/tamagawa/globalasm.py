@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .cohomology import cohomology, h0_torsion_dual, ono_constant, sha_bk_order
+from .cohomology import cohomology, h0_torsion_dual, ono_constant
 from .errors import (
     ConfigError,
     NotStabilizedError,
@@ -381,7 +381,7 @@ def verify_tnc(
     rhs = ono_rhs(torus)
     try:
         tau, c = tau_tam(torus, tol=tol, budget=budget)
-        shabk = sha_bk_order(torus, c.value)
+        shabk = c.value * ono_constant(torus)
     except NotStabilizedError as exc:
         return GlobalReport(
             torus=torus.label,

@@ -93,13 +93,9 @@ def bad_prime_density(
         raise UnsupportedTorusError(
             f"no affine model attached to {torus.label}; cannot count points"
         )
-    if p != 2 and not is_bad_prime(torus, p):
+    if p != 2 and p not in torus.bad_primes():
         raise ValueError(f"p={p} is neither ramified nor 2 for {torus.label}")
     return _stabilized_density(torus.model, p, budget, confirm=True)
-
-
-def is_bad_prime(torus: TorusSpec, p: int) -> bool:
-    return p in torus.bad_primes()
 
 
 def local_density(

@@ -8,16 +8,14 @@ Two models, both built from the norm form of the ring basis (1, w):
 The gauge form is dx/(dF/dy) (resp. with the z-chart for unit-group); only
 its denominator choice matters downstream, and it is fixed here once.
 
-Point counting mod p^k is the only numeric work: one vectorized pass over
-the fibres y in Z/p^k, each counted from a table of squares
-(count_points_mod proves the fibre formula).
+Point counting mod p^k is the only numeric work: one pass over the fibres
+y in Z/p^k, each counted from a table of squares (count_points_mod proves
+the fibre formula).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import BudgetExceededError
 from .exactcore import is_prime
@@ -78,17 +76,19 @@ def count_points_mod(model: AffineModel, p: int, k: int,
     u^2 = Dy^2 mod 2 has u = Dy mod 2, since u^2 = u and y^2 = y mod 2, so
     no u is counted outside the image.  This holds for every p, 2 included.
 
-    So with T_m = bincount(u^2 mod 4m) over u mod 2m, the norm-one fibre
-    over y has T_q[(Dy^2 + 4) mod 4q] points.  For the unit-group model,
-    whether p | N depends only on (x, y) mod p, so the fibre over y has
-    q - (q/p) * T_p[Dy^2 mod 4p] points with N a unit.
+    So with T_m[r] = #{u mod 2m : u^2 = r mod 4m}, the norm-one fibre over
+    y has T_q[(Dy^2 + 4) mod 4q] points.  For the unit-group model, whether
+    p | N depends only on (x, y) mod p, so the fibre over y has
+    q - (q/p) * T_p[Dy^2 mod 4p] points with N a unit.  T_p[Dy^2 mod 4p]
+    counts x mod p, so it depends only on y mod p; each residue mod p has
+    q/p lifts mod q, so its sum over y mod q is q/p times its sum over
+    y mod p: O(p), not O(q).
 
-    The fibre size depends only on y mod m, so any representatives do.  In
-    int64 the largest intermediates are (D mod 4m) * y and
-    ((D mod 4m) * y mod 4m) * y, each below 4m * q/2 <= 2q^2 in absolute
-    value for y centred (|y| <= q/2), and u^2 <= m^2 <= q^2 for u in
-    (-m, m].  The budget check gives q^2 <= p^(k * nvars) <= budget, and
-    the CLI caps the budget at 2^62, so all stay below 2^63.
+    Both sums fold in half under negation: u and 2m - u have the same square
+    mod 4m, and y and m - y the same fibre (it depends only on y mod m, and
+    y^2 = (-y)^2).  So each runs over 0..s/2 for s = 2m (u) or s = m (y),
+    with weight 2 except at the fixed points of x -> -x on Z/s: 0, and s/2
+    when s is even.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -98,14 +98,20 @@ def count_points_mod(model: AffineModel, p: int, k: int,
         raise BudgetExceededError(
             f"p^(k*vars) = {p ** (k * model.nvars)} exceeds budget {budget}")
     q = p ** k
-    y = np.arange(-((q - 1) // 2), q // 2 + 1, dtype=np.int64)
+    D = model.D
 
-    def fibres(m: int, c: int):
-        u = np.arange(1 - m, m + 1, dtype=np.int64)
-        squares = np.bincount(u * u % (4 * m), minlength=4 * m)
-        dy2 = (model.D % (4 * m)) * y % (4 * m) * y % (4 * m)
-        return squares[(dy2 + 4 * c) % (4 * m)]
+    def fibre_sum(m: int, c: int) -> int:
+        """Sum over y in Z/m of T_m[(Dy^2 + 4c) mod 4m]."""
+        n = 4 * m
+        table = [0] * n
+        for u in range(m + 1):
+            table[u * u % n] += 2
+        table[0] -= 1
+        table[m * m % n] -= 1
+        half = [table[(D * y * y + 4 * c) % n] for y in range(m // 2 + 1)]
+        total = 2 * sum(half) - half[0]
+        return total - half[-1] if m % 2 == 0 else total
 
     if model.kind == "unit-group":
-        return q * q - (q // p) * int(fibres(p, 0).sum())
-    return int(fibres(q, 1).sum())
+        return q * q - (q // p) ** 2 * fibre_sum(p, 0)
+    return fibre_sum(q, 1)

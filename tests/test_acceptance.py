@@ -7,7 +7,8 @@ import math
 import time
 from fractions import Fraction
 
-from tamagawa.cohomology import cohomology, h0_torsion_dual, ono_constant, sha_bk_order
+from tamagawa.cli import RunConfig, run_sha
+from tamagawa.cohomology import cohomology, h0_torsion_dual, ono_constant
 from tamagawa.galois import (
     INF,
     build_torus,
@@ -179,7 +180,8 @@ def test_criterion_8_sha_consistency():
     for d in SUITE:
         t = build_torus("norm-one", QuadField.from_d(d))
         c = c_gamma(t)
-        assert sha_bk_order(t, c.value) == c.value * ono_constant(t), d
+        (row,) = run_sha(t, RunConfig("sha", (f"norm1:{d}",)))
+        assert row.values["sha_bk"] == c.value * ono_constant(t), d
     _finish("criterion 8", t0, None, "sha_bk = c * i(T) across the suite")
 
 

@@ -5,7 +5,10 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -197,9 +200,7 @@ def test_tol_below_l_value_accuracy_exits_64(capsys, identity, tol):
 
 
 def test_budget_ceiling(capsys):
-    # count_points_mod's largest int64 intermediates, (D mod 4q) * y and
-    # its residue mod 4q times y, with |y| <= q/2, are below 2q^2 in absolute
-    # value, so q^2 <= budget <= 2^62 keeps them below 2^63
+    # 2^62 is the documented upper end of --budget; one more exits 64
     RunConfig("euler", ("norm1:-1",), budget=2**62).validate()
     with pytest.raises(ConfigError, match="budget"):
         RunConfig("euler", ("norm1:-1",), budget=2**62 + 1).validate()
@@ -207,6 +208,23 @@ def test_budget_ceiling(capsys):
     code, out, err = run_cli(
         capsys, "verify", "euler", "--torus", "norm1:-1", "--budget", str(2**62 + 1))
     assert (code, out) == (64, "") and "config error: budget" in err
+
+
+def test_package_needs_only_the_standard_library():
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, tamagawa, tamagawa.cli; print('numpy' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"
+    pyproject = (root / "pyproject.toml").read_text()
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10
+        assert "\ndependencies = []\n" in pyproject
+    else:
+        assert tomllib.loads(pyproject)["project"]["dependencies"] == []
 
 
 def test_internal_arithmetic_error_exits_70(capsys, monkeypatch):

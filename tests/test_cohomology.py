@@ -11,7 +11,6 @@ from tamagawa.cohomology import (
     cohomology,
     h0_torsion_dual,
     ono_constant,
-    sha_bk_order,
     sha_order,
 )
 from tamagawa.errors import QRankError, UnsupportedTorusError
@@ -267,14 +266,6 @@ def test_sha_order():
     assert sha_order(build_torus("norm-one", BiquadField.from_pair(13, 17))) == 2
     with pytest.raises(UnsupportedTorusError):
         sha_order(build_torus("res-scalars", QuadField.from_d(-5)))
-
-
-def test_sha_bk_order():
-    t = build_torus("norm-one", QuadField.from_d(-23))
-    assert sha_bk_order(t, 3) == 3
-    assert sha_bk_order(t, 1) == 1
-    with pytest.raises(ValueError):
-        sha_bk_order(t, 0)
 
 
 def test_ono_constant_rejects_res():
