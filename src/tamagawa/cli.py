@@ -36,14 +36,13 @@ from .galois import (
     TAG_FAMILIES,
     TorusSpec,
     build_torus,
-    euler_factor_at_one,
+    good_euler_terms,
     is_good_prime,
-    point_count_Fp,
     q_rank,
 )
 from .globalasm import c_gamma, verify_tnc
-from .localmeasure import bad_prime_density, cross_validate_density
-from .models import COUNT_BUDGET, count_points_mod
+from .localmeasure import bad_prime_density, cached_point_count, cross_validate_density
+from .models import COUNT_BUDGET
 from .quadfield import BiquadField, QuadField
 from .report import (
     FAIL,
@@ -123,21 +122,18 @@ def parse_torus(spec: str) -> TorusSpec:
 
 def run_euler(torus: TorusSpec, cfg: RunConfig):
     rows = []
-    for p in primes_up_to(cfg.pmax):
-        if not is_good_prime(torus, p):
-            continue
-        factor = euler_factor_at_one(torus, p)
-        count = point_count_Fp(torus, p)
-        density = Fraction(count, p ** torus.dim)
-        ok = factor * p ** torus.dim == count
+    for p, scaled, count in good_euler_terms(torus, primes_up_to(cfg.pmax)):
+        pd = p ** torus.dim
+        factor = Fraction(scaled, pd)
+        # factor * p^d is scaled, exactly: the comparison needs no Fraction
+        ok = scaled == count
         rows.append(VerificationReport(
             identity="euler",
             inputs={"torus": torus.label, "p": p},
             values={"euler_factor": factor, "point_count": count,
-                    "density": density},
+                    "density": factor if ok else Fraction(count, pd)},
             verdict=PASS if ok else FAIL,
-            cause=None if ok else
-            f"p^d * E_p(1) = {factor * p ** torus.dim} != {count}",
+            cause=None if ok else f"p^d * E_p(1) = {scaled} != {count}",
         ))
     return rows
 
@@ -155,7 +151,7 @@ def run_lifting(torus: TorusSpec, cfg: RunConfig):
         for k in range(1, cfg.kmax + 1):
             if p ** (k * torus.model.nvars) > cfg.budget:
                 break
-            counts.append(count_points_mod(torus.model, p, k, budget=cfg.budget))
+            counts.append(cached_point_count(torus.model, p, k, cfg.budget))
         inputs = {"torus": torus.label, "p": p}
         values = {"counts": counts, "levels": len(counts)}
         if len(counts) < 2:

@@ -11,9 +11,17 @@ basis U = (e_0; e_1 - e_0; ...; e_{n-1} - e_{n-2}), whose inverse is the
 all-ones lower triangle; the sum vector becomes the first coordinate and the
 quotient action is the lower-right block of U P_g U^{-1}.
 
-Euler factors and point counts take two deliberately different routes
-(characteristic polynomial vs fraction-free determinant) so their agreement
-is a real check, not a tautology.
+Euler factors and point counts take two deliberately different routes, so
+their agreement is a real check, not a tautology.  For each Galois element g,
+with B = Fr^{-1} on X_* when Fr = g, once per torus:
+
+  E_p(1) * p^d = charpoly(B)(p), by Faddeev-LeVerrier;
+  |T(F_p)|    = det(x*I - B) at x = p, where that polynomial is interpolated
+                exactly from fraction-free (Bareiss) determinants at
+                x = 0..d.
+
+Each prime then costs its Frobenius class (Kronecker symbols) and two
+polynomial evaluations.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial
 
 from .errors import UnsupportedTorusError
 from .exactcore import IntMatrix, charpoly, eval_poly, is_prime, kronecker_symbol, smith_normal_form, vstack
@@ -257,48 +266,93 @@ def is_good_prime(t: TorusSpec, p: int) -> bool:
     return is_prime(p) and (2 * t.splitting_disc()) % p != 0
 
 
+_BIQUAD_FROBENIUS = {(1, 1): 0, (1, -1): 1, (-1, 1): 2, (-1, -1): 3}
+
+
 def frobenius_element(t: TorusSpec, p: int) -> int:
     """Index of the Frobenius at an unramified prime in Gal(K/Q)."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     field = t.field
     if isinstance(field, QuadField):
-        chi = kronecker_symbol(field.D, p)
-        if chi == 0:
+        if kronecker_symbol(field.D, p) == 0:
             raise ValueError(f"p = {p} is ramified")
-        return 0 if chi == 1 else 1
-    c1 = kronecker_symbol(field.D1, p)
-    c2 = kronecker_symbol(field.D2, p)
-    if c1 == 0 or c2 == 0 or kronecker_symbol(field.D3, p) == 0:
+    elif (kronecker_symbol(field.D1, p) == 0 or kronecker_symbol(field.D2, p) == 0
+          or kronecker_symbol(field.D3, p) == 0):
         raise ValueError(f"p = {p} is ramified")
-    return {(1, 1): 0, (1, -1): 1, (-1, 1): 2, (-1, -1): 3}[(c1, c2)]
+    return _frobenius_index(field, p)
 
 
-def _frob_inverse_matrix(t: TorusSpec, p: int) -> IntMatrix:
-    g = frobenius_element(t, p)
-    return t.xcochar.mats[t.group.inv(g)]
+def _frobenius_index(field: QuadField | BiquadField, p: int) -> int:
+    """Index of the Frobenius at a prime p known to be unramified in K."""
+    if isinstance(field, QuadField):
+        return 0 if kronecker_symbol(field.D, p) == 1 else 1
+    return _BIQUAD_FROBENIUS[kronecker_symbol(field.D1, p), kronecker_symbol(field.D2, p)]
+
+
+def _interpolated_det_poly(b: IntMatrix) -> tuple[int, ...]:
+    """Coefficients of det(x*I - b), low degree first, interpolated exactly
+    from its Bareiss values at x = 0..n (Newton's forward differences)."""
+    n = b.rows
+    diffs = [(IntMatrix.identity(n).scale(x) - b).det() for x in range(n + 1)]
+    coeffs = [Fraction(0)] * (n + 1)
+    basis = [1]  # x(x-1)...(x-k+1), low degree first
+    for k in range(n + 1):
+        lead = Fraction(diffs[0], factorial(k))
+        for i, c in enumerate(basis):
+            coeffs[i] += lead * c
+        diffs = [hi - lo for lo, hi in zip(diffs, diffs[1:])]
+        basis = [(basis[i - 1] if i else 0) - k * (basis[i] if i < len(basis) else 0)
+                 for i in range(len(basis) + 1)]
+    if any(c.denominator != 1 for c in coeffs):
+        raise ArithmeticError("det(x*I - B) interpolates to non-integer coefficients "
+                              f"{', '.join(map(str, coeffs))}")
+    return tuple(int(c) for c in coeffs)
+
+
+@lru_cache(maxsize=512)
+def _frobenius_polynomials(t: TorusSpec) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """For each Galois element g, (charpoly(B), det(x*I - B)) of
+    B = g^{-1} on X_*: the two routes, each computed once per torus."""
+    out = []
+    for g in range(t.group.order):
+        b = t.xcochar.mats[t.group.inv(g)]
+        out.append((charpoly(b), _interpolated_det_poly(b)))
+    return tuple(out)
+
+
+def good_euler_terms(t: TorusSpec, primes):
+    """Yield (p, p^d * E_p(1), |T(F_p)|) for each p in `primes` (primes,
+    unchecked) that does not divide 2 * disc: the charpoly and the
+    determinant polynomial of Frobenius's class, each evaluated at p."""
+    polys = _frobenius_polynomials(t)
+    field = t.field
+    two_disc = 2 * t.splitting_disc()
+    for p in primes:
+        if two_disc % p == 0:
+            continue
+        cp, dp = polys[_frobenius_index(field, p)]
+        count = eval_poly(dp, p)
+        if count <= 0:
+            raise ArithmeticError("point count must be positive")
+        yield p, eval_poly(cp, p), count
+
+
+def _good_terms(t: TorusSpec, p: int) -> tuple[int, int, int]:
+    if not is_good_prime(t, p):
+        raise ValueError(f"p = {p} is not a good prime for {t.label}")
+    return next(good_euler_terms(t, (p,)))
 
 
 def euler_factor_at_one(t: TorusSpec, p: int) -> Fraction:
-    """det(1 - Fr_p^{-1} p^{-1} | X_* x Q), via the characteristic polynomial.
-
-    `charpoly` is cached, so it runs once per Galois element; each p only
-    evaluates the polynomial.
-    """
-    if not is_good_prime(t, p):
-        raise ValueError(f"p = {p} is not a good prime for {t.label}")
-    b = _frob_inverse_matrix(t, p)
-    return Fraction(eval_poly(charpoly(b), p), p ** t.dim)
+    """det(1 - Fr_p^{-1} p^{-1} | X_* x Q), via the characteristic polynomial."""
+    _, factor, _ = _good_terms(t, p)
+    return Fraction(factor, p ** t.dim)
 
 
 def point_count_Fp(t: TorusSpec, p: int) -> int:
-    """|T(F_p)| = det(p - Fr_p^{-1} | X_*), by fraction-free elimination."""
-    if not is_good_prime(t, p):
-        raise ValueError(f"p = {p} is not a good prime for {t.label}")
-    b = _frob_inverse_matrix(t, p)
-    count = (IntMatrix.identity(t.dim).scale(p) - b).det()
-    if count <= 0:
-        raise ArithmeticError("point count must be positive")
+    """|T(F_p)| = det(p - Fr_p^{-1} | X_*), via the interpolated determinant."""
+    _, _, count = _good_terms(t, p)
     return count
 
 

@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedTorusError,
 )
 from .exactcore import is_prime, kronecker_symbol, primes_up_to
-from .galois import INF, TorusSpec, euler_factor_at_one, is_good_prime, point_count_Fp, q_rank
+from .galois import INF, TorusSpec, good_euler_terms, q_rank
 from .localmeasure import local_density
 from .models import COUNT_BUDGET
 from .quadfield import (
@@ -250,14 +250,13 @@ def assert_good_factors(torus: TorusSpec, pmax: int = GOOD_FACTOR_BOUND, exclude
     licenses dropping them.
     """
     skip = set(exclude)
-    for p in primes_up_to(pmax):
-        if p in skip or not is_good_prime(torus, p):
-            continue
-        density = Fraction(point_count_Fp(torus, p), p ** torus.dim)
-        if density != euler_factor_at_one(torus, p):
+    primes = (p for p in primes_up_to(pmax) if p not in skip)
+    for p, scaled, count in good_euler_terms(torus, primes):
+        if scaled != count:
+            pd = p ** torus.dim
             raise ArithmeticError(
                 f"good factor mismatch at p={p} for {torus.label}: "
-                f"density {density} vs Euler factor {euler_factor_at_one(torus, p)}"
+                f"density {Fraction(count, pd)} vs Euler factor {Fraction(scaled, pd)}"
             )
 
 

@@ -50,6 +50,14 @@ def max_feasible_level(model: AffineModel, p: int, budget: int = COUNT_BUDGET) -
     return k
 
 
+@lru_cache(maxsize=256)
+def cached_point_count(model: AffineModel, p: int, k: int, budget: int) -> int:
+    """`count_points_mod(model, p, k)`, counted once per process: at good
+    p <= 13, `verify all` needs the same levels for its lifting rows and
+    for its density cross-checks."""
+    return count_points_mod(model, p, k, budget=budget)
+
+
 def _stabilized_density(model, p, budget, confirm=True):
     """Raise levels until the ratio repeats (three in a row when the
     budget allows a confirming level), else raise NotStabilizedError."""
@@ -60,7 +68,7 @@ def _stabilized_density(model, p, budget, confirm=True):
         )
     trace = []
     for k in range(1, k_cap + 1):
-        count = count_points_mod(model, p, k, budget=budget)
+        count = cached_point_count(model, p, k, budget)
         trace.append((k, count, Fraction(count, p ** (k * model.dim))))
         if (
             confirm

@@ -3,9 +3,15 @@
 The JSON schema is versioned and intentionally boring: rationals are
 rendered as strings "a/b" so nothing downstream ever sees a rounded
 rational, floats that carry an error bound are rendered as
-{"value": ..., "abs_err": ...} objects.  Reports must be byte-identical
-across worker counts, so nothing time- or schedule-dependent may enter
-these structures; wall-clock timings go to stderr in the CLI instead.
+{"value": ..., "abs_err": ...} objects.  A report is a function of the
+echoed config alone: the same invocation gives the same bytes on every run,
+whatever --jobs (which changes nothing) and --out say, so nothing time-
+dependent may enter these structures; wall-clock timings go to stderr in
+the CLI instead.
+
+`render_report` writes the text that `json.dumps(..., sort_keys=True,
+indent=2)` gives for the `to_jsonable` form of the document, in one pass:
+with an indent, `json.dumps` leaves its C encoder unused.
 """
 
 from __future__ import annotations
@@ -74,25 +80,65 @@ def to_jsonable(obj):
     raise TypeError(f"cannot render {type(obj).__name__} in a report")
 
 
-def report_row(rep: VerificationReport) -> dict:
-    row = {
-        "identity": rep.identity,
-        "inputs": to_jsonable(rep.inputs),
-        "values": to_jsonable(rep.values),
-        "verdict": rep.verdict,
-    }
-    if rep.cause is not None:
-        row["cause"] = rep.cause
-    return row
+_dumps = json.dumps
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _render(obj, nl: str) -> str:
+    """`obj` as `json.dumps(to_jsonable(obj), sort_keys=True, indent=2)`
+    renders it at the depth whose line break and indent is `nl`."""
+    kind = type(obj)  # the leaves most reports are made of, first
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is Fraction:
+        return f'"{obj.numerator}/{obj.denominator}"'
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or isinstance(obj, (bool, float)):
+        return _dumps(obj)
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, Fraction):
+        return _quote(rat_str(obj))
+    if isinstance(obj, Real):
+        obj = {"value": obj.value, "abs_err": obj.abs_err}
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _render(v, inner)
+             for k, v in sorted({str(k): v for k, v in obj.items()}.items())]
+        ) + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        return "[" + inner + ("," + inner).join([_render(v, inner) for v in obj]) + nl + "]"
+    raise TypeError(f"cannot render {type(obj).__name__} in a report")
 
 
 def render_report(reports, config_echo=None) -> str:
-    doc = {
-        "version": SCHEMA_VERSION,
-        "config_echo": to_jsonable(config_echo or {}),
-        "reports": [report_row(r) for r in reports],
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    """The report document as `json.dumps(..., sort_keys=True, indent=2)`
+    renders its `to_jsonable` form, built in one pass over the rows."""
+    row_nl = "\n    "
+    field_nl = row_nl + "  "
+    rows = []
+    for rep in reports:
+        fields = [] if rep.cause is None else ['"cause": ' + _render(rep.cause, field_nl)]
+        fields += [
+            '"identity": ' + _render(rep.identity, field_nl),
+            '"inputs": ' + _render(rep.inputs, field_nl),
+            '"values": ' + _render(rep.values, field_nl),
+            '"verdict": ' + _render(rep.verdict, field_nl),
+        ]
+        rows.append("{" + field_nl + ("," + field_nl).join(fields) + row_nl + "}")
+    reports_text = "[" + row_nl + ("," + row_nl).join(rows) + "\n  ]" if rows else "[]"
+    return ('{\n  "config_echo": ' + _render(config_echo or {}, "\n  ")
+            + ',\n  "reports": ' + reports_text
+            + ',\n  "version": ' + _render(SCHEMA_VERSION, "\n  ") + "\n}\n")
 
 
 def worst_exit_code(reports) -> int:

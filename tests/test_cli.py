@@ -8,22 +8,26 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tamagawa import globalasm
-from tamagawa.cli import RunConfig, main, parse_torus
+from tamagawa import globalasm, localmeasure
+from tamagawa.cli import RunConfig, main, parse_torus, run_euler
 from tamagawa.errors import ConfigError
-from tamagawa.exactcore import charpoly
+from tamagawa.exactcore import charpoly, primes_up_to
+from tamagawa.galois import euler_factor_at_one, is_good_prime, point_count_Fp
 from tamagawa.globalasm import c_gamma
-from tamagawa.localmeasure import bad_prime_density
+from tamagawa.localmeasure import bad_prime_density, cached_point_count
 from tamagawa.report import (
     FAIL,
+    IDENTITIES,
     INCONCLUSIVE,
     PASS,
+    SCHEMA_VERSION,
     Real,
     VerificationReport,
     rat_str,
@@ -95,6 +99,69 @@ def test_render_is_versioned_and_sorted():
     assert doc["version"] == 1
     assert text.index('"a"') < text.index('"b"')
     assert text.endswith("\n")
+
+
+def old_render(reports, config_echo=None):
+    """The two-pass renderer: the `to_jsonable` tree through `json.dumps`."""
+    rows = []
+    for rep in reports:
+        row = {"identity": rep.identity, "inputs": rep.inputs,
+               "values": rep.values, "verdict": rep.verdict}
+        if rep.cause is not None:
+            row["cause"] = rep.cause
+        rows.append(row)
+    doc = {"version": SCHEMA_VERSION, "config_echo": config_echo or {}, "reports": rows}
+    return json.dumps(to_jsonable(doc), sort_keys=True, indent=2) + "\n"
+
+
+_leaves = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(-10**60, 10**60),
+    st.floats(), st.sampled_from([-0.0, math.inf, -math.inf, math.nan]),
+    st.text(), st.sampled_from(['"\\/\b\f\n\r\t\x00\x1f\x7f', "\u00e9\u2028\U0001f600"]),
+    st.fractions(), st.builds(Real, st.floats(), st.floats()),
+)
+_trees = st.recursive(
+    _leaves,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        # int keys render as strings, and may collide with string keys
+        st.dictionaries(st.one_of(st.text(max_size=3), st.integers(),
+                                  st.sampled_from([1, "1", 10, "10", -2, "-2"])),
+                        kids, max_size=4),
+    ),
+    max_leaves=12,
+)
+_reports = st.builds(
+    VerificationReport,
+    identity=st.sampled_from(IDENTITIES),
+    inputs=st.dictionaries(st.text(max_size=4), _trees, max_size=3),
+    values=_trees,
+    verdict=st.just(PASS),
+    cause=st.one_of(st.none(), st.text(min_size=1)),
+) | st.builds(
+    VerificationReport,
+    identity=st.sampled_from(IDENTITIES),
+    inputs=_trees,
+    values=st.dictionaries(st.integers(), _trees, max_size=3),
+    verdict=st.sampled_from([FAIL, INCONCLUSIVE]),
+    cause=st.text(min_size=1),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_reports, max_size=3),
+       st.one_of(st.none(), st.dictionaries(st.text(max_size=4), _trees, max_size=4)))
+def test_render_matches_json_dumps_of_jsonable(reports, echo):
+    assert render_report(reports, echo) == old_render(reports, echo)
+
+
+def test_render_rejects_unrenderable_values():
+    with pytest.raises(TypeError):
+        render_report([VerificationReport("euler", {"p": 3}, {"x": [complex(1, 2)]})])
+    with pytest.raises(TypeError):
+        render_report([], {"tol": complex(1, 2)})
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +565,42 @@ def test_euler_computes_one_charpoly_per_galois_element(capsys):
         capsys, "verify", "euler", "--torus", "res:5,-3", "--pmax", "2000")
     assert code == 0
     assert charpoly.cache_info().misses <= 4
+
+
+@pytest.mark.parametrize("spec", ["res:5,-3", "norm1:-7", "quot:13", "norm1:13,17",
+                                  "quot:-1,5"])
+def test_euler_rows_equal_rows_from_public_functions(spec):
+    torus = parse_torus(spec)
+    cfg = RunConfig("euler", (spec,), pmax=600)
+    want = []
+    for p in primes_up_to(cfg.pmax):
+        if not is_good_prime(torus, p):
+            continue
+        factor = euler_factor_at_one(torus, p)
+        count = point_count_Fp(torus, p)
+        want.append(VerificationReport(
+            "euler", {"torus": spec, "p": p},
+            {"euler_factor": factor, "point_count": count,
+             "density": Fraction(count, p ** torus.dim)},
+            PASS if factor * p ** torus.dim == count else FAIL, None))
+    assert run_euler(torus, cfg) == want
+
+
+def test_all_counts_each_level_once(capsys, monkeypatch):
+    # the lifting rows and the density cross-checks share their counts
+    calls = []
+    count = localmeasure.count_points_mod
+
+    def counting(model, p, k, budget):
+        calls.append((model, p, k))
+        return count(model, p, k, budget=budget)
+
+    monkeypatch.setattr(localmeasure, "count_points_mod", counting)
+    cached_point_count.cache_clear()
+    bad_prime_density.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "all", "--torus", "norm1:-1")
+    assert code == 0
+    assert len(calls) == len(set(calls)) == 19
 
 
 def test_multiple_tori_in_one_run(capsys):

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tamagawa import galois
 from tamagawa.errors import UnsupportedTorusError
-from tamagawa.exactcore import IntMatrix, charpoly, primes_up_to
+from tamagawa.exactcore import IntMatrix, charpoly, eval_poly, primes_up_to
 from tamagawa.galois import (
     FAMILIES,
     INF,
@@ -17,6 +18,7 @@ from tamagawa.galois import (
     decomposition_subgroup,
     euler_factor_at_one,
     frobenius_element,
+    good_euler_terms,
     is_good_prime,
     point_count_Fp,
     q_rank,
@@ -27,6 +29,13 @@ from tamagawa.quadfield import BiquadField, QuadField
 
 DS = (-1, -2, -3, -5, -6, -7, -10, -11, -13, -14, -15, -17, -19, -21, -23,
       2, 3, 5, 6, 7, 10, 11, 13, 15)
+BIQUADS = ((-1, 2), (-1, 3), (2, 3), (-3, 5), (5, -3), (13, 17), (-1, -2), (-7, 5))
+
+
+def all_tori():
+    fields = [QuadField.from_d(d) for d in DS]
+    fields += [BiquadField.from_pair(a, b) for a, b in BIQUADS]
+    return [build_torus(family, k) for k in fields for family in FAMILIES]
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +175,34 @@ def test_point_count_vs_brute_force():
                 if not is_good_prime(t, p):
                     continue
                 assert point_count_Fp(t, p) == count_points_mod(t.model, p, 1)
+
+
+def test_interpolated_det_poly_equals_charpoly():
+    # det(x*I - B) from Bareiss values at 0..d has integer coefficients
+    # (the interpolation raises otherwise) and is the characteristic polynomial
+    for t in all_tori():
+        for b in t.xcochar.mats:
+            assert galois._interpolated_det_poly(b) == charpoly(b)
+
+
+def test_interpolation_rejects_non_integer_coefficients(monkeypatch):
+    # values 0, 0, 1 at x = 0, 1, 2 interpolate to x(x - 1)/2
+    monkeypatch.setattr(IntMatrix, "det", lambda self: (0, 0, 1)[self.get(0, 0)])
+    with pytest.raises(ArithmeticError):
+        galois._interpolated_det_poly(IntMatrix.zeros(2, 2))
+
+
+def test_euler_terms_against_per_prime_bareiss():
+    # the old per-prime determinant is the oracle for the interpolated one,
+    # and every good p <= 2000 (and only those) is swept
+    for t in all_tori():
+        good = [p for p in primes_up_to(2000) if is_good_prime(t, p)]
+        terms = list(good_euler_terms(t, primes_up_to(2000)))
+        assert [p for p, _, _ in terms] == good
+        for p, scaled, count in terms:
+            b = t.xcochar.mats[t.group.inv(frobenius_element(t, p))]
+            assert count == (IntMatrix.identity(t.dim).scale(p) - b).det()
+            assert scaled == eval_poly(charpoly(b), p) == count
 
 
 def test_good_primes():
