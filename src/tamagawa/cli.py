@@ -5,7 +5,8 @@
 Identities: euler, lifting, globalinv, density, sha, tnc, all.
 Exit codes: 0 all PASS, 1 any FAIL, 2 INCONCLUSIVE only, 64 usage or
 config error or violated structural assumption (Q-rank gate, unsupported
-family), 70 internal error (a failed internal consistency check).
+family), 70 internal error (a failed internal consistency check), 73 the
+report could not be written to --out (EX_CANTCREAT).
 
 --jobs is accepted and validated but changes nothing: all work runs in one
 thread.  It and the output path are excluded from the config echo, timings
@@ -20,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .cohomology import cohomology, h0_torsion_dual, ono_constant, sha_order
@@ -60,16 +61,9 @@ BUDGET_ENV = "TAMAGAWA_BUDGET"
 BUDGET_CEILING = 2**62
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    identity: str
-    tori: tuple
-    pmax: int = 97
-    kmax: int = 3
-    tol: float = 1e-6
-    budget: int = COUNT_BUDGET
-    jobs: int = 1
-    out: str | None = None
+class RunConfig(namedtuple("RunConfig", "identity tori pmax kmax tol budget jobs out",
+                           defaults=(97, 3, 1e-6, COUNT_BUDGET, 1, None))):
+    __slots__ = ()
 
     def validate(self):
         if self.identity not in IDENTITY_CHOICES:
@@ -411,7 +405,12 @@ def main(argv=None) -> int:
     text = render_report(reports, cfg.echo())
     sys.stdout.write(text)
     if cfg.out:
-        write_report_atomic(cfg.out, text)
+        try:
+            write_report_atomic(cfg.out, text)
+        except OSError as exc:
+            print(f"error: cannot write report to {cfg.out}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 73
     return worst_exit_code(reports)
 
 

@@ -14,7 +14,7 @@ proof.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
@@ -88,12 +88,10 @@ def bar_boundary(lattice: GaloisLattice, n: int) -> IntMatrix:
     return IntMatrix(rows_n, cols_n, tuple(x for row in rows for x in row))
 
 
-@dataclass(frozen=True)
-class _Presentation:
+class _Presentation(namedtuple("_Presentation", "k rel")):
     """H^n as Z^k / column-span(rel)."""
 
-    k: int
-    rel: IntMatrix
+    __slots__ = ()
 
 
 @lru_cache(maxsize=None)

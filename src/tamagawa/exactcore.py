@@ -8,7 +8,7 @@ Everything here is immutable and pure; safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 from math import isqrt
@@ -139,17 +139,15 @@ def kronecker_symbol(a: int, n: int) -> int:
 # integer matrices
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     """Immutable integer matrix, row-major flat storage."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.entries) != self.rows * self.cols:
+    def __new__(cls, rows: int, cols: int, entries: tuple[int, ...]):
+        if len(entries) != rows * cols:
             raise ValueError("entry count must equal rows*cols")
+        return super().__new__(cls, rows, cols, entries)
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -272,18 +270,15 @@ def vstack(mats) -> IntMatrix:
     return IntMatrix(sum(m.rows for m in mats), nc, flat)
 
 
-@dataclass(frozen=True)
-class SnfResult:
-    """u * m * v == diag(d), with d_i | d_{i+1} and d_i >= 0.
+class SnfResult(namedtuple("SnfResult", "d u v vinv")):
+    """u * m * v == diag(d), with d_i | d_{i+1} and d_i >= 0; u is None
+    when not wanted.
 
     vinv is the inverse of v; it comes out of the same reduction for free and
     cohomology presentations need it.
     """
 
-    d: tuple[int, ...]
-    u: IntMatrix | None
-    v: IntMatrix
-    vinv: IntMatrix
+    __slots__ = ()
 
     @property
     def rank(self) -> int:
@@ -448,12 +443,10 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     return IntMatrix(nc, k, flat)
 
 
-@lru_cache(maxsize=256)
 def charpoly(m: IntMatrix) -> tuple[int, ...]:
     """Coefficients c_0..c_n of det(x*I - m), low degree first.
 
-    Faddeev-LeVerrier: all divisions are exact over Z.  Cached: the
-    Frobenius matrices of a torus are its |G| <= 4 Galois actions.
+    Faddeev-LeVerrier: all divisions are exact over Z.
     """
     if m.rows != m.cols:
         raise ValueError("charpoly of non-square matrix")
@@ -476,19 +469,18 @@ def eval_poly(coeffs, x: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class AbelianGroupInvariants:
+class AbelianGroupInvariants(namedtuple("AbelianGroupInvariants", "free_rank factors")):
     """Invariant-factor presentation Z^free_rank + Z/d_1 + ... (d_i | d_{i+1})."""
 
-    free_rank: int
-    factors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for a, b in zip(self.factors, self.factors[1:]):
+    def __new__(cls, free_rank: int, factors: tuple[int, ...]):
+        for a, b in zip(factors, factors[1:]):
             if b % a:
                 raise ValueError("factors must form a divisibility chain")
-        if any(f < 2 for f in self.factors):
+        if any(f < 2 for f in factors):
             raise ValueError("factors must be > 1")
+        return super().__new__(cls, free_rank, factors)
 
     @property
     def order(self) -> int | None:

@@ -26,14 +26,14 @@ polynomial evaluations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
 from .errors import UnsupportedTorusError
 from .exactcore import IntMatrix, charpoly, eval_poly, is_prime, kronecker_symbol, smith_normal_form, vstack
-from .models import AffineModel, norm_form_model, unit_group_model
+from .models import norm_form_model, unit_group_model
 from .quadfield import BiquadField, QuadField
 
 INF = "inf"
@@ -43,27 +43,26 @@ FAMILY_TAGS = {"res-scalars": "res", "norm-one": "norm1", "quotient-by-gm": "quo
 TAG_FAMILIES = {v: k for k, v in FAMILY_TAGS.items()}
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    labels: tuple[str, ...]
-    table: tuple[tuple[int, ...], ...]
+class FiniteGroup(namedtuple("FiniteGroup", "labels table")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = len(self.labels)
-        if len(self.table) != n or any(len(r) != n for r in self.table):
+    def __new__(cls, labels: tuple[str, ...], table: tuple[tuple[int, ...], ...]):
+        n = len(labels)
+        if len(table) != n or any(len(r) != n for r in table):
             raise ValueError("table shape mismatch")
-        if any(x < 0 or x >= n for r in self.table for x in r):
+        if any(x < 0 or x >= n for r in table for x in r):
             raise ValueError("table not closed")
-        if any(self.table[0][j] != j or self.table[j][0] != j for j in range(n)):
+        if any(table[0][j] != j or table[j][0] != j for j in range(n)):
             raise ValueError("element 0 is not an identity")
         for i in range(n):
-            if all(self.table[i][j] != 0 for j in range(n)):
+            if all(table[i][j] != 0 for j in range(n)):
                 raise ValueError(f"element {i} has no inverse")
         for i in range(n):
             for j in range(n):
                 for k in range(n):
-                    if self.table[self.table[i][j]][k] != self.table[i][self.table[j][k]]:
+                    if table[table[i][j]][k] != table[i][table[j][k]]:
                         raise ValueError("table is not associative")
+        return super().__new__(cls, labels, table)
 
     @property
     def order(self) -> int:
@@ -114,28 +113,25 @@ class FiniteGroup:
         return cls(("e", "s1", "s2", "s3"), table)
 
 
-@dataclass(frozen=True)
-class GaloisLattice:
-    group: FiniteGroup
-    rank: int
-    mats: tuple[IntMatrix, ...]
+class GaloisLattice(namedtuple("GaloisLattice", "group rank mats")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        G = self.group
-        if len(self.mats) != G.order:
+    def __new__(cls, group: FiniteGroup, rank: int, mats: tuple[IntMatrix, ...]):
+        if len(mats) != group.order:
             raise ValueError("one matrix per group element required")
-        ident = IntMatrix.identity(self.rank)
-        if self.mats[0] != ident:
+        ident = IntMatrix.identity(rank)
+        if mats[0] != ident:
             raise ValueError("identity must act as the identity matrix")
-        for m in self.mats:
-            if m.rows != self.rank or m.cols != self.rank:
+        for m in mats:
+            if m.rows != rank or m.cols != rank:
                 raise ValueError("rank mismatch")
             if m.det() not in (1, -1):
                 raise ValueError("action matrix is not unimodular")
-        for i in range(G.order):
-            for j in range(G.order):
-                if self.mats[i] * self.mats[j] != self.mats[G.table[i][j]]:
+        for i in range(group.order):
+            for j in range(group.order):
+                if mats[i] * mats[j] != mats[group.table[i][j]]:
                     raise ValueError("action is not a homomorphism")
+        return super().__new__(cls, group, rank, mats)
 
     def dual(self) -> "GaloisLattice":
         G = self.group
@@ -196,15 +192,11 @@ def _aug_kernel_action(group: FiniteGroup) -> tuple[IntMatrix, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class TorusSpec:
-    family: str
-    field: QuadField | BiquadField
-    dim: int
-    xstar: GaloisLattice
-    xcochar: GaloisLattice
-    model: AffineModel | None
-    label: str
+class TorusSpec(namedtuple("TorusSpec", "family field dim xstar xcochar model label")):
+    """field is a QuadField or BiquadField, xstar and xcochar the
+    GaloisLattices X^* and X_*, model an AffineModel or None."""
+
+    __slots__ = ()
 
     @property
     def group(self) -> FiniteGroup:

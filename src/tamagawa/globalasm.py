@@ -10,7 +10,7 @@ closed form with error bounds that count every float rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,12 +41,10 @@ GOOD_FACTOR_BOUND = 97
 # archimedean volume
 
 
-@dataclass(frozen=True)
-class ArchVolume:
-    value: float
-    abs_err: float
-    torsion_order: int
-    evaluations: int  # always 0: closed forms; perfbench/tracing.py reads it
+class ArchVolume(namedtuple("ArchVolume", "value abs_err torsion_order evaluations")):
+    """evaluations is always 0 (closed forms); perfbench/tracing.py reads it."""
+
+    __slots__ = ()
 
 
 def torsion_unit_order(field: QuadField) -> int:
@@ -113,11 +111,8 @@ def archimedean_volume(torus: TorusSpec) -> ArchVolume:
 # L-values
 
 
-@dataclass(frozen=True)
-class LValue:
-    D: int
-    value: float
-    abs_err: float
+class LValue(namedtuple("LValue", "D value abs_err")):
+    __slots__ = ()
 
 
 def l_value(D: int, tol: float = 1e-9) -> LValue:
@@ -192,11 +187,11 @@ def partial_l_value(torus: TorusSpec, places, tol: float = 1e-9) -> Real:
 # c_gamma: the class-group constant
 
 
-@dataclass(frozen=True)
-class CGammaResult:
-    value: int
-    heuristic: bool  # always False: every route below is exact
-    trace: tuple  # always (); perfbench/tracing.py reads it
+class CGammaResult(namedtuple("CGammaResult", "value heuristic trace")):
+    """heuristic is always False, as every route below is exact; trace is
+    always (), and perfbench/tracing.py reads it."""
+
+    __slots__ = ()
 
 
 @lru_cache(maxsize=64)
@@ -260,15 +255,10 @@ def assert_good_factors(torus: TorusSpec, pmax: int = GOOD_FACTOR_BOUND, exclude
             )
 
 
-@dataclass(frozen=True)
-class TauValue:
-    label: str
-    value: float
-    abs_err: float
-    l_s: Real
-    densities: tuple  # ((p, Fraction), ...)
-    volume: ArchVolume
-    s_finite: tuple
+class TauValue(namedtuple("TauValue", "label value abs_err l_s densities volume s_finite")):
+    """l_s is a Real, densities ((p, Fraction), ...), volume an ArchVolume."""
+
+    __slots__ = ()
 
 
 def tau_coh(
@@ -345,18 +335,11 @@ def ono_rhs(torus: TorusSpec) -> Fraction:
 # verdicts
 
 
-@dataclass(frozen=True)
-class GlobalReport:
-    torus: str
-    verdict: str
-    cause: str | None
-    tau_tam: Real | None = None
-    ono: Fraction | None = None
-    c_gamma: int | None = None
-    c_gamma_heuristic: bool | None = None
-    sha_bk: int | None = None
-    h1_order: int | None = None
-    h0_dual_order: int | None = None
+class GlobalReport(namedtuple(
+        "GlobalReport",
+        "torus verdict cause tau_tam ono c_gamma c_gamma_heuristic sha_bk h1_order h0_dual_order",
+        defaults=(None,) * 7)):
+    __slots__ = ()
 
 
 def verify_tnc(

@@ -15,7 +15,7 @@ callers such as the CLI turn it into an INCONCLUSIVE row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,13 +25,11 @@ from .models import COUNT_BUDGET, AffineModel, count_points_mod
 from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport
 
 
-@dataclass(frozen=True)
-class LocalDensity:
-    p: int
-    value: Fraction
-    method: str  # "good-formula" | "brute-force"
-    trace: tuple  # ((k, count, ratio), ...) for the brute-force route
-    stabilized: bool
+class LocalDensity(namedtuple("LocalDensity", "p value method trace stabilized")):
+    """method is "good-formula" or "brute-force"; trace is
+    ((k, count, ratio), ...) for the brute-force route."""
+
+    __slots__ = ()
 
 
 def local_density_good(torus: TorusSpec, p: int) -> LocalDensity:

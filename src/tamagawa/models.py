@@ -15,7 +15,7 @@ the fibre formula).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import BudgetExceededError
 from .exactcore import is_prime
@@ -24,14 +24,10 @@ from .quadfield import QuadField
 COUNT_BUDGET = 10 ** 8
 
 
-@dataclass(frozen=True)
-class AffineModel:
-    kind: str  # "norm-one" | "unit-group"
-    nvars: int
-    dim: int
-    D: int
-    base_point: tuple[int, ...]
-    gauge: str
+class AffineModel(namedtuple("AffineModel", "kind nvars dim D base_point gauge")):
+    """kind is "norm-one" or "unit-group"."""
+
+    __slots__ = ()
 
     def jacobian_at_base(self) -> tuple[int, ...]:
         D = self.D

@@ -14,7 +14,7 @@ field machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import isqrt
 
@@ -32,17 +32,16 @@ def is_fundamental_discriminant(D: int) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class QuadField:
-    d: int
-    D: int
+class QuadField(namedtuple("QuadField", "d D")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d in (0, 1) or squarefree_part(self.d) != self.d:
-            raise ValueError(f"d = {self.d} is not squarefree != 1")
-        expected = self.d if self.d % 4 == 1 else 4 * self.d
-        if self.D != expected:
+    def __new__(cls, d: int, D: int):
+        if d in (0, 1) or squarefree_part(d) != d:
+            raise ValueError(f"d = {d} is not squarefree != 1")
+        expected = d if d % 4 == 1 else 4 * d
+        if D != expected:
             raise ValueError("disc does not match d")
+        return super().__new__(cls, d, D)
 
     @classmethod
     def from_d(cls, d: int) -> "QuadField":
@@ -87,11 +86,8 @@ def reduced_forms(D: int) -> tuple[tuple[int, int, int], ...]:
     return tuple(sorted(forms))
 
 
-@dataclass(frozen=True)
-class ClassGroupData:
-    D: int
-    h: int
-    forms: tuple[tuple[int, int, int], ...]
+class ClassGroupData(namedtuple("ClassGroupData", "D h forms")):
+    __slots__ = ()
 
 
 def _cf_radicand(D: int) -> tuple[int, int]:
@@ -160,8 +156,7 @@ def class_group(D: int) -> ClassGroupData:
 # fundamental units of real quadratic fields via continued fractions
 
 
-@dataclass(frozen=True)
-class UnitData:
+class UnitData(namedtuple("UnitData", "D x y hx hy norm regulator")):
     """Fundamental (or derived) unit of O_K, D > 0.
 
     (x, y): coordinates w.r.t. (1, w); (hx, hy): the same unit written as
@@ -169,13 +164,7 @@ class UnitData:
     the embedding with sqrt(D) > 0 (the larger absolute value).
     """
 
-    D: int
-    x: int
-    y: int
-    hx: int
-    hy: int
-    norm: int
-    regulator: float
+    __slots__ = ()
 
 
 def _unit_from_halves(D: int, hx: int, hy: int) -> UnitData:
@@ -235,17 +224,11 @@ def norm_one_unit(D: int) -> UnitData:
 # biquadratic composita as character triples
 
 
-@dataclass(frozen=True)
-class BiquadField:
+class BiquadField(namedtuple("BiquadField", "d1 d2 d3 D1 D2 D3")):
     """Q(sqrt(d1), sqrt(d2)), Galois group (Z/2)^2, carried through its three
     quadratic subfields Q(sqrt(d1)), Q(sqrt(d2)), Q(sqrt(d3))."""
 
-    d1: int
-    d2: int
-    d3: int
-    D1: int
-    D2: int
-    D3: int
+    __slots__ = ()
 
     @classmethod
     def from_pair(cls, d1: int, d2: int) -> "BiquadField":

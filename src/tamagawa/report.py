@@ -16,10 +16,11 @@ with an indent, `json.dumps` leaves its C encoder unused.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
-import tempfile
-from dataclasses import dataclass, field
+import stat
+from collections import namedtuple
 from fractions import Fraction
 
 SCHEMA_VERSION = 1
@@ -33,29 +34,27 @@ _VERDICTS = (PASS, FAIL, INCONCLUSIVE)
 IDENTITIES = ("euler", "lifting", "globalinv", "local-density", "tnc", "sha-bk")
 
 
-@dataclass(frozen=True)
-class Real:
+class Real(namedtuple("Real", "value abs_err")):
     """A float together with an absolute error bound, for JSON rendering."""
 
-    value: float
-    abs_err: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    identity: str
-    inputs: dict = field(default_factory=dict)
-    values: dict = field(default_factory=dict)
-    verdict: str = PASS
-    cause: str | None = None
+class VerificationReport(namedtuple("VerificationReport", "identity inputs values verdict cause")):
+    """One row of a report; `inputs` and `values` default to a fresh {}."""
 
-    def __post_init__(self):
-        if self.identity not in IDENTITIES:
-            raise ValueError(f"unknown identity {self.identity!r}")
-        if self.verdict not in _VERDICTS:
-            raise ValueError(f"unknown verdict {self.verdict!r}")
-        if self.verdict != PASS and not self.cause:
+    __slots__ = ()
+
+    def __new__(cls, identity: str, inputs: dict | None = None, values: dict | None = None,
+                verdict: str = PASS, cause: str | None = None):
+        if identity not in IDENTITIES:
+            raise ValueError(f"unknown identity {identity!r}")
+        if verdict not in _VERDICTS:
+            raise ValueError(f"unknown verdict {verdict!r}")
+        if verdict != PASS and not cause:
             raise ValueError("FAIL/INCONCLUSIVE reports need a cause")
+        return super().__new__(cls, identity, {} if inputs is None else inputs,
+                               {} if values is None else values, verdict, cause)
 
 
 def rat_str(q):
@@ -75,7 +74,7 @@ def to_jsonable(obj):
         return {"value": obj.value, "abs_err": obj.abs_err}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list) or type(obj) is tuple:  # not a record
         return [to_jsonable(v) for v in obj]
     raise TypeError(f"cannot render {type(obj).__name__} in a report")
 
@@ -112,7 +111,7 @@ def _render(obj, nl: str) -> str:
             [_quote(k) + ": " + _render(v, inner)
              for k, v in sorted({str(k): v for k, v in obj.items()}.items())]
         ) + nl + "}"
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list) or kind is tuple:  # not a record
         if not obj:
             return "[]"
         inner = nl + "  "
@@ -152,8 +151,28 @@ def worst_exit_code(reports) -> int:
 
 
 def write_report_atomic(path: str, text: str) -> None:
-    dirpath = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirpath, prefix=".report-", suffix=".tmp")
+    """Write `text` to `path` through a temporary file renamed over it, so
+    no reader sees half a report.  An existing target that is not a regular
+    file (a FIFO, a device) is written in place: a rename would replace it
+    with a regular file.  Raises OSError when the report cannot be written,
+    e.g. into a missing directory or over a directory."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
+        with open(path, "w") as fh:
+            fh.write(text)
+        return
+    dirpath = os.path.dirname(os.path.abspath(path))
+    for n in itertools.count():
+        tmp = os.path.join(dirpath, f".report-{os.getpid()}-{n}.tmp")
+        try:
+            # 0o666 less the umask, the mode open(path, "w") gives a new file
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

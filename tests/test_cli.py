@@ -5,8 +5,10 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -15,13 +17,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tamagawa import globalasm, localmeasure
+from tamagawa import galois, globalasm, localmeasure
 from tamagawa.cli import RunConfig, main, parse_torus, run_euler
 from tamagawa.errors import ConfigError
 from tamagawa.exactcore import charpoly, primes_up_to
 from tamagawa.galois import euler_factor_at_one, is_good_prime, point_count_Fp
 from tamagawa.globalasm import c_gamma
-from tamagawa.localmeasure import bad_prime_density, cached_point_count
+from tamagawa.localmeasure import LocalDensity, bad_prime_density, cached_point_count
 from tamagawa.report import (
     FAIL,
     IDENTITIES,
@@ -90,6 +92,48 @@ def test_write_report_atomic(tmp_path):
     write_report_atomic(str(path), "old\n")
     write_report_atomic(str(path), "new\n")
     assert path.read_text() == "new\n"
+    assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=oct)
+def test_write_report_gives_the_mode_of_a_new_file(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_report_atomic(str(tmp_path / "new.json"), "x\n")
+        write_report_atomic(str(tmp_path / "new.json"), "y\n")  # over a regular file
+        with open(tmp_path / "plain.json", "w") as fh:
+            fh.write("x\n")
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE(os.stat(tmp_path / "new.json").st_mode)
+    assert mode == 0o666 & ~umask == stat.S_IMODE(os.stat(tmp_path / "plain.json").st_mode)
+
+
+def test_write_report_into_fifo_keeps_the_fifo(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    write_report_atomic(str(fifo), "report\n")
+    reader.join(timeout=10)
+    assert not reader.is_alive() and got == ["report\n"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["pipe"]
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+def test_unwritable_out_exits_73(capsys, tmp_path, target):
+    # a missing directory, or a directory as the target: one error line, exit 73
+    path = tmp_path / target
+    code, out, err = run_cli(
+        capsys, "verify", "euler", "--torus", "norm1:-1", "--pmax", "7",
+        "--out", str(path),
+    )
+    assert code == 73
+    assert json.loads(out)["reports"]
+    assert err.splitlines()[-1].startswith(f"error: cannot write report to {path}: ")
+    assert "Traceback" not in err
     assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
 
 
@@ -162,6 +206,16 @@ def test_render_rejects_unrenderable_values():
         render_report([VerificationReport("euler", {"p": 3}, {"x": [complex(1, 2)]})])
     with pytest.raises(TypeError):
         render_report([], {"tol": complex(1, 2)})
+
+
+def test_render_rejects_records_other_than_real():
+    # records are tuples, yet no record but Real may render, least of all as a list
+    dens = LocalDensity(2, Fraction(2), "brute-force", (), True)
+    with pytest.raises(TypeError, match="cannot render LocalDensity"):
+        render_report([VerificationReport("local-density", {"p": 2}, {"density": dens})])
+    with pytest.raises(TypeError, match="cannot render LocalDensity"):
+        to_jsonable({"density": dens})
+    assert to_jsonable(Real(1.5, 0.5)) == {"value": 1.5, "abs_err": 0.5}
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +346,17 @@ def test_package_needs_only_the_standard_library():
         assert "\ndependencies = []\n" in pyproject
     else:
         assert tomllib.loads(pyproject)["project"]["dependencies"] == []
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # the records are namedtuples: start-up pays for no dataclass machinery
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"import sys; sys.path.insert(0, {src!r}); import tamagawa.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 def test_internal_arithmetic_error_exits_70(capsys, monkeypatch):
@@ -559,12 +624,19 @@ def test_all_computes_each_bad_prime_density_once(capsys):
         parse_torus("norm1:13").bad_primes())
 
 
-def test_euler_computes_one_charpoly_per_galois_element(capsys):
-    charpoly.cache_clear()
+def test_euler_computes_one_charpoly_per_galois_element(capsys, monkeypatch):
+    calls = []
+
+    def counting(m):
+        calls.append(m)
+        return charpoly(m)
+
+    monkeypatch.setattr(galois, "charpoly", counting)
+    galois._frobenius_polynomials.cache_clear()
     code, _, _ = run_cli(
         capsys, "verify", "euler", "--torus", "res:5,-3", "--pmax", "2000")
     assert code == 0
-    assert charpoly.cache_info().misses <= 4
+    assert 0 < len(calls) <= 4
 
 
 @pytest.mark.parametrize("spec", ["res:5,-3", "norm1:-7", "quot:13", "norm1:13,17",
