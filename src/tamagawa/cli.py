@@ -6,7 +6,16 @@ Identities: euler, lifting, globalinv, density, sha, tnc, all.
 Exit codes: 0 all PASS, 1 any FAIL, 2 INCONCLUSIVE only, 64 usage or
 config error or violated structural assumption (Q-rank gate, unsupported
 family), 70 internal error (a failed internal consistency check), 73 the
-report could not be written to --out (EX_CANTCREAT).
+report could not be written to --out (EX_CANTCREAT), 74 it could not be
+written to stdout, say to a pipe whose reader has exited (EX_IOERR).
+
+The grammar: the command `verify` first, then at most one identity anywhere.
+Long options only, each in full or as an unambiguous prefix (`--tor`), with
+the value as `--flag value` or `--flag=value`.  A value may look like a
+negative number (`-5`, `-.5`); any other token that starts with `-` is an
+option.  --torus repeats; for every other flag the last value wins.  `--`
+ends the options; -h/--help prints the help.  One table, _FLAGS, gives the
+flags, their converters and their help lines.
 
 --jobs is accepted and validated but changes nothing: all work runs in one
 thread.  It and the output path are excluded from the config echo, timings
@@ -15,7 +24,6 @@ go to stderr only.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
@@ -23,6 +31,7 @@ import sys
 import time
 from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .cohomology import cohomology, h0_torsion_dual, ono_constant, sha_order
 from .errors import (
@@ -342,45 +351,203 @@ def _merge_config(args) -> RunConfig:
     return cfg
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Usage errors exit 64, the config-error code, not argparse's 2,
-    which would read as INCONCLUSIVE."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(64, f"{self.prog}: error: {message}\n")
+class UsageError(Exception):
+    """An argv that the grammar rejects: exit 64, with the usage on stderr."""
 
 
-def build_parser():
-    parser = _ArgumentParser(
-        prog="tamagawa",
-        description="Verify local-global invariants of algebraic tori "
-                    "attached to quadratic and biquadratic fields.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    verify = sub.add_parser("verify", help="run a verification identity")
-    verify.add_argument("identity", nargs="?", choices=IDENTITY_CHOICES)
-    verify.add_argument("--torus", action="append",
-                        help="torus spec family:d or family:d1,d2 "
-                             "(families: norm1, res, quot)")
-    verify.add_argument("--pmax", type=int, help="good-prime bound (default 97)")
-    verify.add_argument("--kmax", type=int, help="lifting level bound (default 3)")
-    verify.add_argument("--tol", type=float, help="analytic tolerance (default 1e-6)")
-    verify.add_argument("--budget",
-                        help=f"enumeration budget (default {COUNT_BUDGET}, "
-                             f"env {BUDGET_ENV})")
-    verify.add_argument("--jobs", type=int,
-                        help="accepted for compatibility; changes nothing (default 1)")
-    verify.add_argument("--out", help="write the JSON report here (atomic)")
-    verify.add_argument("--config", help="JSON config file; flags win on conflict")
-    return parser
+# The verify flags in help order: name -> (metavar, converter, help line).  A
+# flag without a metavar takes no value; one without a converter keeps its
+# value as given.
+_FLAGS = {
+    "--help": (None, None, "show this help message and exit"),
+    "--torus": ("SPEC", None, "torus spec family:d or family:d1,d2 (norm1, res, quot)"),
+    "--pmax": ("N", int, "good-prime bound (default 97)"),
+    "--kmax": ("K", int, "lifting level bound (default 3)"),
+    "--tol": ("TOL", float, "analytic tolerance (default 1e-6)"),
+    "--budget": ("N", None, f"enumeration budget (default {COUNT_BUDGET}, env {BUDGET_ENV})"),
+    "--jobs": ("N", int, "accepted for compatibility; changes nothing (default 1)"),
+    "--out": ("PATH", None, "write the JSON report here (atomic)"),
+    "--config": ("PATH", None, "JSON config file; flags win on conflict"),
+}
+
+
+def _usage() -> str:
+    head = "usage: tamagawa verify"
+    lines, line = [], head
+    for part in ("[-h]", *(f"[{name} {meta}]" for name, (meta, _, _) in _FLAGS.items() if meta),
+                 "[IDENTITY]"):
+        if len(line) + 1 + len(part) > 79:
+            lines.append(line)
+            line = " " * len(head)
+        line += " " + part
+    return "\n".join(lines + [line]) + "\n"
+
+
+def _help() -> str:
+    rows = "".join(f"  {'-h, --help' if meta is None else f'{name} {meta}':<15}{text}\n"
+                   for name, (meta, _, text) in _FLAGS.items())
+    return (f"{_usage()}\nVerify local-global invariants of algebraic tori attached to "
+            f"quadratic\nand biquadratic fields.\n\nIDENTITY: {', '.join(IDENTITY_CHOICES)}"
+            f"\n\noptions:\n{rows}\n"
+            "Long options only, each in full or as an unambiguous prefix, as --flag\n"
+            "value or --flag=value.  --torus may repeat; any other flag keeps its last\n"
+            "value.  -- ends the options.\n")
+
+
+def _is_negative_number(tok: str) -> bool:
+    r"""argparse's `^-\d+$|^-\d*\.\d+$`, for a `tok` that starts with "-": a
+    value that only looks like an option.  `$` also matches before a final
+    newline, and `\d` is a Unicode decimal digit, as `str.isdecimal` is."""
+    body = tok[1:-1] if tok.endswith("\n") else tok[1:]
+    whole, dot, frac = body.partition(".")
+    return body.isdecimal() or bool(dot) and (not whole or whole.isdecimal()) and frac.isdecimal()
+
+
+def _option(tok: str, names):
+    """What `tok` is among the long options `names` and -h, by argparse's
+    tests in argparse's order: None for a positional, else (the option, the
+    value after its `=` or None), with None for the option if it is unknown."""
+    if not tok.startswith("-"):
+        return None
+    if tok in names or tok == "-h":
+        return tok, None
+    if len(tok) == 1:
+        return None
+    head, eq, value = tok.partition("=")
+    if eq and (head in names or head == "-h"):
+        return head, value
+    if tok[1] == "-":
+        hits = [name for name in names if name.startswith(head)]
+        if len(hits) > 1:
+            raise UsageError(f"ambiguous option: {tok} could match {', '.join(hits)}")
+        if hits:
+            return hits[0], value if eq else None
+    elif tok.startswith("-h"):
+        return "-h", tok[2:]
+    if _is_negative_number(tok) or " " in tok:
+        return None
+    return None, None
+
+
+def _check_help(option: str, value) -> None:
+    # -hh... repeats the one short option; any other value is an error
+    if value is not None and (option != "-h" or not value or value.strip("h")):
+        raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
+
+
+def _identity(tok: str) -> str:
+    if tok not in IDENTITY_CHOICES:
+        raise UsageError(f"argument identity: invalid choice: {tok!r} "
+                         f"(choose from {', '.join(IDENTITY_CHOICES)})")
+    return tok
+
+
+def parse_args(argv):
+    """The flags of a `verify` argv, as attributes named after them plus
+    `identity`, each None where not given; None when -h/--help asks for the
+    help text.  A rejected argv raises UsageError.
+
+    The grammar, outcomes and order of checks are those of the two argparse
+    parsers this replaces (the top level and its `verify` subparser).  The
+    first error or help request ends the parse, except that unknown options
+    and surplus positionals are reported only once the rest has parsed."""
+    argv = list(argv)
+    extras = []
+    for i, tok in enumerate(argv):
+        option = None if tok == "--" else _option(tok, ("--help",))
+        if option is None:
+            if tok != "verify":
+                raise UsageError(f"argument command: invalid choice: {tok!r} "
+                                 "(choose from 'verify')")
+            return _parse_verify(argv[i + 1:], extras)
+        if option[0] is None:
+            extras.append(tok)
+        else:
+            _check_help(*option)
+            return None
+    raise UsageError("the following arguments are required: command")
+
+
+def _parse_verify(argv, extras):
+    end = argv.index("--") if "--" in argv else len(argv)
+    # every token is classified before any acts: an ambiguous prefix is an
+    # error even after -h
+    options = [_option(tok, _FLAGS) for tok in argv[:end]]
+    args = dict.fromkeys(["identity", *(name[2:] for name, flag in _FLAGS.items() if flag[0])])
+    identity_at = None
+    i = 0
+    while i < end:
+        tok, option = argv[i], options[i]
+        i += 1
+        if option is None:
+            if identity_at is None:
+                args["identity"], identity_at = _identity(tok), i - 1
+            else:
+                extras.append(tok)
+            continue
+        name, value = option
+        if name is None:
+            extras.append(tok)
+            continue
+        if name in ("-h", "--help"):
+            _check_help(name, value)
+            return None
+        if value is None:
+            if i == end or options[i] is not None:
+                raise UsageError(f"argument {name}: expected one argument")
+            value, i = argv[i], i + 1
+        convert = _FLAGS[name][1]
+        if value == "--":
+            value = []  # argparse drops a "--" value, and stores the empty rest
+        elif convert is not None:
+            try:
+                value = convert(value)
+            except ValueError:
+                raise UsageError(f"argument {name}: invalid {convert.__name__} "
+                                 f"value: {value!r}") from None
+        if name == "--torus":
+            args["torus"] = (args["torus"] or []) + [value]
+        else:
+            args[name[2:]] = value
+    if end < len(argv):
+        # "--" goes when it is next to the identity: before it, if the
+        # identity is still to come, or right after it
+        rest = argv[end + 1:]
+        if identity_at is None:
+            if rest:
+                args["identity"] = _identity(rest.pop(0))
+        elif identity_at < end - 1:
+            rest.insert(0, "--")
+        extras += rest
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**args)
+
+
+def _write_stdout(text: str, what: str) -> bool:
+    """Write and flush `text`; False, with one error line, if stdout fails,
+    say a pipe whose reader has exited.  Its fd then points at os.devnull, so
+    that the flush at interpreter exit cannot fail again."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+        return True
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write {what} to stdout: {exc.strerror or exc}", file=sys.stderr)
+        return False
 
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # --help (0) or a usage error (64)
-        return exc.code
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        sys.stderr.write(f"{_usage()}tamagawa: error: {exc}\n")
+        return 64
+    if args is None:
+        return 0 if _write_stdout(_help(), "help") else 74
     try:
         cfg = _merge_config(args)
         tori = [parse_torus(s) for s in cfg.tori]
@@ -403,7 +570,7 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}", file=sys.stderr)
         return 70
     text = render_report(reports, cfg.echo())
-    sys.stdout.write(text)
+    code = worst_exit_code(reports) if _write_stdout(text, "report") else 74
     if cfg.out:
         try:
             write_report_atomic(cfg.out, text)
@@ -411,7 +578,7 @@ def main(argv=None) -> int:
             print(f"error: cannot write report to {cfg.out}: {exc.strerror or exc}",
                   file=sys.stderr)
             return 73
-    return worst_exit_code(reports)
+    return code
 
 
 def console_entry():

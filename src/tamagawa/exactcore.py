@@ -150,6 +150,11 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         return super().__new__(cls, rows, cols, entries)
 
     @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
+    @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
         rows = [list(r) for r in rows]
         nr = len(rows)
@@ -481,6 +486,11 @@ class AbelianGroupInvariants(namedtuple("AbelianGroupInvariants", "free_rank fac
         if any(f < 2 for f in factors):
             raise ValueError("factors must be > 1")
         return super().__new__(cls, free_rank, factors)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def order(self) -> int | None:

@@ -64,6 +64,11 @@ class FiniteGroup(namedtuple("FiniteGroup", "labels table")):
                         raise ValueError("table is not associative")
         return super().__new__(cls, labels, table)
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
     @property
     def order(self) -> int:
         return len(self.labels)
@@ -132,6 +137,11 @@ class GaloisLattice(namedtuple("GaloisLattice", "group rank mats")):
                 if mats[i] * mats[j] != mats[group.table[i][j]]:
                     raise ValueError("action is not a homomorphism")
         return super().__new__(cls, group, rank, mats)
+
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     def dual(self) -> "GaloisLattice":
         G = self.group

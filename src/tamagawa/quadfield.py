@@ -44,6 +44,11 @@ class QuadField(namedtuple("QuadField", "d D")):
         return super().__new__(cls, d, D)
 
     @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
+    @classmethod
     def from_d(cls, d: int) -> "QuadField":
         d = int(d)
         D = d if d % 4 == 1 else 4 * d

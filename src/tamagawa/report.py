@@ -56,6 +56,11 @@ class VerificationReport(namedtuple("VerificationReport", "identity inputs value
         return super().__new__(cls, identity, {} if inputs is None else inputs,
                                {} if values is None else values, verdict, cause)
 
+    @classmethod
+    def _make(cls, iterable):
+        # namedtuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
+
 
 def rat_str(q):
     q = Fraction(q)

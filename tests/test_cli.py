@@ -295,7 +295,7 @@ def test_bad_config_exits_64(capsys, argv):
     ],
 )
 def test_usage_errors_exit_64(capsys, argv):
-    # argparse's own code 2 is the INCONCLUSIVE code
+    # a usage error exits 64, never 2, the INCONCLUSIVE code
     code, out, err = run_cli(capsys, *argv)
     assert code == 64
     assert out == ""
@@ -349,14 +349,57 @@ def test_package_needs_only_the_standard_library():
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
-    # the records are namedtuples: start-up pays for no dataclass machinery
+    # the records are namedtuples: start-up pays for no dataclass machinery;
+    # and the argv parser is the package's own, which needs neither argparse
+    # nor the gettext and locale that argparse's messages load
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          f"import sys; sys.path.insert(0, {src!r}); import tamagawa.cli; "
-         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+         "tamagawa.cli.parse_args(['verify', 'euler', '--torus', 'norm1:-1']); "
+         "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'} "
+         "& set(sys.modules)))"],
         capture_output=True, text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+def _console(*argv, **kwargs):
+    """`python -m tamagawa ARGV`: main(None), reading sys.argv."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, "-m", "tamagawa", *argv],
+                          env={**os.environ, "PYTHONPATH": src}, **kwargs)
+
+
+def test_console_reads_sys_argv(capsys):
+    argv = ("verify", "euler", "--torus", "norm1:-1", "--pmax", "7")
+    proc = _console(*argv, capture_output=True, text=True)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and (proc.returncode, proc.stdout) == (code, out)
+    proc = _console(capture_output=True, text=True)
+    assert proc.returncode == 64 and proc.stdout == ""
+    assert proc.stderr.startswith("usage: tamagawa") and "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_closed_stdout_exits_74(tmp_path, out):
+    # a pipe whose reader has gone: one error line, exit 74, no traceback,
+    # and --out is still written
+    path = tmp_path / "report.json"
+    argv = ["verify", "euler", "--torus", "norm1:-1", "--pmax", "7"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _console(*argv, *(["--out", str(path)] if out else []),
+                        stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    lines = [line for line in proc.stderr.splitlines() if not line.startswith("[timing]")]
+    assert proc.returncode == 74
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write report to stdout: ")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert path.exists() == out
+    if out:
+        assert json.loads(path.read_text())["reports"]
 
 
 def test_internal_arithmetic_error_exits_70(capsys, monkeypatch):

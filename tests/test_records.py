@@ -130,3 +130,17 @@ def test_record_semantics(record):
             hash(r)
     else:
         assert hash(r) == expected
+
+
+@pytest.mark.parametrize("record", list(INVALID), ids=lambda r: r.__name__)
+def test_make_and_replace_validate(record):
+    # namedtuple's own _make, and _replace through it, would skip __new__
+    values, defaults = RECORDS[record]
+    valid = record(*values)
+    assert record._make(values) == valid == valid._replace()
+    for bad, message in INVALID[record]:
+        fields = {**defaults, **dict(zip(record._fields, bad))}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            record._make(bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            valid._replace(**fields)
