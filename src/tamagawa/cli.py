@@ -24,6 +24,7 @@ go to stderr only.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
@@ -541,6 +542,20 @@ def _write_stdout(text: str, what: str) -> bool:
 
 
 def main(argv=None) -> int:
+    # Move what the import left on the heap to the permanent generation, so
+    # that no collection during the run traverses it.  A caller that froze
+    # objects itself is left as it was.
+    freeze = gc.get_freeze_count() == 0
+    if freeze:
+        gc.freeze()
+    try:
+        return _main(argv)
+    finally:
+        if freeze:
+            gc.unfreeze()
+
+
+def _main(argv) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:

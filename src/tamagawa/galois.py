@@ -20,7 +20,8 @@ with B = Fr^{-1} on X_* when Fr = g, once per torus:
                 exactly from fraction-free (Bareiss) determinants at
                 x = 0..d.
 
-Each prime then costs its Frobenius class (Kronecker symbols) and two
+Each prime then costs a dict lookup of its Frobenius class by its residue
+mod the field's conductor (Kronecker symbols once per residue) and two
 polynomial evaluations.
 """
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .errors import UnsupportedTorusError
 from .exactcore import IntMatrix, charpoly, eval_poly, is_prime, kronecker_symbol, smith_normal_form, vstack
@@ -326,14 +327,27 @@ def _frobenius_polynomials(t: TorusSpec) -> tuple[tuple[tuple[int, ...], tuple[i
 def good_euler_terms(t: TorusSpec, primes):
     """Yield (p, p^d * E_p(1), |T(F_p)|) for each p in `primes` (primes,
     unchecked) that does not divide 2 * disc: the charpoly and the
-    determinant polynomial of Frobenius's class, each evaluated at p."""
+    determinant polynomial of Frobenius's class, each evaluated at p.
+
+    Frobenius's class is looked up by p mod |D| over a quadratic field and
+    by p mod lcm(|D1|, |D2|) over a biquadratic one, so each residue class
+    pays for its Kronecker symbols once.  This is exact: for a discriminant
+    D, n -> (D|n) is a Dirichlet character mod |D|, so (D|p) = (D|q) for
+    positive p = q mod |D|; and the biquadratic class is a function of
+    ((D1|p), (D2|p)), each periodic mod its |Di|, hence of p mod their lcm."""
     polys = _frobenius_polynomials(t)
     field = t.field
     two_disc = 2 * t.splitting_disc()
+    period = abs(field.D) if isinstance(field, QuadField) else lcm(field.D1, field.D2)
+    by_residue = {}
     for p in primes:
         if two_disc % p == 0:
             continue
-        cp, dp = polys[_frobenius_index(field, p)]
+        r = p % period
+        try:
+            cp, dp = by_residue[r]
+        except KeyError:
+            cp, dp = by_residue[r] = polys[_frobenius_index(field, p)]
         count = eval_poly(dp, p)
         if count <= 0:
             raise ArithmeticError("point count must be positive")

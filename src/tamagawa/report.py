@@ -10,8 +10,12 @@ dependent may enter these structures; wall-clock timings go to stderr in
 the CLI instead.
 
 `render_report` writes the text that `json.dumps(..., sort_keys=True,
-indent=2)` gives for the `to_jsonable` form of the document, in one pass:
-with an indent, `json.dumps` leaves its C encoder unused.
+indent=2)` gives for the document's JSON form (a rational as "a/b", a Real
+as its object, a tuple as a list, a key as its str, the last of keys with
+one str), in one pass: with an indent, `json.dumps` leaves its C encoder
+unused.  Rows of one shape (identity, verdict, whether there is a cause,
+the keys) share one cached %-format that holds every key, brace and
+indent, so a row renders only its values.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import os
 import stat
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 SCHEMA_VERSION = 1
 
@@ -62,35 +67,13 @@ class VerificationReport(namedtuple("VerificationReport", "identity inputs value
         return cls(*iterable)
 
 
-def rat_str(q):
-    q = Fraction(q)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def to_jsonable(obj):
-    """Recursively convert report values to JSON-safe structures."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, Fraction):
-        return rat_str(obj)
-    if isinstance(obj, Real):
-        return {"value": obj.value, "abs_err": obj.abs_err}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, list) or type(obj) is tuple:  # not a record
-        return [to_jsonable(v) for v in obj]
-    raise TypeError(f"cannot render {type(obj).__name__} in a report")
-
-
 _dumps = json.dumps
 _quote = json.encoder.encode_basestring_ascii
 
 
 def _render(obj, nl: str) -> str:
-    """`obj` as `json.dumps(to_jsonable(obj), sort_keys=True, indent=2)`
-    renders it at the depth whose line break and indent is `nl`."""
+    """`obj` as `json.dumps(..., sort_keys=True, indent=2)` renders its JSON
+    form at the depth whose line break and indent is `nl`."""
     kind = type(obj)  # the leaves most reports are made of, first
     if kind is str:
         return _quote(obj)
@@ -105,7 +88,7 @@ def _render(obj, nl: str) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, Fraction):
-        return _quote(rat_str(obj))
+        return f'"{obj.numerator}/{obj.denominator}"'
     if isinstance(obj, Real):
         obj = {"value": obj.value, "abs_err": obj.abs_err}
     if isinstance(obj, dict):
@@ -124,22 +107,56 @@ def _render(obj, nl: str) -> str:
     raise TypeError(f"cannot render {type(obj).__name__} in a report")
 
 
+_ROW_NL = "\n    "
+_FIELD_NL = _ROW_NL + "  "
+_ENTRY_NL = _FIELD_NL + "  "
+
+
+def _slots(keys):
+    """A field's %-format and the keys that fill its slots; None: one slot
+    for the field.  A non-str key also takes one slot, so that keys equal as
+    values but not as str (1, 1.0, True) never share a format."""
+    if keys is None or any(type(k) is not str for k in keys):
+        return "%s", None
+    names = sorted(keys)
+    return ("{" + _ENTRY_NL + ("," + _ENTRY_NL).join(
+        [_quote(k).replace("%", "%%") + ": %s" for k in names]) + _FIELD_NL + "}"
+        if names else "{}"), names
+
+
+@lru_cache(maxsize=256)
+def _row_format(identity, verdict, has_cause, input_keys, value_keys):
+    """One row's text as a %-format, the keys in `json.dumps`'s sorted order,
+    and the keys of inputs and of values that fill its slots."""
+    inputs, input_names = _slots(input_keys)
+    values, value_names = _slots(value_keys)
+    fields = ['"cause": %s'] if has_cause else []
+    fields += ['"identity": ' + _quote(identity).replace("%", "%%"), '"inputs": ' + inputs,
+               '"values": ' + values, '"verdict": ' + _quote(verdict).replace("%", "%%")]
+    return "{" + _FIELD_NL + ("," + _FIELD_NL).join(fields) + _ROW_NL + "}", input_names, value_names
+
+
+def _fill(obj, names):
+    if names is None:
+        return [_render(obj, _FIELD_NL)]
+    return [_render(obj[k], _ENTRY_NL) for k in names]
+
+
 def render_report(reports, config_echo=None) -> str:
     """The report document as `json.dumps(..., sort_keys=True, indent=2)`
-    renders its `to_jsonable` form, built in one pass over the rows."""
-    row_nl = "\n    "
-    field_nl = row_nl + "  "
+    renders its JSON form: each row fills the cached format of its shape."""
     rows = []
     for rep in reports:
-        fields = [] if rep.cause is None else ['"cause": ' + _render(rep.cause, field_nl)]
-        fields += [
-            '"identity": ' + _render(rep.identity, field_nl),
-            '"inputs": ' + _render(rep.inputs, field_nl),
-            '"values": ' + _render(rep.values, field_nl),
-            '"verdict": ' + _render(rep.verdict, field_nl),
-        ]
-        rows.append("{" + field_nl + ("," + field_nl).join(fields) + row_nl + "}")
-    reports_text = "[" + row_nl + ("," + row_nl).join(rows) + "\n  ]" if rows else "[]"
+        inputs, values, cause = rep.inputs, rep.values, rep.cause
+        fmt, input_names, value_names = _row_format(
+            rep.identity, rep.verdict, cause is not None,
+            tuple(inputs) if isinstance(inputs, dict) else None,
+            tuple(values) if isinstance(values, dict) else None)
+        args = [] if cause is None else [_render(cause, _FIELD_NL)]
+        args += _fill(inputs, input_names)
+        args += _fill(values, value_names)
+        rows.append(fmt % tuple(args))
+    reports_text = "[" + _ROW_NL + ("," + _ROW_NL).join(rows) + "\n  ]" if rows else "[]"
     return ('{\n  "config_echo": ' + _render(config_echo or {}, "\n  ")
             + ',\n  "reports": ' + reports_text
             + ',\n  "version": ' + _render(SCHEMA_VERSION, "\n  ") + "\n}\n")

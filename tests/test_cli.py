@@ -1,6 +1,8 @@
 """CLI: torus grammar, config merging, exit codes, report schema, and
 byte-identical output across worker counts."""
 
+import gc
+import hashlib
 import io
 import json
 import math
@@ -17,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tamagawa import galois, globalasm, localmeasure
+from tamagawa import cli, galois, globalasm, localmeasure, report
 from tamagawa.cli import RunConfig, main, parse_torus, run_euler
 from tamagawa.errors import ConfigError
 from tamagawa.exactcore import charpoly, primes_up_to
@@ -32,9 +34,7 @@ from tamagawa.report import (
     SCHEMA_VERSION,
     Real,
     VerificationReport,
-    rat_str,
     render_report,
-    to_jsonable,
     worst_exit_code,
     write_report_atomic,
 )
@@ -67,8 +67,6 @@ def test_report_validation():
 
 
 def test_jsonable_rendering():
-    from fractions import Fraction
-
     assert rat_str(Fraction(4, 6)) == "2/3"
     assert to_jsonable(Fraction(3)) == "3/1"
     assert to_jsonable(Real(1.5, 1e-9)) == {"value": 1.5, "abs_err": 1e-9}
@@ -145,6 +143,29 @@ def test_render_is_versioned_and_sorted():
     assert text.endswith("\n")
 
 
+def rat_str(q):
+    q = Fraction(q)
+    return f"{q.numerator}/{q.denominator}"
+
+
+def to_jsonable(obj):
+    """Recursively convert report values to JSON-safe structures: the form
+    whose `json.dumps` the report renderer must reproduce."""
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, float):
+        return obj
+    if isinstance(obj, Fraction):
+        return rat_str(obj)
+    if isinstance(obj, Real):
+        return {"value": obj.value, "abs_err": obj.abs_err}
+    if isinstance(obj, dict):
+        return {str(k): to_jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, list) or type(obj) is tuple:  # not a record
+        return [to_jsonable(v) for v in obj]
+    raise TypeError(f"cannot render {type(obj).__name__} in a report")
+
+
 def old_render(reports, config_echo=None):
     """The two-pass renderer: the `to_jsonable` tree through `json.dumps`."""
     rows = []
@@ -194,11 +215,35 @@ _reports = st.builds(
 )
 
 
+def _euler_row(p, density, verdict=PASS, cause=None):
+    return VerificationReport("euler", {"torus": "res:5,-3", "p": p},
+                              {"euler_factor": Fraction(p - 1, p), "point_count": p - 1,
+                               "density": density}, verdict, cause)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_reports, max_size=3),
        st.one_of(st.none(), st.dictionaries(st.text(max_size=4), _trees, max_size=4)))
+# rows of one shape, with other values, reuse one cached format
+@example([_euler_row(p, Fraction(p - 1, p)) for p in (7, 11, 13)]
+         + [_euler_row(17, 2.5, FAIL, "x"), _euler_row(19, [1, {"a": None}], FAIL, "y")], None)
+# keys that %-formatting would read as conversions
+@example([VerificationReport("tnc", {"%s": "%s", "%%": 1}, {"%(x)s": "%", "a%": {"%d": 2}},
+                             INCONCLUSIVE, "%(x)s %s")], {"%": "%%"})
+# inputs that are not a dict, values that are not a dict
+@example([VerificationReport("sha-bk", [1, "%s"], Fraction(3, 4)),
+          VerificationReport("sha-bk", ("a",), Real(0.5, 1e-9)),
+          VerificationReport("sha-bk", {}, [])], None)
+# keys equal as str (the last wins) or equal as Python values (but not as str)
+@example([VerificationReport("euler", {1: "int", "1": "str"}, {"1": 1, 1: 2}),
+          VerificationReport("euler", {1: "int"}, {1.0: 1}),
+          VerificationReport("euler", {True: "bool"}, {1: 1})], None)
 def test_render_matches_json_dumps_of_jsonable(reports, echo):
     assert render_report(reports, echo) == old_render(reports, echo)
+
+
+def test_row_format_cache_is_bounded():
+    assert 0 < report._row_format.cache_info().maxsize < math.inf
 
 
 def test_render_rejects_unrenderable_values():
@@ -413,6 +458,74 @@ def test_internal_arithmetic_error_exits_70(capsys, monkeypatch):
     assert out == ""
     assert "internal error: L(1) methods disagree at D=-4" in err
     assert "Traceback" not in err
+
+
+# sha256 of stdout and the exit code, recorded with the renderer that ran
+# `json.dumps` over the `to_jsonable` tree
+PINNED_REPORTS = [
+    (("euler", "--torus", "res:5,-3", "--pmax", "2000"), 0,
+     "31e42d09f92f404ec62c14ef24403747c5892df9ab95b2be64e4a3baf1f38aa7"),
+    (("euler", "--torus", "norm1:13,-19", "--pmax", "1000"), 0,
+     "1d50ba9f49f0f0fdeb5a6b835a62edae68ea8e1d7ec8073004b859ac6d95a60e"),
+    (("density", "--torus", "norm1:-131"), 2,
+     "2a4ab8c99bd3c38fbd68ea180748d9c8bd51c7796120b91e4945f34552c88e15"),
+    (("lifting", "--torus", "norm1:-1", "--kmax", "4"), 0,
+     "6bcb9d53a46c1ddc204195dc6e80c94b86c821da72265b55d43900512d57111f"),
+    (("all", "--torus", "quot:-5"), 0,
+     "01b7773672f6a1c3fc54a976b360bcd14574a0a432f3ff92697500b1bc3b22a5"),
+    (("globalinv", "--torus", "norm1:13,17"), 0,
+     "181038b0fb95cde5777c5bf044728b4e08599212c565619ef823e459547562c1"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", PINNED_REPORTS,
+                         ids=[" ".join(argv) for argv, _, _ in PINNED_REPORTS])
+def test_report_bytes_are_pinned(capsys, argv, code, digest):
+    got, out, _ = run_cli(capsys, "verify", *argv)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("frozen_by_caller", [False, True], ids=["unfrozen", "frozen"])
+@pytest.mark.parametrize("argv,code", [
+    (("euler", "--torus", "norm1:-1", "--pmax", "30"), 0),
+    (("euler", "--torus", "bogus:-1"), 64),
+    (("tnc", "--torus", "norm1:-1"), 70),
+], ids=["exit-0", "exit-64", "exit-70"])
+def test_main_leaves_the_gc_as_it_found_it(capsys, monkeypatch, argv, code, enabled,
+                                           frozen_by_caller):
+    def disagree(D, tol=1e-9):
+        raise ArithmeticError("L(1) methods disagree")
+
+    monkeypatch.setattr(globalasm, "l_value", disagree)
+    was_enabled = gc.isenabled()
+    try:
+        if not enabled:
+            gc.disable()
+        if frozen_by_caller:
+            gc.freeze()
+        before = gc.get_freeze_count()
+        assert (before > 0) == frozen_by_caller
+        assert run_cli(capsys, "verify", *argv)[0] == code
+        assert gc.get_freeze_count() == before
+        assert gc.isenabled() == enabled
+    finally:
+        gc.unfreeze()
+        if was_enabled:
+            gc.enable()
+
+
+def test_main_runs_with_the_import_heap_frozen(capsys, monkeypatch):
+    seen = []
+
+    def runner(torus, cfg):
+        seen.append(gc.get_freeze_count())
+        return []
+
+    monkeypatch.setitem(cli._RUNNERS, "euler", runner)
+    assert gc.get_freeze_count() == 0
+    assert run_cli(capsys, "verify", "euler", "--torus", "norm1:-1")[0] == 0
+    assert seen[0] > 0 and gc.get_freeze_count() == 0
 
 
 def test_config_file(capsys, tmp_path):

@@ -192,10 +192,18 @@ def test_interpolation_rejects_non_integer_coefficients(monkeypatch):
         galois._interpolated_det_poly(IntMatrix.zeros(2, 2))
 
 
+# fields whose Frobenius period, |D| or lcm(|D1|, |D2|), exceeds 2000, so
+# that below 2000 each residue class holds at most one prime
+LONG_PERIOD_FIELDS = (QuadField.from_d(-9973), QuadField.from_d(9967),
+                      BiquadField.from_pair(13, -2003), BiquadField.from_pair(-1, 1999))
+
+
 def test_euler_terms_against_per_prime_bareiss():
     # the old per-prime determinant is the oracle for the interpolated one,
-    # and every good p <= 2000 (and only those) is swept
-    for t in all_tori():
+    # frobenius_element for the class looked up by residue, and every good
+    # p <= 2000 (and only those) is swept
+    long_period = [build_torus(family, k) for k in LONG_PERIOD_FIELDS for family in FAMILIES]
+    for t in all_tori() + long_period:
         good = [p for p in primes_up_to(2000) if is_good_prime(t, p)]
         terms = list(good_euler_terms(t, primes_up_to(2000)))
         assert [p for p, _, _ in terms] == good
