@@ -8,6 +8,9 @@ config error or violated structural assumption (Q-rank gate, unsupported
 family), 70 internal error (a failed internal consistency check), 73 the
 report could not be written to --out (EX_CANTCREAT), 74 it could not be
 written to stdout, say to a pipe whose reader has exited (EX_IOERR).
+The rows are rendered as they are computed and the report is written in
+one piece after the last: a run that exits 64 or 70 writes nothing to
+stdout or --out.
 
 The grammar: the command `verify` first, then at most one identity anywhere.
 Long options only, each in full or as an unambiguous prefix (`--tor`), with
@@ -94,16 +97,10 @@ class RunConfig(namedtuple("RunConfig", "identity tori pmax kmax tol budget jobs
             raise ConfigError("jobs: worker count must be >= 1")
 
     def echo(self) -> dict:
-        # jobs and out are deliberately not echoed: reports must be
-        # byte-identical across job counts and output destinations.
-        return {
-            "identity": self.identity,
-            "tori": list(self.tori),
-            "pmax": self.pmax,
-            "kmax": self.kmax,
-            "tol": self.tol,
-            "budget": self.budget,
-        }
+        # jobs and out, the last two fields, are deliberately not echoed:
+        # reports must be byte-identical across job counts and output
+        # destinations.  The tori stay a tuple, which renders as a JSON list.
+        return dict(zip(self._fields[:-2], self))
 
 
 def parse_torus(spec: str) -> TorusSpec:
@@ -125,21 +122,21 @@ def parse_torus(spec: str) -> TorusSpec:
 
 
 def run_euler(torus: TorusSpec, cfg: RunConfig):
-    rows = []
+    """The euler rows, one per good prime up to cfg.pmax, yielded as each is
+    computed: a report renders them as they come and keeps none."""
     for p, scaled, count in good_euler_terms(torus, primes_up_to(cfg.pmax)):
         pd = p ** torus.dim
         factor = Fraction(scaled, pd)
         # factor * p^d is scaled, exactly: the comparison needs no Fraction
         ok = scaled == count
-        rows.append(VerificationReport(
+        yield VerificationReport(
             identity="euler",
             inputs={"torus": torus.label, "p": p},
             values={"euler_factor": factor, "point_count": count,
                     "density": factor if ok else Fraction(count, pd)},
             verdict=PASS if ok else FAIL,
             cause=None if ok else f"p^d * E_p(1) = {scaled} != {count}",
-        ))
-    return rows
+        )
 
 
 def run_lifting(torus: TorusSpec, cfg: RunConfig):
@@ -256,18 +253,30 @@ IDENTITY_CHOICES = (*_RUNNERS, "all")
 
 
 def run_all(torus: TorusSpec, cfg: RunConfig):
-    rows = run_euler(torus, cfg)
+    """The rows of every identity that applies to `torus`, in order.  Once
+    they are out, one stderr line names the identities skipped and why."""
+    skipped = []
+    yield from run_euler(torus, cfg)
     if torus.model is not None:
-        rows += run_lifting(torus, cfg)
-        rows += run_density(torus, cfg)
-    if q_rank(torus) == 0:
-        rows += run_globalinv(torus, cfg)
+        yield from run_lifting(torus, cfg)
+        yield from run_density(torus, cfg)
+    else:
+        skipped.append("lifting, density (no affine model)")
+    rank = q_rank(torus)
+    if rank == 0:
+        yield from run_globalinv(torus, cfg)
+        names = "sha, tnc"
         try:
-            rows += run_sha(torus, cfg)
-            rows += run_tnc(torus, cfg)
-        except UnsupportedTorusError:
-            pass  # families without a class-index route stop at globalinv
-    return rows
+            yield from run_sha(torus, cfg)
+            names = "tnc"
+            yield from run_tnc(torus, cfg)
+        except UnsupportedTorusError as exc:
+            # families without a class-index route stop at globalinv
+            skipped.append(f"{names} ({exc})")
+    else:
+        skipped.append(f"globalinv, sha, tnc (Q-rank {rank}, not 0)")
+    if skipped:
+        print(f"[skipped] {torus.label} all: {'; '.join(skipped)}", file=sys.stderr)
 
 
 def _config_number(key: str, raw, integral: bool):
@@ -316,12 +325,12 @@ def _merge_config(args) -> RunConfig:
         if unknown:
             raise ConfigError(f"config: unknown field(s) {sorted(unknown)}")
 
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        if key in file_cfg:
-            return file_cfg[key]
-        return default
+    def pick(key, default=None):
+        flag = getattr(args, key)
+        return file_cfg.get(key, default) if flag is None else flag
+
+    def number(key, default, integral=True):
+        return _config_number(key, pick(key, default), integral)
 
     torus_specs = args.torus or file_cfg.get("torus") or []
     if isinstance(torus_specs, str):
@@ -336,15 +345,14 @@ def _merge_config(args) -> RunConfig:
         except ConfigError as exc:
             raise ConfigError(f"budget: bad {BUDGET_ENV}={env_budget!r}") from exc
     cfg = RunConfig(
-        identity=pick(args.identity, "identity", None),
+        identity=pick("identity"),
         tori=tuple(torus_specs),
-        pmax=_config_number("pmax", pick(args.pmax, "pmax", 97), integral=True),
-        kmax=_config_number("kmax", pick(args.kmax, "kmax", 3), integral=True),
-        tol=_config_number("tol", pick(args.tol, "tol", 1e-6), integral=False),
-        budget=_config_number(
-            "budget", pick(args.budget, "budget", default_budget), integral=True),
-        jobs=_config_number("jobs", pick(args.jobs, "jobs", 1), integral=True),
-        out=pick(args.out, "out", None),
+        pmax=number("pmax", 97),
+        kmax=number("kmax", 3),
+        tol=number("tol", 1e-6, integral=False),
+        budget=number("budget", default_budget),
+        jobs=number("jobs", 1),
+        out=pick("out"),
     )
     if cfg.out is not None and not isinstance(cfg.out, str):
         raise ConfigError("out: expected a file path string")
@@ -525,6 +533,20 @@ def _parse_verify(argv, extras):
     return SimpleNamespace(**args)
 
 
+def _rows(tori, cfg, seen):
+    """The rows of every torus in turn, each torus's [timing] line on stderr
+    once its last row has rendered.  `seen` keeps one row per verdict, for
+    the exit code."""
+    runner = run_all if cfg.identity == "all" else _RUNNERS[cfg.identity]
+    for torus in tori:
+        t0 = time.monotonic()
+        for rep in runner(torus, cfg):
+            seen[rep.verdict] = rep
+            yield rep
+        print(f"[timing] {torus.label} {cfg.identity}: "
+              f"{time.monotonic() - t0:.2f}s", file=sys.stderr)
+
+
 def _write_stdout(text: str, what: str) -> bool:
     """Write and flush `text`; False, with one error line, if stdout fails,
     say a pipe whose reader has exited.  Its fd then points at os.devnull, so
@@ -566,15 +588,10 @@ def _main(argv) -> int:
     try:
         cfg = _merge_config(args)
         tori = [parse_torus(s) for s in cfg.tori]
-        reports = []
-        for torus in tori:
-            t0 = time.monotonic()
-            if cfg.identity == "all":
-                reports += run_all(torus, cfg)
-            else:
-                reports += _RUNNERS[cfg.identity](torus, cfg)
-            print(f"[timing] {torus.label} {cfg.identity}: "
-                  f"{time.monotonic() - t0:.2f}s", file=sys.stderr)
+        # the rows are computed as the report renders them, so an error in
+        # any of them ends the run before a byte of the report is written
+        seen = {}
+        text = render_report(_rows(tori, cfg, seen), cfg.echo())
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 64
@@ -584,8 +601,7 @@ def _main(argv) -> int:
     except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 70
-    text = render_report(reports, cfg.echo())
-    code = worst_exit_code(reports) if _write_stdout(text, "report") else 74
+    code = worst_exit_code(seen.values()) if _write_stdout(text, "report") else 74
     if cfg.out:
         try:
             write_report_atomic(cfg.out, text)

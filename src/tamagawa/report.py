@@ -108,6 +108,7 @@ def _render(obj, nl: str) -> str:
 
 
 _ROW_NL = "\n    "
+_NEXT_ROW = "," + _ROW_NL
 _FIELD_NL = _ROW_NL + "  "
 _ENTRY_NL = _FIELD_NL + "  "
 
@@ -144,8 +145,13 @@ def _fill(obj, names):
 
 def render_report(reports, config_echo=None) -> str:
     """The report document as `json.dumps(..., sort_keys=True, indent=2)`
-    renders its JSON form: each row fills the cached format of its shape."""
-    rows = []
+    renders its JSON form: each row fills the cached format of its shape.
+    `reports` is read once, so a generator's rows are rendered as they come
+    and none is kept; the text is joined once, from the head, each row and
+    its separator, and the tail."""
+    parts = ['{\n  "config_echo": ', _render(config_echo or {}, "\n  "), ',\n  "reports": [']
+    append = parts.append
+    sep = _ROW_NL
     for rep in reports:
         inputs, values, cause = rep.inputs, rep.values, rep.cause
         fmt, input_names, value_names = _row_format(
@@ -155,11 +161,12 @@ def render_report(reports, config_echo=None) -> str:
         args = [] if cause is None else [_render(cause, _FIELD_NL)]
         args += _fill(inputs, input_names)
         args += _fill(values, value_names)
-        rows.append(fmt % tuple(args))
-    reports_text = "[" + _ROW_NL + ("," + _ROW_NL).join(rows) + "\n  ]" if rows else "[]"
-    return ('{\n  "config_echo": ' + _render(config_echo or {}, "\n  ")
-            + ',\n  "reports": ' + reports_text
-            + ',\n  "version": ' + _render(SCHEMA_VERSION, "\n  ") + "\n}\n")
+        append(sep)
+        append(fmt % tuple(args))
+        sep = _NEXT_ROW
+    append("\n  ]" if sep is _NEXT_ROW else "]")
+    append(',\n  "version": ' + _render(SCHEMA_VERSION, "\n  ") + "\n}\n")
+    return "".join(parts)
 
 
 def worst_exit_code(reports) -> int:

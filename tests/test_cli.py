@@ -11,6 +11,7 @@ import stat
 import subprocess
 import sys
 import threading
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
@@ -246,6 +247,13 @@ def test_row_format_cache_is_bounded():
     assert 0 < report._row_format.cache_info().maxsize < math.inf
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_reports, max_size=3),
+       st.one_of(st.none(), st.dictionaries(st.text(max_size=4), _trees, max_size=4)))
+def test_render_reads_an_iterator_as_it_reads_a_list(reports, echo):
+    assert render_report(iter(reports), echo) == render_report(reports, echo)
+
+
 def test_render_rejects_unrenderable_values():
     with pytest.raises(TypeError):
         render_report([VerificationReport("euler", {"p": 3}, {"x": [complex(1, 2)]})])
@@ -458,6 +466,102 @@ def test_internal_arithmetic_error_exits_70(capsys, monkeypatch):
     assert out == ""
     assert "internal error: L(1) methods disagree at D=-4" in err
     assert "Traceback" not in err
+
+
+def _assert_failed_run_wrote_nothing(code, out, err, path):
+    assert code == 70
+    assert out == ""
+    assert not path.exists()
+    assert "internal error: " in err and "Traceback" not in err
+
+
+def test_error_after_rendered_rows_writes_no_report(capsys, monkeypatch, tmp_path):
+    # the euler, lifting, density, globalinv and sha rows have rendered when
+    # tnc's L-value fails: the run still writes nothing
+    calls = []
+
+    def disagree(D, tol=1e-9):
+        calls.append(D)
+        raise ArithmeticError(f"L(1) methods disagree at D={D}")
+
+    monkeypatch.setattr(globalasm, "l_value", disagree)
+    path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "verify", "all", "--torus", "norm1:-1",
+                             "--out", str(path))
+    assert calls == [-4]
+    _assert_failed_run_wrote_nothing(code, out, err, path)
+    assert "[timing]" not in err
+
+
+def test_error_on_a_later_torus_writes_no_report(capsys, monkeypatch, tmp_path):
+    # the first torus's rows have rendered, and its [timing] line is out
+    calls = []
+    terms = cli.good_euler_terms
+
+    def second_fails(torus, primes):
+        calls.append(torus.label)
+        if len(calls) == 2:
+            raise ArithmeticError(f"good factor mismatch on {torus.label}")
+        return terms(torus, primes)
+
+    monkeypatch.setattr(cli, "good_euler_terms", second_fails)
+    path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "verify", "euler", "--torus", "norm1:-1",
+                             "--torus", "norm1:-23", "--out", str(path))
+    assert calls == ["norm1:-1", "norm1:-23"]
+    _assert_failed_run_wrote_nothing(code, out, err, path)
+    assert [line.split(":")[0] for line in err.splitlines()] == [
+        "[timing] norm1", "internal error"]
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_euler_report_peak_memory_is_bounded_by_its_text():
+    # the rows are rendered as they are computed and the text is joined
+    # once: the traced peak of the run stays within 3x the report it writes
+    argv = ["verify", "euler", "--torus", "res:5,-3", "--pmax", "20000"]
+    sink = _CountingSink()
+    with redirect_stdout(_CountingSink()), redirect_stderr(io.StringIO()):
+        assert main(argv) == 0  # fill the caches before tracing
+        with redirect_stdout(sink):
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+    assert sink.chars > 500_000
+    assert peak <= 3 * sink.chars, (peak, sink.chars)
+
+
+def test_euler_run_triggers_no_collection(capsys):
+    # no row outlives its rendering, so the tracked heap does not grow
+    starts = []
+
+    def count(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        code = main(["verify", "euler", "--torus", "res:5,-3", "--pmax", "7000"])
+    finally:
+        gc.callbacks.remove(count)
+    assert code == 0
+    assert starts == []
+    assert capsys.readouterr().out.count('"identity": "euler"') > 800
 
 
 # sha256 of stdout and the exit code, recorded with the renderer that ran
@@ -702,24 +806,44 @@ def test_jobs_do_not_change_report_bytes(capsys):
     assert out1 == out4
 
 
+def _skip_lines(err):
+    return [line for line in err.splitlines() if line.startswith("[skipped]")]
+
+
+def test_all_names_no_skip_where_everything_runs(capsys):
+    code, _, err = run_cli(capsys, "verify", "all", "--torus", "norm1:-1", "--pmax", "13")
+    assert code == 0 and _skip_lines(err) == []
+    # one skip line per torus, before its [timing] line
+    code, _, err = run_cli(capsys, "verify", "all", "--torus", "res:-1", "--torus",
+                           "quot:-1,5", "--pmax", "13")
+    assert code == 0
+    assert [line.split(" ")[:2] for line in err.splitlines()] == [
+        ["[skipped]", "res:-1"], ["[timing]", "res:-1"],
+        ["[skipped]", "quot:-1,5"], ["[timing]", "quot:-1,5"]]
+
+
 def test_all_skips_gated_identities_for_res(capsys):
     # Q-rank 1: euler/lifting/density run, the global identities are skipped
-    code, doc, _ = run_json(
+    code, doc, err = run_json(
         capsys, "verify", "all", "--torus", "res:-1", "--pmax", "13"
     )
     assert code == 0
     idents = {r["identity"] for r in doc["reports"]}
     assert idents == {"euler", "lifting", "local-density"}
+    assert _skip_lines(err) == ["[skipped] res:-1 all: globalinv, sha, tnc (Q-rank 1, not 0)"]
 
 
 def test_all_biquadratic_stops_at_globalinv(capsys):
     # no affine model and no class-index route: euler + globalinv only
-    code, doc, _ = run_json(
+    code, doc, err = run_json(
         capsys, "verify", "all", "--torus", "norm1:13,17", "--pmax", "13"
     )
     assert code == 0
     idents = {r["identity"] for r in doc["reports"]}
     assert idents == {"euler", "globalinv"}
+    assert _skip_lines(err) == [
+        "[skipped] norm1:13,17 all: lifting, density (no affine model); "
+        "sha, tnc (c_gamma implemented for quadratic fields)"]
 
 
 def test_all_flagship_end_to_end(capsys):
@@ -811,7 +935,7 @@ def test_euler_rows_equal_rows_from_public_functions(spec):
             {"euler_factor": factor, "point_count": count,
              "density": Fraction(count, p ** torus.dim)},
             PASS if factor * p ** torus.dim == count else FAIL, None))
-    assert run_euler(torus, cfg) == want
+    assert list(run_euler(torus, cfg)) == want
 
 
 def test_all_counts_each_level_once(capsys, monkeypatch):
