@@ -69,9 +69,11 @@ from .report import (
 )
 
 BUDGET_ENV = "TAMAGAWA_BUDGET"
-# the documented upper end of --budget (README, exit codes): a larger
-# budget is a configuration error, exit 64
+# the documented upper ends of --budget and --pmax (README, exit codes): a
+# larger value is a configuration error, exit 64.  The sieve up to pmax takes
+# pmax bytes, and 10^7 is some 664k euler rows, a report of a few hundred MB
 BUDGET_CEILING = 2**62
+PMAX_CEILING = 10**7
 
 
 class RunConfig(namedtuple("RunConfig", "identity tori pmax kmax tol budget jobs out",
@@ -85,6 +87,8 @@ class RunConfig(namedtuple("RunConfig", "identity tori pmax kmax tol budget jobs
             raise ConfigError("torus: at least one --torus is required")
         if self.pmax < 3:
             raise ConfigError("pmax: prime bound must be >= 3")
+        if self.pmax > PMAX_CEILING:
+            raise ConfigError("pmax: prime bound must be <= 10^7")
         if self.kmax < 1:
             raise ConfigError("kmax: level bound must be >= 1")
         if not (self.tol > 0 and math.isfinite(self.tol)):
@@ -216,22 +220,7 @@ def run_sha(torus: TorusSpec, cfg: RunConfig):
 
 
 def run_tnc(torus: TorusSpec, cfg: RunConfig):
-    rep = verify_tnc(torus, tol=cfg.tol, budget=cfg.budget)
-    values = {
-        "ono_rhs": rep.ono,
-        "h1_order": rep.h1_order,
-        "h0_dual_order": rep.h0_dual_order,
-    }
-    if rep.tau_tam is not None:
-        values.update({
-            "tau_tam": rep.tau_tam,
-            "c_gamma": rep.c_gamma,
-            "c_gamma_heuristic": rep.c_gamma_heuristic,
-            "sha_bk": rep.sha_bk,
-        })
-    return [VerificationReport(
-        "tnc", {"torus": torus.label, "tol": cfg.tol}, values,
-        rep.verdict, rep.cause)]
+    return [verify_tnc(torus, cfg.tol, cfg.budget)]
 
 
 _RUNNERS = {

@@ -222,12 +222,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
 
     __rmul__ = scale
 
-    def apply(self, vec) -> tuple[int, ...]:
-        """Matrix times column vector."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum(self.row(i)[j] * vec[j] for j in range(self.cols)) for i in range(self.rows))
-
     def trace(self) -> int:
         if self.rows != self.cols:
             raise ValueError("trace of non-square matrix")

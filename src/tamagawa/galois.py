@@ -74,38 +74,8 @@ class FiniteGroup(namedtuple("FiniteGroup", "labels table")):
     def order(self) -> int:
         return len(self.labels)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def inv(self, i: int) -> int:
         return next(j for j in range(self.order) if self.table[i][j] == 0)
-
-    def element_order(self, i: int) -> int:
-        o, x = 1, i
-        while x != 0:
-            x = self.table[x][i]
-            o += 1
-        return o
-
-    def subgroup_closure(self, gens) -> tuple[int, ...]:
-        elems = {0}
-        frontier = set(gens) | {0}
-        while frontier:
-            nxt = {self.table[a][b] for a in frontier | elems for b in frontier | elems}
-            frontier = nxt - elems
-            elems |= nxt
-        return tuple(sorted(elems))
-
-    def is_cyclic_subset(self, indices) -> bool:
-        s = set(indices)
-        return any(set(self._powers(g)) == s for g in s)
-
-    def _powers(self, g: int):
-        out, x = [0], self.table[0][g]
-        while x != 0:
-            out.append(x)
-            x = self.table[x][g]
-        return out
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":

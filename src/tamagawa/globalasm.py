@@ -1,6 +1,6 @@
 """Global assembly: archimedean volumes, L-values, the class-group
 constant c_gamma (exact, by genus theory from the narrow class number),
-and the Tamagawa-number identities.
+and the tnc row that checks the Tamagawa number against Ono's prediction.
 
 Everything rational stays a Fraction until the final assembly; the only
 floating-point inputs are the archimedean volume and L(1, chi_D), both in
@@ -31,7 +31,7 @@ from .quadfield import (
     is_fundamental_discriminant,
     norm_one_unit,
 )
-from .report import Real
+from .report import FAIL, INCONCLUSIVE, PASS, Real, VerificationReport
 
 GOOD_FACTOR_BOUND = 97
 
@@ -254,20 +254,15 @@ def assert_good_factors(torus: TorusSpec, pmax: int = GOOD_FACTOR_BOUND, exclude
             )
 
 
-class TauValue(namedtuple("TauValue", "label value abs_err l_s densities volume s_finite")):
-    """l_s is a Real, densities ((p, Fraction), ...), volume an ArchVolume."""
-
-    __slots__ = ()
-
-
 def tau_coh(
     torus: TorusSpec,
     tol: float = 1e-6,
     extra_s=(),
     budget: int = COUNT_BUDGET,
-) -> TauValue:
+) -> Real:
     """The cohomological Tamagawa number: L_S(1)^-1 times the product of
-    local densities over S times the archimedean volume.
+    local densities over S times the archimedean volume, as a Real with
+    its error bound.
 
     S is the bad set {2} u ramified plus any extra good primes; the
     result is S-independent, which tests exercise directly.
@@ -282,12 +277,9 @@ def tau_coh(
             raise ValueError(f"extra place {p} is not prime")
     s_finite = tuple(sorted({*torus.bad_primes(), *extra_s}))
     assert_good_factors(torus, exclude=s_finite)
-    densities = []
-    for p in s_finite:
-        densities.append((p, local_density(torus, p, budget=budget).value))
     dens_prod = Fraction(1)
-    for _, val in densities:
-        dens_prod *= val
+    for p in s_finite:
+        dens_prod *= local_density(torus, p, budget=budget).value
     l_s = partial_l_value(torus, (INF, *s_finite), tol=min(1e-9, tol))
     vol = archimedean_volume(torus)
     value = float(dens_prod) * vol.value / l_s.value
@@ -298,100 +290,51 @@ def tau_coh(
     )
     if err >= tol:
         raise ArithmeticError(f"tau error bound {err} exceeds tolerance {tol}")
-    return TauValue(torus.label, value, err, l_s, tuple(densities), vol, s_finite)
-
-
-def tau_tam(
-    torus: TorusSpec,
-    tol: float = 1e-6,
-    budget: int = COUNT_BUDGET,
-):
-    """The Tamagawa number: c_gamma times the cohomological tau.
-    Returns (TauValue, CGammaResult)."""
-    c = c_gamma(torus)
-    base = tau_coh(torus, tol=tol / (2 * c.value), budget=budget)
-    scaled = TauValue(
-        base.label,
-        c.value * base.value,
-        c.value * base.abs_err,
-        base.l_s,
-        base.densities,
-        base.volume,
-        base.s_finite,
-    )
-    return scaled, c
-
-
-def ono_rhs(torus: TorusSpec) -> Fraction:
-    """#H^1(G, X^*) / i(T), the predicted value of tau."""
-    h1 = cohomology(torus.group, torus.xstar, 1)
-    if h1.order is None:
-        raise ArithmeticError(f"H^1 of {torus.label} is infinite")
-    return Fraction(h1.order, ono_constant(torus))
+    return Real(value, err)
 
 
 # ---------------------------------------------------------------------------
-# verdicts
-
-
-class GlobalReport(namedtuple(
-        "GlobalReport",
-        "torus verdict cause tau_tam ono c_gamma c_gamma_heuristic sha_bk h1_order h0_dual_order",
-        defaults=(None,) * 7)):
-    __slots__ = ()
+# the tnc row
 
 
 def verify_tnc(
     torus: TorusSpec,
     tol: float = 1e-3,
     budget: int = COUNT_BUDGET,
-) -> GlobalReport:
-    """End-to-end check of tau against the cohomological prediction.
+) -> VerificationReport:
+    """The tnc row: the Tamagawa number tau = c_gamma * tau_coh against
+    Ono's prediction #H^1(G, X^*) / i(T).
 
-    PASS needs both |tau_tam - ono_rhs| < tol and the finite global
+    PASS needs both |tau - prediction| < tol and the finite global
     invariant #H^1(G, X^*) = #torsion(H_0(G, X^*)).  A non-stabilized
     density is INCONCLUSIVE, never silently dropped.
     """
     rank = q_rank(torus)
     if rank != 0:
         raise QRankError(rank)
-    h1 = cohomology(torus.group, torus.xstar, 1)
-    h0d = h0_torsion_dual(torus.group, torus.xstar)
-    h1_order = h1.order
-    h0_order = h0d.order
+    h1_order = cohomology(torus.group, torus.xstar, 1).order
+    h0_order = h0_torsion_dual(torus.group, torus.xstar).order
     # c_gamma first: it rejects the tori it has no route for before i(T)
     # computes H^3(G, Z) for nothing
-    c_gamma(torus)
-    rhs = ono_rhs(torus)
+    c = c_gamma(torus)
+    if h1_order is None:
+        raise ArithmeticError(f"H^1 of {torus.label} is infinite")
+    i_t = ono_constant(torus)
+    rhs = Fraction(h1_order, i_t)
+    inputs = {"torus": torus.label, "tol": tol}
+    values = {"ono_rhs": rhs, "h1_order": h1_order, "h0_dual_order": h0_order}
     try:
-        tau, c = tau_tam(torus, tol=tol, budget=budget)
-        shabk = c.value * ono_constant(torus)
+        base = tau_coh(torus, tol=tol / (2 * c.value), budget=budget)
     except NotStabilizedError as exc:
-        return GlobalReport(
-            torus=torus.label,
-            verdict="INCONCLUSIVE",
-            cause=str(exc),
-            ono=rhs,
-            h1_order=h1_order,
-            h0_dual_order=h0_order,
-        )
-    globalinv_ok = h1_order == h0_order
-    delta = abs(tau.value - float(rhs))
-    ok = globalinv_ok and delta < tol
-    cause = None
-    if not globalinv_ok:
-        cause = f"#H^1 = {h1_order} != {h0_order} = #H_0 torsion"
-    elif delta >= tol:
-        cause = f"|tau - prediction| = {delta:.3e} >= {tol}"
-    return GlobalReport(
-        torus=torus.label,
-        verdict="PASS" if ok else "FAIL",
-        cause=cause,
-        tau_tam=Real(tau.value, tau.abs_err),
-        ono=rhs,
-        c_gamma=c.value,
-        c_gamma_heuristic=c.heuristic,
-        sha_bk=shabk,
-        h1_order=h1_order,
-        h0_dual_order=h0_order,
-    )
+        return VerificationReport("tnc", inputs, values, INCONCLUSIVE, str(exc))
+    tau = c.value * base.value
+    values.update(tau_tam=Real(tau, c.value * base.abs_err), c_gamma=c.value,
+                  c_gamma_heuristic=c.heuristic, sha_bk=c.value * i_t)
+    if h1_order != h0_order:
+        return VerificationReport("tnc", inputs, values, FAIL,
+                                  f"#H^1 = {h1_order} != {h0_order} = #H_0 torsion")
+    delta = abs(tau - float(rhs))
+    if delta >= tol:
+        return VerificationReport("tnc", inputs, values, FAIL,
+                                  f"|tau - prediction| = {delta:.3e} >= {tol}")
+    return VerificationReport("tnc", inputs, values, PASS)

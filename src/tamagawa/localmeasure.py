@@ -25,7 +25,7 @@ from .models import COUNT_BUDGET, AffineModel, count_points_mod
 from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport
 
 
-class LocalDensity(namedtuple("LocalDensity", "p value method trace stabilized")):
+class LocalDensity(namedtuple("LocalDensity", "p value method trace")):
     """method is "good-formula" or "brute-force"; trace is
     ((k, count, ratio), ...) for the brute-force route."""
 
@@ -37,7 +37,7 @@ def local_density_good(torus: TorusSpec, p: int) -> LocalDensity:
     if not is_good_prime(torus, p):
         raise ValueError(f"p={p} is not a good prime for {torus.label}")
     value = Fraction(point_count_Fp(torus, p), p ** torus.dim)
-    return LocalDensity(p, value, "good-formula", (), True)
+    return LocalDensity(p, value, "good-formula", ())
 
 
 def max_feasible_level(model: AffineModel, p: int, budget: int = COUNT_BUDGET) -> int:
@@ -81,7 +81,7 @@ def _stabilized_density(model, p, budget, confirm=True):
             f"density at p={p} did not stabilize within k <= {k_cap}",
             trace=tuple(trace),
         )
-    return LocalDensity(p, trace[-1][2], "brute-force", tuple(trace), True)
+    return LocalDensity(p, trace[-1][2], "brute-force", tuple(trace))
 
 
 @lru_cache(maxsize=64)

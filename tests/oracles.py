@@ -1,7 +1,8 @@
 """Reference routes the tests check the package against, kept out of the
 package because no product code reads them: the Smith normal form with its
 unimodular transforms, kernel bases, group cohomology in kernel coordinates,
-and class numbers from L(1, chi_D)."""
+class numbers from L(1, chi_D), and small helpers on group tables and
+matrices."""
 
 import math
 from collections import namedtuple
@@ -169,6 +170,48 @@ def cohomology_in_kernel_coordinates(lattice, n: int) -> AbelianGroupInvariants:
     proj = snf.vinv * bar_boundary(lattice, n - 1)
     assert not any(proj.entries[:r * proj.cols]), "d o d != 0 in kernel coordinates"
     return invariants_from_relations(k, IntMatrix(k, proj.cols, proj.entries[r * proj.cols:]))
+
+
+def apply(m: IntMatrix, vec) -> tuple[int, ...]:
+    """Matrix times column vector."""
+    if len(vec) != m.cols:
+        raise ValueError("vector length mismatch")
+    return tuple(sum(m.row(i)[j] * vec[j] for j in range(m.cols)) for i in range(m.rows))
+
+
+def mul(G, i: int, j: int) -> int:
+    return G.table[i][j]
+
+
+def element_order(G, i: int) -> int:
+    o, x = 1, i
+    while x != 0:
+        x = G.table[x][i]
+        o += 1
+    return o
+
+
+def subgroup_closure(G, gens) -> tuple[int, ...]:
+    elems = {0}
+    frontier = set(gens) | {0}
+    while frontier:
+        nxt = {G.table[a][b] for a in frontier | elems for b in frontier | elems}
+        frontier = nxt - elems
+        elems |= nxt
+    return tuple(sorted(elems))
+
+
+def is_cyclic_subset(G, indices) -> bool:
+    s = set(indices)
+    return any(set(_powers(G, g)) == s for g in s)
+
+
+def _powers(G, g: int):
+    out, x = [0], G.table[0][g]
+    while x != 0:
+        out.append(x)
+        x = G.table[x][g]
+    return out
 
 
 def analytic_class_number(D: int, tol: float = 1e-6) -> int:

