@@ -35,6 +35,7 @@ import sys
 import time
 from collections import namedtuple
 from fractions import Fraction
+from itertools import islice
 from types import SimpleNamespace
 
 from .cohomology import cohomology, h0_torsion_dual, ono_constant, sha_order
@@ -55,7 +56,7 @@ from .galois import (
     q_rank,
 )
 from .globalasm import c_gamma, verify_tnc
-from .localmeasure import bad_prime_density, cached_point_count, cross_validate_density
+from .localmeasure import affine_model, bad_prime_density, cross_validate_density, level_counts
 from .models import COUNT_BUDGET
 from .quadfield import BiquadField, QuadField
 from .report import (
@@ -144,25 +145,19 @@ def run_euler(torus: TorusSpec, cfg: RunConfig):
 
 
 def run_lifting(torus: TorusSpec, cfg: RunConfig):
-    if torus.model is None:
-        raise UnsupportedTorusError(
-            f"no affine model attached to {torus.label}; cannot count points"
-        )
+    model = affine_model(torus)
     rows = []
     for p in primes_up_to(min(cfg.pmax, 13)):
         if not is_good_prime(torus, p):
             continue
-        counts = []
-        for k in range(1, cfg.kmax + 1):
-            if p ** (k * torus.model.nvars) > cfg.budget:
-                break
-            counts.append(cached_point_count(torus.model, p, k, cfg.budget))
+        counts = [count for _, count in islice(level_counts(model, p, cfg.budget), cfg.kmax)]
         inputs = {"torus": torus.label, "p": p}
         values = {"counts": counts, "levels": len(counts)}
         if len(counts) < 2:
+            limit = "budget" if len(counts) < cfg.kmax else f"--kmax {cfg.kmax}"
             rows.append(VerificationReport(
                 "lifting", inputs, values, INCONCLUSIVE,
-                cause=f"budget admits only {len(counts)} level(s) at p={p}",
+                cause=f"{limit} admits only {len(counts)} level(s) at p={p}",
             ))
             continue
         step = p ** torus.dim
@@ -202,10 +197,9 @@ def run_density(torus: TorusSpec, cfg: RunConfig):
             rows.append(VerificationReport(
                 "local-density", inputs, {"trace": exc.trace},
                 INCONCLUSIVE, cause=str(exc)))
-    if torus.model is not None:
-        for p in primes_up_to(min(cfg.pmax, 13)):
-            if is_good_prime(torus, p):
-                rows.append(cross_validate_density(torus, p, budget=cfg.budget))
+    for p in primes_up_to(min(cfg.pmax, 13)):
+        if is_good_prime(torus, p):
+            rows.append(cross_validate_density(torus, p, budget=cfg.budget))
     return rows
 
 

@@ -230,6 +230,7 @@ def build_torus(family: str, field: QuadField | BiquadField) -> TorusSpec:
     return TorusSpec(family, field, dim, xstar, xstar.dual(), model, label)
 
 
+@lru_cache(maxsize=512)
 def q_rank(t: TorusSpec) -> int:
     stacked = vstack([m - IntMatrix.identity(t.xstar.rank) for m in t.xstar.mats])
     return t.xstar.rank - len(smith_normal_form(stacked))

@@ -25,9 +25,9 @@ from .models import COUNT_BUDGET, AffineModel, count_points_mod
 from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport
 
 
-class LocalDensity(namedtuple("LocalDensity", "p value method trace")):
-    """method is "good-formula" or "brute-force"; trace is
-    ((k, count, ratio), ...) for the brute-force route."""
+class LocalDensity(namedtuple("LocalDensity", "value trace")):
+    """trace is ((k, count, ratio), ...) for the brute-force route, () for
+    the good-prime formula."""
 
     __slots__ = ()
 
@@ -36,72 +36,69 @@ def local_density_good(torus: TorusSpec, p: int) -> LocalDensity:
     """Density at a good prime from the Frobenius charpoly count."""
     if not is_good_prime(torus, p):
         raise ValueError(f"p={p} is not a good prime for {torus.label}")
-    value = Fraction(point_count_Fp(torus, p), p ** torus.dim)
-    return LocalDensity(p, value, "good-formula", ())
+    return LocalDensity(Fraction(point_count_Fp(torus, p), p ** torus.dim), ())
 
 
-def max_feasible_level(model: AffineModel, p: int, budget: int = COUNT_BUDGET) -> int:
-    """Largest k with p^(k * nvars) within the enumeration budget."""
-    k = 0
-    while p ** ((k + 1) * model.nvars) <= budget:
-        k += 1
-    return k
+def affine_model(torus: TorusSpec) -> AffineModel:
+    """The torus's affine model; UnsupportedTorusError if it has none."""
+    if torus.model is None:
+        raise UnsupportedTorusError(
+            f"no affine model attached to {torus.label}; cannot count points"
+        )
+    return torus.model
 
 
 @lru_cache(maxsize=256)
 def cached_point_count(model: AffineModel, p: int, k: int, budget: int) -> int:
     """`count_points_mod(model, p, k)`, counted once per process: at good
     p <= 13, `verify all` needs the same levels for its lifting rows and
-    for its density cross-checks."""
+    for its density cross-checks, and at bad p for its density rows and
+    for tau."""
     return count_points_mod(model, p, k, budget=budget)
 
 
-def _stabilized_density(model, p, budget, confirm=True):
-    """Raise levels until the ratio repeats (three in a row when the
-    budget allows a confirming level), else raise NotStabilizedError."""
-    k_cap = max_feasible_level(model, p, budget)
-    if k_cap < 1:
+def level_counts(model: AffineModel, p: int, budget: int = COUNT_BUDGET):
+    """(k, count mod p^k) for k = 1, 2, ... while p^(k * nvars) <= budget:
+    the levels the enumeration budget admits, each counted once."""
+    k = 1
+    while p ** (k * model.nvars) <= budget:
+        yield k, cached_point_count(model, p, k, budget)
+        k += 1
+
+
+def _stabilized_density(model, p, budget, repeats):
+    """Climb the level ladder until `repeats` ratios in a row agree; if the
+    ladder ends first, accept its last two ratios if they agree, else raise
+    NotStabilizedError."""
+    trace = []
+    for k, count in level_counts(model, p, budget):
+        ratio = Fraction(count, p ** (k * model.dim))
+        trace.append((k, count, ratio))
+        if len(trace) >= repeats and all(r == ratio for _, _, r in trace[-repeats:]):
+            break
+    if not trace:
         raise BudgetExceededError(
             f"cannot afford even k=1 at p={p} within budget {budget}"
         )
-    trace = []
-    for k in range(1, k_cap + 1):
-        count = cached_point_count(model, p, k, budget)
-        trace.append((k, count, Fraction(count, p ** (k * model.dim))))
-        if (
-            confirm
-            and len(trace) >= 3
-            and trace[-1][2] == trace[-2][2] == trace[-3][2]
-        ):
-            break
-        if not confirm and len(trace) >= 2 and trace[-1][2] == trace[-2][2]:
-            break
     if len(trace) < 2 or trace[-1][2] != trace[-2][2]:
         raise NotStabilizedError(
-            f"density at p={p} did not stabilize within k <= {k_cap}",
+            f"density at p={p} did not stabilize within k <= {len(trace)}",
             trace=tuple(trace),
         )
-    return LocalDensity(p, trace[-1][2], "brute-force", tuple(trace))
+    return LocalDensity(trace[-1][2], tuple(trace))
 
 
-@lru_cache(maxsize=64)
 def bad_prime_density(
     torus: TorusSpec,
     p: int,
     budget: int = COUNT_BUDGET,
 ) -> LocalDensity:
-    """Density at a ramified prime or p=2 by stabilized brute force.
-
-    Cached, so `verify all` counts each bad prime once for its density
-    rows and for tau; a NotStabilizedError is not cached.
-    """
-    if torus.model is None:
-        raise UnsupportedTorusError(
-            f"no affine model attached to {torus.label}; cannot count points"
-        )
+    """Density at a ramified prime or p=2 by stabilized brute force: three
+    equal ratios in a row, or two at the top of the level ladder."""
+    model = affine_model(torus)
     if p != 2 and p not in torus.bad_primes():
         raise ValueError(f"p={p} is neither ramified nor 2 for {torus.label}")
-    return _stabilized_density(torus.model, p, budget, confirm=True)
+    return _stabilized_density(model, p, budget, 3)
 
 
 def local_density(
@@ -128,13 +125,10 @@ def cross_validate_density(
     if p > 13:
         raise ValueError("brute-force cross-validation is limited to p <= 13")
     good = local_density_good(torus, p)
-    if torus.model is None:
-        raise UnsupportedTorusError(
-            f"no affine model attached to {torus.label}; cannot count points"
-        )
+    model = affine_model(torus)
     inputs = {"torus": torus.label, "p": p}
     try:
-        brute = _stabilized_density(torus.model, p, budget, confirm=False)
+        brute = _stabilized_density(model, p, budget, 2)
     except NotStabilizedError as exc:
         return VerificationReport(
             identity="local-density",

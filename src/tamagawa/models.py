@@ -5,8 +5,9 @@ Two models, both built from the norm form of the ring basis (1, w):
   norm-one:   N(x, y) = 1                        (2 vars, dim 1)
   unit-group: N(x, y) * z = 1                    (3 vars, dim 2)
 
-The gauge form is dx/(dF/dy) (resp. with the z-chart for unit-group); only
-its denominator choice matters downstream, and it is fixed here once.
+The local density lim count(p^k) / p^(k*dim) that localmeasure reads off
+these counts is the volume of the model's Z_p-points under the gauge form
+dx/(dF/dy) (resp. dx^dy/(dF/dz) for unit-group); no code builds the form.
 
 Point counting mod p^k is the only numeric work: one pass over the fibres
 y in Z/p^k, each counted from a table of squares (count_points_mod proves
@@ -24,33 +25,18 @@ from .quadfield import QuadField
 COUNT_BUDGET = 10 ** 8
 
 
-class AffineModel(namedtuple("AffineModel", "kind nvars dim D base_point gauge")):
+class AffineModel(namedtuple("AffineModel", "kind nvars dim D")):
     """kind is "norm-one" or "unit-group"."""
 
     __slots__ = ()
 
-    def jacobian_at_base(self) -> tuple[int, ...]:
-        D = self.D
-        if self.kind == "norm-one":
-            x, y = self.base_point
-            return (2 * x + D * y, D * x + ((D * D - D) // 2) * y)
-        x, y, z = self.base_point
-        n = x * x + D * x * y + ((D * D - D) // 4) * y * y
-        return ((2 * x + D * y) * z, (D * x + ((D * D - D) // 2) * y) * z, n)
-
-
-def _checked(model: AffineModel) -> AffineModel:
-    if all(c == 0 for c in model.jacobian_at_base()):
-        raise ValueError("model is singular at its base point")
-    return model
-
 
 def norm_form_model(field: QuadField) -> AffineModel:
-    return _checked(AffineModel("norm-one", 2, 1, field.D, (1, 0), "dx/(dF/dy)"))
+    return AffineModel("norm-one", 2, 1, field.D)
 
 
 def unit_group_model(field: QuadField) -> AffineModel:
-    return _checked(AffineModel("unit-group", 3, 2, field.D, (1, 0, 1), "dx^dy/(dF/dz)"))
+    return AffineModel("unit-group", 3, 2, field.D)
 
 
 def count_points_mod(model: AffineModel, p: int, k: int,

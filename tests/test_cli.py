@@ -27,7 +27,7 @@ from tamagawa.errors import ConfigError
 from tamagawa.exactcore import charpoly, primes_up_to
 from tamagawa.galois import euler_factor_at_one, is_good_prime, point_count_Fp
 from tamagawa.globalasm import c_gamma
-from tamagawa.localmeasure import LocalDensity, bad_prime_density, cached_point_count
+from tamagawa.localmeasure import LocalDensity, cached_point_count
 from tamagawa.report import (
     FAIL,
     IDENTITIES,
@@ -264,7 +264,7 @@ def test_render_rejects_unrenderable_values():
 
 def test_render_rejects_records_other_than_real():
     # records are tuples, yet no record but Real may render, least of all as a list
-    dens = LocalDensity(2, Fraction(2), "brute-force", ())
+    dens = LocalDensity(Fraction(2), ())
     with pytest.raises(TypeError, match="cannot render LocalDensity"):
         render_report([VerificationReport("local-density", {"p": 2}, {"density": dens})])
     with pytest.raises(TypeError, match="cannot render LocalDensity"):
@@ -864,6 +864,27 @@ def test_all_biquadratic_stops_at_globalinv(capsys):
         "sha, tnc (c_gamma implemented for quadratic fields)"]
 
 
+@pytest.mark.parametrize("identity", ["lifting", "density"])
+@pytest.mark.parametrize("spec", ["norm1:13,17", "quot:13,17", "res:5,-3"])
+def test_counting_identities_need_an_affine_model(capsys, identity, spec):
+    code, out, err = run_cli(capsys, "verify", identity, "--torus", spec)
+    assert (code, out) == (64, "")
+    assert err == f"error: no affine model attached to {spec}; cannot count points\n"
+
+
+def test_lifting_cause_names_the_bound_that_cut_the_levels(capsys):
+    code, doc, _ = run_json(capsys, "verify", "lifting", "--torus", "norm1:-1",
+                            "--kmax", "1", "--pmax", "5")
+    assert code == 2
+    assert [(r["verdict"], r["cause"]) for r in doc["reports"]] == [
+        ("INCONCLUSIVE", f"--kmax 1 admits only 1 level(s) at p={p}") for p in (3, 5)]
+    code, doc, _ = run_json(capsys, "verify", "lifting", "--torus", "res:-1",
+                            "--budget", "10000")
+    assert code == 2
+    assert [(r["inputs"]["p"], r.get("cause")) for r in doc["reports"]] == [
+        (3, None), *((p, f"budget admits only 1 level(s) at p={p}") for p in (5, 7, 11, 13))]
+
+
 def test_c_gamma_rejects_biquadratic_quot_before_i_t(capsys):
     # c_gamma runs before i(T), so its message names what is missing
     code, _, err = run_cli(capsys, "verify", "all", "--torus", "quot:13,17", "--pmax", "13")
@@ -962,13 +983,36 @@ def test_all_computes_c_gamma_once(capsys):
     assert c_gamma.cache_info().misses == 1
 
 
-def test_all_computes_each_bad_prime_density_once(capsys):
-    # the density rows and tau_coh share one count per bad prime
-    bad_prime_density.cache_clear()
+def _counting_point_counts(monkeypatch):
+    """The (p, k) of every count_points_mod call from localmeasure, which
+    starts with an empty count cache."""
+    calls = []
+    count = localmeasure.count_points_mod
+
+    def counting(model, p, k, budget):
+        calls.append((p, k))
+        return count(model, p, k, budget=budget)
+
+    monkeypatch.setattr(localmeasure, "count_points_mod", counting)
+    cached_point_count.cache_clear()
+    return calls
+
+
+def test_all_computes_each_bad_prime_density_once(capsys, monkeypatch):
+    # the density rows and tau_coh share one count per bad-prime level
+    calls = _counting_point_counts(monkeypatch)
     code, _, _ = run_cli(capsys, "verify", "all", "--torus", "norm1:13")
     assert code == 0
-    assert bad_prime_density.cache_info().misses == len(
-        parse_torus("norm1:13").bad_primes())
+    assert len(calls) == len(set(calls))
+    assert set(parse_torus("norm1:13").bad_primes()) <= {p for p, _ in calls}
+
+
+def test_all_computes_q_rank_once(capsys):
+    # run_all's gate, verify_tnc and tau_coh share one q_rank
+    galois.q_rank.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "all", "--torus", "norm1:-23")
+    assert code == 0
+    assert galois.q_rank.cache_info().misses == 1
 
 
 def test_euler_computes_one_charpoly_per_galois_element(capsys, monkeypatch):
@@ -1007,16 +1051,7 @@ def test_euler_rows_equal_rows_from_public_functions(spec):
 
 def test_all_counts_each_level_once(capsys, monkeypatch):
     # the lifting rows and the density cross-checks share their counts
-    calls = []
-    count = localmeasure.count_points_mod
-
-    def counting(model, p, k, budget):
-        calls.append((model, p, k))
-        return count(model, p, k, budget=budget)
-
-    monkeypatch.setattr(localmeasure, "count_points_mod", counting)
-    cached_point_count.cache_clear()
-    bad_prime_density.cache_clear()
+    calls = _counting_point_counts(monkeypatch)
     code, _, _ = run_cli(capsys, "verify", "all", "--torus", "norm1:-1")
     assert code == 0
     assert len(calls) == len(set(calls)) == 19

@@ -4,7 +4,7 @@ smooth lifting, bad-prime traces, budget behavior."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tamagawa.errors import BudgetExceededError, NotStabilizedError, UnsupportedTorusError
@@ -14,9 +14,9 @@ from tamagawa.localmeasure import (
     cross_validate_density,
     local_density,
     local_density_good,
-    max_feasible_level,
+    level_counts,
 )
-from tamagawa.models import count_points_mod
+from tamagawa.models import count_points_mod, norm_form_model, unit_group_model
 from tamagawa.quadfield import BiquadField, QuadField
 from tamagawa.report import PASS
 
@@ -99,15 +99,34 @@ def test_smooth_lifting_property(d, family, p, k):
 
 def test_budget_exhaustion():
     t = build_torus("norm-one", QuadField.from_d(-23))
-    # 23^2 = 529 > budget 10^4? no: 23^(2k) <= 1e4 gives k = 1 only
-    assert max_feasible_level(t.model, 23, 10**4) == 1
-    with pytest.raises(NotStabilizedError) as exc:
+    # 23^(2k) <= 1e4 gives k = 1 only
+    assert [k for k, _ in level_counts(t.model, 23, 10**4)] == [1]
+    with pytest.raises(NotStabilizedError, match=r"within k <= 1$") as exc:
         bad_prime_density(t, 23, budget=10**4)
     assert len(exc.value.trace) == 1
-    with pytest.raises(BudgetExceededError):
-        bad_prime_density(t, 23, budget=400)  # cannot even afford k=1
+    with pytest.raises(BudgetExceededError, match="^cannot afford even k=1 at p=23 "
+                                                  "within budget 400$"):
+        bad_prime_density(t, 23, budget=400)
     with pytest.raises(BudgetExceededError):
         count_points_mod(t.model, 23, 3)  # 23^6 > 1e8 default budget
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([-1, -3, -7, -23, 5, 13]),
+    st.sampled_from([norm_form_model, unit_group_model]),
+    st.sampled_from([2, 3, 5, 7, 11, 13, 23]),
+    st.integers(10**4, 10**8),
+)
+@example(d=-23, model=norm_form_model, p=23, budget=10**4)
+@example(d=-1, model=unit_group_model, p=3, budget=3**9)  # the budget is a level's size
+def test_level_counts_climb_exactly_the_levels_the_budget_admits(d, model, p, budget):
+    m = model(QuadField.from_d(d))
+    top = max((k for k in range(1, 30) if p ** (k * m.nvars) <= budget), default=0)
+    got = list(level_counts(m, p, budget))
+    assert [k for k, _ in got] == list(range(1, top + 1))
+    for k, count in got:
+        assert count == count_points_mod(m, p, k, budget=budget)
 
 
 def test_bad_prime_density_validation():
@@ -121,9 +140,10 @@ def test_bad_prime_density_validation():
 
 def test_local_density_dispatch():
     t = build_torus("norm-one", QuadField.from_d(-7))
-    assert local_density(t, 3).method == "good-formula"
-    assert local_density(t, 2).method == "brute-force"
-    assert local_density(t, 7).method == "brute-force"
+    assert local_density(t, 3) == local_density_good(t, 3)
+    assert local_density(t, 2) == bad_prime_density(t, 2)
+    assert local_density(t, 7) == bad_prime_density(t, 7)
+    assert local_density(t, 7).trace
 
 
 def test_res_density_routes_agree_at_2():

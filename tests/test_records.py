@@ -20,7 +20,7 @@ NEG1 = IntMatrix(1, 1, (-1,))
 C2 = FiniteGroup(("e", "s"), ((0, 1), (1, 0)))
 C3 = FiniteGroup.cyclic(3)
 SIGN = GaloisLattice(C2, 1, (I1, NEG1))
-MODEL_FIELDS = ("norm-one", 2, 1, -4, (1, 0), "dx/(dF/dy)")
+MODEL_FIELDS = ("norm-one", 2, 1, -4)
 MODEL = AffineModel(*MODEL_FIELDS)
 VOLUME_FIELDS = (1.5707963267948966, 1.8e-15, 4, 0)
 
@@ -42,7 +42,7 @@ RECORDS = {
     FiniteGroup: ((("e", "s"), ((0, 1), (1, 0))), {}),
     GaloisLattice: ((C2, 1, (I1, NEG1)), {}),
     TorusSpec: (("norm-one", QuadField(-1, -4), 1, SIGN, SIGN.dual(), MODEL, "norm1:-1"), {}),
-    LocalDensity: ((2, Fraction(2), "brute-force", ((1, 2, Fraction(2)),)), {}),
+    LocalDensity: ((Fraction(2), ((1, 2, Fraction(2)),)), {}),
     ArchVolume: (VOLUME_FIELDS, {}),
     LValue: ((-4, 0.7853981633974483, 1e-15), {}),
     CGammaResult: ((1, False, ()), {}),
