@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from tamagawa import cli, galois, globalasm, localmeasure, report
 from tamagawa.cli import RunConfig, main, parse_torus, run_euler
 from tamagawa.errors import ConfigError
-from tamagawa.exactcore import charpoly, primes_up_to
+from tamagawa.exactcore import AbelianGroupInvariants, charpoly, primes_up_to
 from tamagawa.galois import euler_factor_at_one, is_good_prime, point_count_Fp
 from tamagawa.globalasm import c_gamma
 from tamagawa.localmeasure import LocalDensity, cached_point_count
@@ -480,6 +480,48 @@ def test_internal_arithmetic_error_exits_70(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_good_factor_mismatch_exits_70(capsys, monkeypatch):
+    # a good Euler factor that does not cancel its density is an internal
+    # error: tau drops those factors on the strength of that cancellation
+    terms = globalasm.good_euler_terms
+
+    def off_by_one(torus, primes):
+        for p, scaled, count in terms(torus, primes):
+            yield p, scaled + 1, count
+
+    monkeypatch.setattr(globalasm, "good_euler_terms", off_by_one)
+    code, out, err = run_cli(capsys, "verify", "tnc", "--torus", "norm1:-1")
+    assert (code, out) == (70, "")
+    (line,) = err.splitlines()
+    assert line.startswith("internal error: good factor mismatch at p=3 for norm1:-1: ")
+
+
+def test_tnc_fails_when_tau_misses_the_prediction(capsys, monkeypatch):
+    # twice the volume makes tau 4 against Ono's 2
+    volume = globalasm.archimedean_volume
+
+    def doubled(torus):
+        vol = volume(torus)
+        return vol._replace(value=2 * vol.value, abs_err=2 * vol.abs_err)
+
+    monkeypatch.setattr(globalasm, "archimedean_volume", doubled)
+    code, doc, _ = run_json(capsys, "verify", "tnc", "--torus", "norm1:-1", "--tol", "1e-3")
+    (row,) = doc["reports"]
+    assert (code, row["verdict"]) == (1, FAIL)
+    assert row["cause"] == "|tau - prediction| = 2.000e+00 >= 0.001"
+    assert abs(row["values"]["tau_tam"]["value"] - 4.0) < 1e-12
+
+
+def test_tnc_fails_when_h1_and_h0_torsion_differ(capsys, monkeypatch):
+    monkeypatch.setattr(globalasm, "h0_torsion_dual",
+                        lambda group, lattice: AbelianGroupInvariants(0, (4,)))
+    code, doc, _ = run_json(capsys, "verify", "tnc", "--torus", "norm1:-1")
+    (row,) = doc["reports"]
+    assert (code, row["verdict"]) == (1, FAIL)
+    assert row["cause"] == "#H^1 = 2 != 4 = #H_0 torsion"
+    assert (row["values"]["h1_order"], row["values"]["h0_dual_order"]) == (2, 4)
+
+
 def _assert_failed_run_wrote_nothing(code, out, err, path):
     assert code == 70
     assert out == ""
@@ -597,6 +639,12 @@ PINNED_REPORTS = [
      "b474902e6bb2ff8b7f7e499837200dd66ac842b2adc7884a1016877b5b40a99c"),
     (("sha", "--torus", "norm1:-23"), 0,
      "176779b5efd1fd34309460dc4773880aba1499ae3d686374138840e91f02db22"),
+    # c_gamma = 3 scales tau_tam and its error bar
+    (("tnc", "--torus", "norm1:-23", "--tol", "1e-3"), 0,
+     "2465de6202744ee0c9e1afdcbdb63637df463af8a063d311f9ba93fa5047b5bd"),
+    # a real field whose fundamental unit has norm +1
+    (("tnc", "--torus", "norm1:3"), 0,
+     "a7b8bf22f3a0a760e0d15a4e39e83b8222d34ce8657013060cf363660dc91434"),
 ]
 
 
