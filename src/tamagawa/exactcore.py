@@ -84,13 +84,17 @@ def factorize(n: int) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     f = 5
+    fresh = True  # n has not been tested for primality since it last changed
     while f * f <= n:
-        if is_prime(n):
-            break
+        if fresh:
+            if is_prime(n):
+                break
+            fresh = False
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
                 n //= p
+                fresh = True
         f += 6
     if n > 1:
         out[n] = out.get(n, 0) + 1
@@ -195,9 +199,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
         return IntMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(-a for a in self.entries))
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:

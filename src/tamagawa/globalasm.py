@@ -23,7 +23,7 @@ from .errors import (
 )
 from .exactcore import is_prime, kronecker_symbol, primes_up_to
 from .galois import INF, TorusSpec, good_euler_terms, q_rank
-from .localmeasure import local_density
+from .localmeasure import bad_prime_density
 from .models import COUNT_BUDGET
 from .quadfield import (
     QuadField,
@@ -110,20 +110,12 @@ def archimedean_volume(torus: TorusSpec) -> ArchVolume:
 # L-values
 
 
-class LValue(namedtuple("LValue", "D value abs_err")):
-    __slots__ = ()
-
-
-def l_value(D: int, tol: float = 1e-9) -> LValue:
+def l_value(D: int) -> Real:
     """L(1, chi_D) by its closed-form character sum, with abs_err a count
     of the float roundings (u = 2^-53; libm's sin and log, at most 1 ulp,
     are 2u relative)."""
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
-    if tol < 1e-12:
-        raise ConfigError(
-            f"tol: {tol:g} is below the closed-form accuracy 1e-12 of L(1, chi_D)"
-        )
     m = abs(D)
     if D < 0:
         s = sum(a * kronecker_symbol(D, a) for a in range(1, m))
@@ -131,7 +123,7 @@ def l_value(D: int, tol: float = 1e-9) -> LValue:
         # math.pi is 3.9e-17 off pi, relative; pi*s, sqrt, m*sqrt and the
         # division round by 2^-53 each (m and s convert exactly): 4.83e-16
         abs_err = 4.9e-16 * abs(value)
-        return LValue(D, value, abs_err)
+        return Real(value, abs_err)
     # L = -(1/sqrt m) sum_{0<a<m} chi(a) log sin(pi a/m), and chi(m - a) =
     # chi(a) as chi(-1) = +1, so L = -(2/sqrt m) S with S the sum of
     # t_a = chi(a) log sin(x_a), x_a = pi a/m, over 0 < a < m/2.  There
@@ -156,10 +148,10 @@ def l_value(D: int, tol: float = 1e-9) -> LValue:
     u = 2.0**-53
     sum_err = u * (4.4 * len(terms) + 2.1 * math.fsum(map(abs, terms)) + 1.1 * abs(s))
     abs_err = 2.0 * sum_err / root + 2.1 * u * abs(value)
-    return LValue(D, value, abs_err)
+    return Real(value, abs_err)
 
 
-def partial_l_value(torus: TorusSpec, places, tol: float = 1e-9) -> Real:
+def partial_l_value(torus: TorusSpec, places) -> Real:
     """L_S(1): the L-value with the Euler factors at finite places of S
     removed.  S must contain the infinite place and every bad prime."""
     if not isinstance(torus.field, QuadField):
@@ -175,7 +167,7 @@ def partial_l_value(torus: TorusSpec, places, tol: float = 1e-9) -> Real:
     if missing:
         raise ValueError(f"S is missing bad primes {sorted(missing)}")
     D = torus.field.D
-    lv = l_value(D, tol)
+    lv = l_value(D)
     fac = Fraction(1)
     for p in finite:
         fac *= 1 - Fraction(kronecker_symbol(D, p), p)
@@ -234,18 +226,17 @@ def c_gamma(torus: TorusSpec) -> CGammaResult:
 
 
 # ---------------------------------------------------------------------------
-# tau assembly
+# the tnc row
 
 
-def assert_good_factors(torus: TorusSpec, pmax: int = GOOD_FACTOR_BOUND, exclude=()):
-    """Assert the good Euler factors cancel the good densities exactly.
+def assert_good_factors(torus: TorusSpec):
+    """Assert the good Euler factors at p <= GOOD_FACTOR_BOUND cancel the
+    good densities exactly.
 
-    These factors never enter the product below; this check is what
-    licenses dropping them.
+    These factors never enter tau; this check is what licenses dropping
+    them.  good_euler_terms skips every p | 2 * disc, the bad primes.
     """
-    skip = set(exclude)
-    primes = (p for p in primes_up_to(pmax) if p not in skip)
-    for p, scaled, count in good_euler_terms(torus, primes):
+    for p, scaled, count in good_euler_terms(torus, primes_up_to(GOOD_FACTOR_BOUND)):
         if scaled != count:
             pd = p ** torus.dim
             raise ArithmeticError(
@@ -254,56 +245,19 @@ def assert_good_factors(torus: TorusSpec, pmax: int = GOOD_FACTOR_BOUND, exclude
             )
 
 
-def tau_coh(
-    torus: TorusSpec,
-    tol: float = 1e-6,
-    extra_s=(),
-    budget: int = COUNT_BUDGET,
-) -> Real:
-    """The cohomological Tamagawa number: L_S(1)^-1 times the product of
-    local densities over S times the archimedean volume, as a Real with
-    its error bound.
-
-    S is the bad set {2} u ramified plus any extra good primes; the
-    result is S-independent, which tests exercise directly.
-    """
-    rank = q_rank(torus)
-    if rank != 0:
-        raise QRankError(rank)
-    if not isinstance(torus.field, QuadField):
-        raise UnsupportedTorusError("tau assembly implemented for quadratic fields")
-    for p in extra_s:
-        if not is_prime(p):
-            raise ValueError(f"extra place {p} is not prime")
-    s_finite = tuple(sorted({*torus.bad_primes(), *extra_s}))
-    assert_good_factors(torus, exclude=s_finite)
-    dens_prod = Fraction(1)
-    for p in s_finite:
-        dens_prod *= local_density(torus, p, budget=budget).value
-    l_s = partial_l_value(torus, (INF, *s_finite), tol=min(1e-9, tol))
-    vol = archimedean_volume(torus)
-    value = float(dens_prod) * vol.value / l_s.value
-    err = (
-        abs(value) * (l_s.abs_err / l_s.value)
-        + float(dens_prod) * vol.abs_err / l_s.value
-        + 1e-14 * abs(value)
-    )
-    if err >= tol:
-        raise ArithmeticError(f"tau error bound {err} exceeds tolerance {tol}")
-    return Real(value, err)
-
-
-# ---------------------------------------------------------------------------
-# the tnc row
-
-
 def verify_tnc(
     torus: TorusSpec,
     tol: float = 1e-3,
     budget: int = COUNT_BUDGET,
 ) -> VerificationReport:
-    """The tnc row: the Tamagawa number tau = c_gamma * tau_coh against
-    Ono's prediction #H^1(G, X^*) / i(T).
+    """The tnc row: the Tamagawa number against Ono's prediction
+    #H^1(G, X^*) / i(T).
+
+    tau = c_gamma * L_S(1)^-1 * prod_{p in S} dens_p * vol, with S the
+    infinite place and the bad primes {2} u ramified: the good densities
+    cancel their Euler factors (assert_good_factors), so S needs no other
+    prime.  tau's float error bound must stay below tol/2, and its gap to
+    the prediction below tol.
 
     PASS needs both |tau - prediction| < tol and the finite global
     invariant #H^1(G, X^*) = #torsion(H_0(G, X^*)).  A non-stabilized
@@ -323,12 +277,32 @@ def verify_tnc(
     rhs = Fraction(h1_order, i_t)
     inputs = {"torus": torus.label, "tol": tol}
     values = {"ono_rhs": rhs, "h1_order": h1_order, "h0_dual_order": h0_order}
+    assert_good_factors(torus)
+    bad = torus.bad_primes()
+    dens_prod = Fraction(1)
     try:
-        base = tau_coh(torus, tol=tol / (2 * c.value), budget=budget)
+        for p in bad:
+            dens_prod *= bad_prime_density(torus, p, budget).value
     except NotStabilizedError as exc:
         return VerificationReport("tnc", inputs, values, INCONCLUSIVE, str(exc))
-    tau = c.value * base.value
-    values.update(tau_tam=Real(tau, c.value * base.abs_err), c_gamma=c.value,
+    # tau / c_gamma gets half of tol, which L(1, chi_D) must be able to meet
+    tau_tol = tol / (2 * c.value)
+    if tau_tol < 1e-12:
+        raise ConfigError(
+            f"tol: {tau_tol:g} is below the closed-form accuracy 1e-12 of L(1, chi_D)"
+        )
+    l_s = partial_l_value(torus, (INF, *bad))
+    vol = archimedean_volume(torus)
+    value = float(dens_prod) * vol.value / l_s.value
+    err = (
+        abs(value) * (l_s.abs_err / l_s.value)
+        + float(dens_prod) * vol.abs_err / l_s.value
+        + 1e-14 * abs(value)
+    )
+    if err >= tau_tol:
+        raise ArithmeticError(f"tau error bound {err} exceeds tolerance {tau_tol}")
+    tau = c.value * value
+    values.update(tau_tam=Real(tau, c.value * err), c_gamma=c.value,
                   c_gamma_heuristic=c.heuristic, sha_bk=c.value * i_t)
     if h1_order != h0_order:
         return VerificationReport("tnc", inputs, values, FAIL,

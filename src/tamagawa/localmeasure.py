@@ -101,17 +101,6 @@ def bad_prime_density(
     return _stabilized_density(model, p, budget, 3)
 
 
-def local_density(
-    torus: TorusSpec,
-    p: int,
-    budget: int = COUNT_BUDGET,
-) -> LocalDensity:
-    """Good-formula density at good primes, brute force at bad ones."""
-    if is_good_prime(torus, p):
-        return local_density_good(torus, p)
-    return bad_prime_density(torus, p, budget=budget)
-
-
 def cross_validate_density(
     torus: TorusSpec,
     p: int,

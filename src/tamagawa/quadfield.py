@@ -58,11 +58,6 @@ class QuadField(namedtuple("QuadField", "d D")):
     def is_imaginary(self) -> bool:
         return self.d < 0
 
-    def norm(self, a: int, b: int) -> int:
-        """N(a + b*w) for the ring basis (1, w)."""
-        D = self.D
-        return a * a + D * a * b + ((D * D - D) // 4) * b * b
-
     def ramified_primes(self) -> tuple[int, ...]:
         return tuple(sorted(factorize(self.D)))
 

@@ -1,16 +1,25 @@
 """Reference routes the tests check the package against, kept out of the
 package because no product code reads them: the Smith normal form with its
 unimodular transforms, kernel bases, group cohomology in kernel coordinates,
-class numbers from L(1, chi_D), and small helpers on group tables and
-matrices."""
+class numbers from L(1, chi_D), the Tamagawa product over a larger set of
+places, the norm form, and small helpers on group tables and matrices."""
 
 import math
 from collections import namedtuple
+from fractions import Fraction
 
 from tamagawa.cohomology import bar_boundary
 from tamagawa.exactcore import AbelianGroupInvariants, IntMatrix, invariants_from_relations
-from tamagawa.globalasm import l_value, torsion_unit_order
+from tamagawa.galois import INF, is_good_prime
+from tamagawa.globalasm import (
+    archimedean_volume,
+    l_value,
+    partial_l_value,
+    torsion_unit_order,
+)
+from tamagawa.localmeasure import bad_prime_density, local_density_good
 from tamagawa.quadfield import QuadField, fundamental_unit, is_fundamental_discriminant
+from tamagawa.report import Real
 
 
 class SnfResult(namedtuple("SnfResult", "d u v vinv")):
@@ -214,13 +223,41 @@ def _powers(G, g: int):
     return out
 
 
-def analytic_class_number(D: int, tol: float = 1e-6) -> int:
+def norm(field: QuadField, a: int, b: int) -> int:
+    """N(a + b*w) for the ring basis (1, w) of the field's integers."""
+    D = field.D
+    return a * a + D * a * b + ((D * D - D) // 4) * b * b
+
+
+def tau_over(torus, extra) -> Real:
+    """L_S(1)^-1 * prod_{p in S} dens_p * vol over S = the infinite place,
+    the bad primes and the primes in `extra`: the densities at good p by
+    the Frobenius count, at bad p by brute force.  The float operations and
+    the error bound are those of the tnc row, so with no extra primes this
+    is tau_tam / c_gamma to the bit."""
+    s_finite = sorted({*torus.bad_primes(), *extra})
+    dens_prod = Fraction(1)
+    for p in s_finite:
+        route = local_density_good if is_good_prime(torus, p) else bad_prime_density
+        dens_prod *= route(torus, p).value
+    l_s = partial_l_value(torus, (INF, *s_finite))
+    vol = archimedean_volume(torus)
+    value = float(dens_prod) * vol.value / l_s.value
+    err = (
+        abs(value) * (l_s.abs_err / l_s.value)
+        + float(dens_prod) * vol.abs_err / l_s.value
+        + 1e-14 * abs(value)
+    )
+    return Real(value, err)
+
+
+def analytic_class_number(D: int) -> int:
     """Class number from L(1, chi_D): the Dirichlet formula with the
     torsion correction (w = 4, 6 at D = -4, -3), or the regulator
     quotient for real fields.  Independent of the form enumeration."""
     if not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
-    lv = l_value(D, min(tol, 1e-9))
+    lv = l_value(D)
     if D < 0:
         w = torsion_unit_order(QuadField(D if D % 4 == 1 else D // 4, D))
         h_float = w * lv.value * math.sqrt(abs(D)) / (2.0 * math.pi)

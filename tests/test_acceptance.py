@@ -23,7 +23,6 @@ from tamagawa.globalasm import (
     c_gamma,
     l_value,
     partial_l_value,
-    tau_coh,
     verify_tnc,
 )
 from tamagawa.localmeasure import bad_prime_density, local_density_good
@@ -111,6 +110,9 @@ def test_criterion_3_flagship_two_adic_stabilization():
 
 
 def test_criterion_4_h1_order_equals_h0_torsion_dual():
+    # both sides are read from the Smith invariants of the one map d^0
+    # (H^1's torsion is that of coker d^0), so this pins the two orders
+    # but cannot catch a wrong Smith form
     t0 = time.monotonic()
     tori = [build_torus(f, QuadField.from_d(d))
             for d in (-1, -2, -3, -5, -7, -11, -23, 5, 13)
@@ -130,15 +132,16 @@ def test_criterion_5_flagship_assembly():
     # tau = (pi/4)^-1 * 2 * (pi/4) = 2 over Q(i), with every component pinned
     t0 = time.monotonic()
     t = build_torus("norm-one", QuadField.from_d(-1))
-    tau = tau_coh(t, tol=1e-6)
-    assert abs(tau.value - 2.0) < 1e-6
+    rep = verify_tnc(t, tol=1e-6)
+    tau = rep.values["tau_tam"]
+    assert rep.verdict == "PASS" and abs(tau.value - 2.0) < 1e-6
     assert t.bad_primes() == (2,)
     assert abs(partial_l_value(t, (INF, 2)).value - math.pi / 4.0) < 1e-9
     assert bad_prime_density(t, 2).value == Fraction(2)
     assert abs(archimedean_volume(t).value - math.pi / 4.0) < 1e-6
     c = c_gamma(t)
     assert c.value == 1 and not c.heuristic
-    assert verify_tnc(t).values["ono_rhs"] == Fraction(2, 1)
+    assert rep.values["ono_rhs"] == Fraction(2, 1)
     _finish("criterion 5", t0, 10.0,
             f"tau = {tau.value:.9f}, L_S = vol = pi/4, c = 1, rhs = 2")
 

@@ -365,7 +365,7 @@ def test_help_exits_0(capsys):
 @pytest.mark.parametrize("tol", ["1e-12", "1e-13"])
 @pytest.mark.parametrize("identity", ["tnc", "all"])
 def test_tol_below_l_value_accuracy_exits_64(capsys, identity, tol):
-    # the tnc row hands tol / (2 * c_gamma) down to l_value's 1e-12 floor
+    # the tnc row refuses tol / (2 * c_gamma) below L(1)'s 1e-12 accuracy
     code, out, err = run_cli(
         capsys, "verify", identity, "--torus", "norm1:-1", "--tol", tol)
     assert code == 64
@@ -469,7 +469,7 @@ def test_closed_stdout_exits_74(tmp_path, out):
 
 def test_internal_arithmetic_error_exits_70(capsys, monkeypatch):
     # a failed internal consistency check is exit 70, never 1 (FAIL)
-    def disagree(D, tol=1e-9):
+    def disagree(D):
         raise ArithmeticError(f"L(1) methods disagree at D={D}")
 
     monkeypatch.setattr(globalasm, "l_value", disagree)
@@ -534,7 +534,7 @@ def test_error_after_rendered_rows_writes_no_report(capsys, monkeypatch, tmp_pat
     # tnc's L-value fails: the run still writes nothing
     calls = []
 
-    def disagree(D, tol=1e-9):
+    def disagree(D):
         calls.append(D)
         raise ArithmeticError(f"L(1) methods disagree at D={D}")
 
@@ -664,7 +664,7 @@ def test_report_bytes_are_pinned(capsys, argv, code, digest):
 ], ids=["exit-0", "exit-64", "exit-70"])
 def test_main_leaves_the_gc_as_it_found_it(capsys, monkeypatch, argv, code, enabled,
                                            frozen_by_caller):
-    def disagree(D, tol=1e-9):
+    def disagree(D):
         raise ArithmeticError("L(1) methods disagree")
 
     monkeypatch.setattr(globalasm, "l_value", disagree)
@@ -1047,7 +1047,7 @@ def _counting_point_counts(monkeypatch):
 
 
 def test_all_computes_each_bad_prime_density_once(capsys, monkeypatch):
-    # the density rows and tau_coh share one count per bad-prime level
+    # the density rows and the tnc row share one count per bad-prime level
     calls = _counting_point_counts(monkeypatch)
     code, _, _ = run_cli(capsys, "verify", "all", "--torus", "norm1:13")
     assert code == 0
@@ -1056,7 +1056,7 @@ def test_all_computes_each_bad_prime_density_once(capsys, monkeypatch):
 
 
 def test_all_computes_q_rank_once(capsys):
-    # run_all's gate, verify_tnc and tau_coh share one q_rank
+    # run_all's gate and verify_tnc share one q_rank
     galois.q_rank.cache_clear()
     code, _, _ = run_cli(capsys, "verify", "all", "--torus", "norm1:-23")
     assert code == 0

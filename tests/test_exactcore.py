@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tamagawa import exactcore
 from tamagawa.exactcore import (
     AbelianGroupInvariants,
     IntMatrix,
@@ -66,6 +67,34 @@ def test_valuation_and_factorize():
     assert factorize(1) == {}
     assert squarefree_part(-12) == -3
     assert squarefree_part(45) == 5
+
+
+@given(st.integers(1, 10**12))
+def test_factorize_multiplies_back_to_primes(n):
+    got = factorize(n)
+    assert all(is_prime(p) for p in got)
+    prod = 1
+    for p, e in got.items():
+        prod *= p**e
+    assert prod == n
+
+
+def test_factorize_tests_each_cofactor_for_primality_once(monkeypatch):
+    # the cofactor changes only when a trial divisor divides it; testing it
+    # at every divisor instead cost 166k Miller-Rabin runs here
+    calls = []
+    prime = exactcore.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return prime(n)
+
+    monkeypatch.setattr(exactcore, "is_prime", counting)
+    assert factorize(1000003 * 1000033) == {1000003: 1, 1000033: 1}
+    assert len(calls) <= 2
+    calls.clear()
+    assert factorize(2 * 3 * 5**3 * 1000003) == {2: 1, 3: 1, 5: 3, 1000003: 1}
+    assert calls == [5**3 * 1000003, 1000003]
 
 
 @given(st.integers(-300, 300), st.integers(-300, 300))

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from tamagawa.errors import QRankError, UnsupportedTorusError
+from tamagawa.errors import ConfigError, QRankError, UnsupportedTorusError
 from tamagawa.exactcore import (
     IntMatrix,
     factorize,
@@ -24,13 +24,12 @@ from tamagawa.globalasm import (
     c_gamma,
     l_value,
     partial_l_value,
-    tau_coh,
     torsion_unit_order,
     verify_tnc,
 )
-from tamagawa.localmeasure import bad_prime_density
 from tamagawa.quadfield import BiquadField, QuadField, class_group, norm_one_unit
-from oracles import analytic_class_number
+from tamagawa.report import Real
+from oracles import analytic_class_number, tau_over
 
 
 def norm_one(d):
@@ -162,8 +161,13 @@ def test_l_value_validation():
     for bad in (-12, 45, 0):
         with pytest.raises(ValueError):
             l_value(bad)
-    with pytest.raises(ValueError):
-        l_value(-4, tol=1e-15)
+    # the tnc row refuses a tolerance for tau / c_gamma below L(1)'s
+    # accuracy: 5e-12 / (2 * 3) is, 1e-11 / 6 is not
+    with pytest.raises(ConfigError) as info:
+        verify_tnc(norm_one(-23), tol=5e-12)
+    assert str(info.value) == (
+        "tol: 8.33333e-13 is below the closed-form accuracy 1e-12 of L(1, chi_D)")
+    assert verify_tnc(norm_one(-23), tol=1e-11).verdict == "PASS"
 
 
 def test_analytic_class_number_vs_form_count():
@@ -301,30 +305,17 @@ def test_good_factor_cancellation():
         assert_good_factors(norm_one(d))
 
 
-def test_tau_coh_flagship():
-    # S = {2}: the assembly reads the density at 2, L_S(1) and the volume
-    t = norm_one(-1)
-    tau = tau_coh(t, tol=1e-6)
-    assert abs(tau.value - 2.0) < 1e-6
-    assert t.bad_primes() == (2,)
-    assert bad_prime_density(t, 2).value == Fraction(2)
-    assert abs(partial_l_value(t, (INF, 2)).value - math.pi / 4.0) < 1e-9
-    assert abs(archimedean_volume(t).value - math.pi / 4.0) < 1e-6
-
-
-def test_tau_coh_s_independence():
-    base = tau_coh(norm_one(-1), tol=1e-6)
-    for extra in ((5,), (5, 13), (3,)):
-        other = tau_coh(norm_one(-1), tol=1e-6, extra_s=extra)
-        assert abs(other.value - base.value) <= base.abs_err + other.abs_err
-        assert abs(other.value - 2.0) < 1e-6
-    with pytest.raises(ValueError):
-        tau_coh(norm_one(-1), extra_s=(6,))
-
-
-def test_tau_coh_rank_gate():
-    with pytest.raises(QRankError):
-        tau_coh(build_torus("res-scalars", QuadField.from_d(-1)))
+@pytest.mark.parametrize("d", [-1, -23])
+def test_tau_is_s_independent(d):
+    # the row takes S = {inf} u bad primes; a good prime added to S brings
+    # its density and its Euler factor, which cancel
+    values = verify_tnc(norm_one(d), tol=1e-6).values
+    c = values["c_gamma"]
+    tau = values["tau_tam"]
+    for extra in ((3,), (5,), (5, 13)):
+        other = tau_over(norm_one(d), extra)
+        assert abs(other.value - tau.value / c) <= tau.abs_err / c + other.abs_err, extra
+        assert abs(other.value - 2.0 / c) < 1e-6
 
 
 @pytest.mark.parametrize("d", [-399, -390, -385, -377, -374])
@@ -339,8 +330,8 @@ def test_tau_tam_error_bar_covers_ono_prediction(d):
 def test_tau_tam_scales_by_c_gamma():
     values = verify_tnc(norm_one(-23), tol=1e-3).values
     assert values["c_gamma"] == 3 and values["c_gamma_heuristic"] is False
-    base = tau_coh(norm_one(-23), tol=1e-3 / 6)
-    assert values["tau_tam"] == (3 * base.value, 3 * base.abs_err)
+    base = tau_over(norm_one(-23), ())
+    assert values["tau_tam"] == Real(3 * base.value, 3 * base.abs_err)
     assert abs(values["tau_tam"].value - 2.0) < 1e-3
     assert values["ono_rhs"] == Fraction(2)
 
@@ -388,3 +379,6 @@ def test_verify_tnc_budget_starved_is_inconclusive():
     assert rep.verdict == "INCONCLUSIVE"
     assert rep.cause and "stabilize" in rep.cause
     assert rep.values == {"ono_rhs": Fraction(2), "h1_order": 2, "h0_dual_order": 2}
+    # the densities come before the tolerance floor
+    assert verify_tnc(norm_one(-23), tol=1e-12, budget=10**4) == rep._replace(
+        inputs={"torus": "norm1:-23", "tol": 1e-12})

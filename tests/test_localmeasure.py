@@ -12,13 +12,13 @@ from tamagawa.galois import build_torus, is_good_prime
 from tamagawa.localmeasure import (
     bad_prime_density,
     cross_validate_density,
-    local_density,
     local_density_good,
     level_counts,
 )
 from tamagawa.models import count_points_mod, norm_form_model, unit_group_model
 from tamagawa.quadfield import BiquadField, QuadField
 from tamagawa.report import PASS
+from oracles import norm
 
 
 BAD_DENSITIES = {
@@ -139,11 +139,20 @@ def test_bad_prime_density_validation():
 
 
 def test_local_density_dispatch():
-    t = build_torus("norm-one", QuadField.from_d(-7))
-    assert local_density(t, 3) == local_density_good(t, 3)
-    assert local_density(t, 2) == bad_prime_density(t, 2)
-    assert local_density(t, 7) == bad_prime_density(t, 7)
-    assert local_density(t, 7).trace
+    # the good-prime formula takes exactly the primes off 2 * disc, and
+    # brute force exactly the bad primes, the ones the tnc row reads
+    for d in (-7, 5):
+        t = build_torus("norm-one", QuadField.from_d(d))
+        for p in (2, 3, 5, 7, 11, 13):
+            if p in t.bad_primes():
+                assert not is_good_prime(t, p)
+                assert bad_prime_density(t, p).trace
+                with pytest.raises(ValueError, match="not a good prime"):
+                    local_density_good(t, p)
+            else:
+                assert local_density_good(t, p).trace == ()
+                with pytest.raises(ValueError, match="neither ramified nor 2"):
+                    bad_prime_density(t, p)
 
 
 def test_res_density_routes_agree_at_2():
@@ -153,6 +162,6 @@ def test_res_density_routes_agree_at_2():
     assert d.trace[-1][2] == d.trace[-2][2] == d.value
     # the unit-group count mod 2: pairs (a,b) with norm odd
     k = QuadField.from_d(-1)
-    direct = sum(1 for a in range(2) for b in range(2) if k.norm(a, b) % 2)
+    direct = sum(1 for a in range(2) for b in range(2) if norm(k, a, b) % 2)
     assert d.trace[0][1] == direct
 

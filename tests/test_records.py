@@ -1,4 +1,4 @@
-"""The package's 17 immutable records: construction, defaults, validators,
+"""The package's 16 immutable records: construction, defaults, validators,
 immutability and hashing, one parametrized case per record."""
 
 import re
@@ -9,7 +9,7 @@ import pytest
 from tamagawa.cli import RunConfig
 from tamagawa.exactcore import AbelianGroupInvariants, IntMatrix
 from tamagawa.galois import FiniteGroup, GaloisLattice, TorusSpec
-from tamagawa.globalasm import ArchVolume, CGammaResult, LValue
+from tamagawa.globalasm import ArchVolume, CGammaResult
 from tamagawa.localmeasure import LocalDensity
 from tamagawa.models import AffineModel
 from tamagawa.quadfield import BiquadField, ClassGroupData, QuadField, UnitData
@@ -44,7 +44,6 @@ RECORDS = {
     TorusSpec: (("norm-one", QuadField(-1, -4), 1, SIGN, SIGN.dual(), MODEL, "norm1:-1"), {}),
     LocalDensity: ((Fraction(2), ((1, 2, Fraction(2)),)), {}),
     ArchVolume: (VOLUME_FIELDS, {}),
-    LValue: ((-4, 0.7853981633974483, 1e-15), {}),
     CGammaResult: ((1, False, ()), {}),
 }
 
@@ -75,7 +74,7 @@ INVALID = {
 
 
 def test_every_record_is_covered():
-    assert len(RECORDS) == 17
+    assert len(RECORDS) == 16
     assert set(INVALID) <= set(RECORDS)
 
 
