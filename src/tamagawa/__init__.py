@@ -5,6 +5,7 @@ from .cohomology import (
     cohomology,
     h0_torsion_dual,
     ono_constant,
+    q_rank,
     sha_order,
 )
 from .errors import (
@@ -24,10 +25,8 @@ from .galois import (
     build_torus,
     decomposition_subgroup,
     euler_factor_at_one,
-    frobenius_element,
     is_good_prime,
     point_count_Fp,
-    q_rank,
     trivial_lattice,
 )
 from .globalasm import (
@@ -37,7 +36,6 @@ from .globalasm import (
     assert_good_factors,
     c_gamma,
     l_value,
-    partial_l_value,
     torsion_unit_order,
     verify_tnc,
 )
@@ -45,7 +43,6 @@ from .localmeasure import (
     LocalDensity,
     bad_prime_density,
     cross_validate_density,
-    local_density_good,
 )
 from .models import AffineModel, count_points_mod, norm_form_model, unit_group_model
 from .quadfield import (
@@ -95,17 +92,14 @@ __all__ = [
     "cross_validate_density",
     "decomposition_subgroup",
     "euler_factor_at_one",
-    "frobenius_element",
     "fundamental_unit",
     "h0_torsion_dual",
     "is_fundamental_discriminant",
     "is_good_prime",
     "l_value",
-    "local_density_good",
     "norm_form_model",
     "norm_one_unit",
     "ono_constant",
-    "partial_l_value",
     "point_count_Fp",
     "q_rank",
     "reduced_forms",

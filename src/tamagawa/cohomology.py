@@ -9,7 +9,9 @@ is a direct summand of C^n, and
     coker d^{n-1} = C^n / im d^{n-1} = H^n + Z^(rank d^n).
 
 So H^n has free rank cols d^n - rank d^n - rank d^{n-1} and the torsion of
-coker d^{n-1}.
+coker d^{n-1}.  This module alone builds d^0 = stack(g - 1): the Q-rank is
+the free rank of H^0, and the H_0 torsion dual is the torsion of coker d^0,
+which H^1 shares.
 
 The knot-group order i(T) of the norm-one family comes from the
 decomposition groups and H^3(G, Z) alone; `_knot_group_order` carries the
@@ -31,7 +33,6 @@ from .exactcore import (
 )
 from .galois import (
     INF,
-    FiniteGroup,
     GaloisLattice,
     TorusSpec,
     decomposition_subgroup,
@@ -97,29 +98,28 @@ def _cohomology(lattice: GaloisLattice, n: int) -> AbelianGroupInvariants:
     return AbelianGroupInvariants(free, coker.factors)
 
 
-def cohomology(G: FiniteGroup, M: GaloisLattice, n: int) -> AbelianGroupInvariants:
-    if M.group != G:
-        raise ValueError("lattice is not over the given group")
+def cohomology(M: GaloisLattice, n: int) -> AbelianGroupInvariants:
     if not 0 <= n <= 3:
         raise ValueError("degree must be 0..3")
-    if M.rank * G.order ** (n + 1) > _COL_BUDGET:
-        raise BudgetExceededError("cochain complex exceeds column budget")
     return _cohomology(M, n)
 
 
-def h0_torsion_dual(G: FiniteGroup, M: GaloisLattice) -> AbelianGroupInvariants:
-    """#((M x Q/Z)^G) as torsion invariants of the stacked (action - id).
+def q_rank(t: TorusSpec) -> int:
+    """Rank of (X^*)^G: the free rank of H^0(G, X^*)."""
+    return _cohomology(t.xstar, 0).free_rank
 
-    Finite only in Q-rank 0; a rank-deficient stack means a free summand of
-    invariants, which this op rejects.
+
+def h0_torsion_dual(M: GaloisLattice) -> AbelianGroupInvariants:
+    """#((M x Q/Z)^G) as the torsion of coker d^0, the stacked (action - id).
+
+    Finite only in Q-rank 0; a free summand of invariants, which this op
+    rejects, shows as a free rank of H^0.  The torsion of coker d^0 is also
+    that of H^1, so this reads the same cached Smith invariants.
     """
-    if M.group != G:
-        raise ValueError("lattice is not over the given group")
-    d = smith_normal_form(bar_boundary(M, 0))
-    deficit = M.rank - len(d)
-    if deficit:
-        raise QRankError(deficit)
-    return AbelianGroupInvariants(0, tuple(x for x in d if x > 1))
+    rank = _cohomology(M, 0).free_rank
+    if rank:
+        raise QRankError(rank)
+    return AbelianGroupInvariants(0, _cohomology(M, 1).factors)
 
 
 def _knot_group_order(t: TorusSpec) -> int:
@@ -138,7 +138,7 @@ def _knot_group_order(t: TorusSpec) -> int:
     subs = {decomposition_subgroup(t, v) for v in (INF, *t.ramified_primes())}
     if tuple(range(G.order)) in subs:
         return 1
-    return cohomology(G, trivial_lattice(G), 3).order
+    return cohomology(trivial_lattice(G), 3).order
 
 
 def sha_order(t: TorusSpec) -> int:
@@ -147,10 +147,11 @@ def sha_order(t: TorusSpec) -> int:
     return _knot_group_order(t)
 
 
+@lru_cache(maxsize=64)
 def ono_constant(t: TorusSpec) -> int:
-    if t.family == "norm-one":
-        return _knot_group_order(t)
-    if t.family == "quotient-by-gm" and isinstance(t.field, QuadField):
-        # Q-isomorphic to the norm-one torus via t -> t/s(t)
+    # quotient-by-gm over a quadratic field is Q-isomorphic to the norm-one
+    # torus via t -> t/s(t)
+    if t.family == "norm-one" or (t.family == "quotient-by-gm"
+                                  and isinstance(t.field, QuadField)):
         return _knot_group_order(t)
     raise UnsupportedTorusError(f"no Sha evaluator for {t.label}")

@@ -33,7 +33,7 @@ from functools import lru_cache
 from math import factorial, lcm
 
 from .errors import UnsupportedTorusError
-from .exactcore import IntMatrix, charpoly, eval_poly, is_prime, kronecker_symbol, smith_normal_form, vstack
+from .exactcore import IntMatrix, charpoly, eval_poly, is_prime, kronecker_symbol
 from .models import norm_form_model, unit_group_model
 from .quadfield import BiquadField, QuadField
 
@@ -230,31 +230,11 @@ def build_torus(family: str, field: QuadField | BiquadField) -> TorusSpec:
     return TorusSpec(family, field, dim, xstar, xstar.dual(), model, label)
 
 
-@lru_cache(maxsize=512)
-def q_rank(t: TorusSpec) -> int:
-    stacked = vstack([m - IntMatrix.identity(t.xstar.rank) for m in t.xstar.mats])
-    return t.xstar.rank - len(smith_normal_form(stacked))
-
-
 def is_good_prime(t: TorusSpec, p: int) -> bool:
     return is_prime(p) and (2 * t.splitting_disc()) % p != 0
 
 
 _BIQUAD_FROBENIUS = {(1, 1): 0, (1, -1): 1, (-1, 1): 2, (-1, -1): 3}
-
-
-def frobenius_element(t: TorusSpec, p: int) -> int:
-    """Index of the Frobenius at an unramified prime in Gal(K/Q)."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    field = t.field
-    if isinstance(field, QuadField):
-        if kronecker_symbol(field.D, p) == 0:
-            raise ValueError(f"p = {p} is ramified")
-    elif (kronecker_symbol(field.D1, p) == 0 or kronecker_symbol(field.D2, p) == 0
-          or kronecker_symbol(field.D3, p) == 0):
-        raise ValueError(f"p = {p} is ramified")
-    return _frobenius_index(field, p)
 
 
 def _frobenius_index(field: QuadField | BiquadField, p: int) -> int:
@@ -359,7 +339,7 @@ def decomposition_subgroup(t: TorusSpec, place) -> tuple[int, ...]:
         return (0, 1 + signs.index(True))
     chis = [field.chi(i, place) for i in (1, 2, 3)]
     if all(chis):
-        g = frobenius_element(t, place)
+        g = _frobenius_index(field, place)
         return (0,) if g == 0 else (0, g)
     unram = [i for i, c in enumerate(chis) if c != 0]
     if len(unram) == 1 and chis[unram[0]] == 1:

@@ -14,15 +14,15 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .cohomology import cohomology, h0_torsion_dual, ono_constant
+from .cohomology import cohomology, h0_torsion_dual, ono_constant, q_rank
 from .errors import (
     ConfigError,
     NotStabilizedError,
     QRankError,
     UnsupportedTorusError,
 )
-from .exactcore import is_prime, kronecker_symbol, primes_up_to
-from .galois import INF, TorusSpec, good_euler_terms, q_rank
+from .exactcore import kronecker_symbol, primes_up_to
+from .galois import TorusSpec, good_euler_terms
 from .localmeasure import bad_prime_density
 from .models import COUNT_BUDGET
 from .quadfield import (
@@ -40,7 +40,7 @@ GOOD_FACTOR_BOUND = 97
 # archimedean volume
 
 
-class ArchVolume(namedtuple("ArchVolume", "value abs_err torsion_order evaluations")):
+class ArchVolume(namedtuple("ArchVolume", "value abs_err evaluations")):
     """evaluations is always 0 (closed forms); perfbench/tracing.py reads it."""
 
     __slots__ = ()
@@ -101,9 +101,9 @@ def archimedean_volume(torus: TorusSpec) -> ArchVolume:
     if D < 0:
         w = torsion_unit_order(torus.field)
         value = 2.0 * math.pi / (w * math.sqrt(-D))
-        return ArchVolume(value, 8 * math.ulp(value), w, 0)
+        return ArchVolume(value, 8 * math.ulp(value), 0)
     value = norm_one_unit(D).regulator / math.sqrt(D)
-    return ArchVolume(value, 16 * math.ulp(value), 2, 0)
+    return ArchVolume(value, 16 * math.ulp(value), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -151,36 +151,13 @@ def l_value(D: int) -> Real:
     return Real(value, abs_err)
 
 
-def partial_l_value(torus: TorusSpec, places) -> Real:
-    """L_S(1): the L-value with the Euler factors at finite places of S
-    removed.  S must contain the infinite place and every bad prime."""
-    if not isinstance(torus.field, QuadField):
-        raise UnsupportedTorusError("partial L-values implemented for quadratic fields")
-    pl = set(places)
-    if INF not in pl:
-        raise ValueError("S must contain the infinite place")
-    finite = sorted(pl - {INF})
-    for p in finite:
-        if not is_prime(p):
-            raise ValueError(f"finite place {p} is not prime")
-    missing = set(torus.bad_primes()) - set(finite)
-    if missing:
-        raise ValueError(f"S is missing bad primes {sorted(missing)}")
-    D = torus.field.D
-    lv = l_value(D)
-    fac = Fraction(1)
-    for p in finite:
-        fac *= 1 - Fraction(kronecker_symbol(D, p), p)
-    return Real(lv.value * float(fac), lv.abs_err * float(fac))
-
-
 # ---------------------------------------------------------------------------
 # c_gamma: the class-group constant
 
 
-class CGammaResult(namedtuple("CGammaResult", "value heuristic trace")):
-    """heuristic is always False, as every route below is exact; trace is
-    always (), and perfbench/tracing.py reads it."""
+class CGammaResult(namedtuple("CGammaResult", "value trace")):
+    """trace is always (), as every route below is exact;
+    perfbench/tracing.py reads it."""
 
     __slots__ = ()
 
@@ -220,9 +197,9 @@ def c_gamma(torus: TorusSpec) -> CGammaResult:
             raise UnsupportedTorusError(
                 "c_gamma for res-scalars needs an imaginary field (unit rank 0)"
             )
-        return CGammaResult(class_group(field.D).h, False, ())
+        return CGammaResult(class_group(field.D).h, ())
     t = len(field.ramified_primes())
-    return CGammaResult(class_group(field.D).h >> (t - 1), False, ())
+    return CGammaResult(class_group(field.D).h >> (t - 1), ())
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +243,8 @@ def verify_tnc(
     rank = q_rank(torus)
     if rank != 0:
         raise QRankError(rank)
-    h1_order = cohomology(torus.group, torus.xstar, 1).order
-    h0_order = h0_torsion_dual(torus.group, torus.xstar).order
+    h1_order = cohomology(torus.xstar, 1).order
+    h0_order = h0_torsion_dual(torus.xstar).order
     # c_gamma first: it rejects the tori it has no route for before i(T)
     # computes H^3(G, Z) for nothing
     c = c_gamma(torus)
@@ -291,7 +268,11 @@ def verify_tnc(
         raise ConfigError(
             f"tol: {tau_tol:g} is below the closed-form accuracy 1e-12 of L(1, chi_D)"
         )
-    l_s = partial_l_value(torus, (INF, *bad))
+    # L_S(1): L(1, chi_D) without its Euler factors at the bad primes
+    D = torus.field.D
+    lv = l_value(D)
+    fac = float(math.prod(1 - Fraction(kronecker_symbol(D, p), p) for p in bad))
+    l_s = Real(lv.value * fac, lv.abs_err * fac)
     vol = archimedean_volume(torus)
     value = float(dens_prod) * vol.value / l_s.value
     err = (
@@ -303,7 +284,7 @@ def verify_tnc(
         raise ArithmeticError(f"tau error bound {err} exceeds tolerance {tau_tol}")
     tau = c.value * value
     values.update(tau_tam=Real(tau, c.value * err), c_gamma=c.value,
-                  c_gamma_heuristic=c.heuristic, sha_bk=c.value * i_t)
+                  c_gamma_heuristic=False, sha_bk=c.value * i_t)
     if h1_order != h0_order:
         return VerificationReport("tnc", inputs, values, FAIL,
                                   f"#H^1 = {h1_order} != {h0_order} = #H_0 torsion")

@@ -26,17 +26,10 @@ from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport
 
 
 class LocalDensity(namedtuple("LocalDensity", "value trace")):
-    """trace is ((k, count, ratio), ...) for the brute-force route, () for
-    the good-prime formula."""
+    """trace is ((k, count, ratio), ...), the levels of the brute-force
+    route."""
 
     __slots__ = ()
-
-
-def local_density_good(torus: TorusSpec, p: int) -> LocalDensity:
-    """Density at a good prime from the Frobenius charpoly count."""
-    if not is_good_prime(torus, p):
-        raise ValueError(f"p={p} is not a good prime for {torus.label}")
-    return LocalDensity(Fraction(point_count_Fp(torus, p), p ** torus.dim), ())
 
 
 def affine_model(torus: TorusSpec) -> AffineModel:
@@ -113,7 +106,9 @@ def cross_validate_density(
     """
     if p > 13:
         raise ValueError("brute-force cross-validation is limited to p <= 13")
-    good = local_density_good(torus, p)
+    if not is_good_prime(torus, p):
+        raise ValueError(f"p={p} is not a good prime for {torus.label}")
+    good = Fraction(point_count_Fp(torus, p), p ** torus.dim)
     model = affine_model(torus)
     inputs = {"torus": torus.label, "p": p}
     try:
@@ -122,21 +117,21 @@ def cross_validate_density(
         return VerificationReport(
             identity="local-density",
             inputs=inputs,
-            values={"good_formula": good.value, "trace": exc.trace},
+            values={"good_formula": good, "trace": exc.trace},
             verdict=INCONCLUSIVE,
             cause=str(exc),
         )
     values = {
-        "good_formula": good.value,
+        "good_formula": good,
         "brute_force": brute.value,
         "trace": brute.trace,
     }
-    if good.value == brute.value:
+    if good == brute.value:
         return VerificationReport("local-density", inputs, values, PASS)
     return VerificationReport(
         identity="local-density",
         inputs=inputs,
         values=values,
         verdict=FAIL,
-        cause=f"good-prime formula {good.value} != brute force {brute.value}",
+        cause=f"good-prime formula {good} != brute force {brute.value}",
     )

@@ -156,11 +156,11 @@ def class_group(D: int) -> ClassGroupData:
 # fundamental units of real quadratic fields via continued fractions
 
 
-class UnitData(namedtuple("UnitData", "D x y hx hy norm regulator")):
+class UnitData(namedtuple("UnitData", "hx hy norm regulator")):
     """Fundamental (or derived) unit of O_K, D > 0.
 
-    (x, y): coordinates w.r.t. (1, w); (hx, hy): the same unit written as
-    (hx + hy*sqrt(D))/2. norm in {+1, -1}; regulator = log of the unit under
+    (hx, hy): the unit written as (hx + hy*sqrt(D))/2, integral in the ring
+    basis (1, w). norm in {+1, -1}; regulator = log of the unit under
     the embedding with sqrt(D) > 0 (the larger absolute value).
     """
 
@@ -173,11 +173,10 @@ def _unit_from_halves(D: int, hx: int, hy: int) -> UnitData:
         raise ArithmeticError("not a unit")
     if (hx - hy * D) % 2:
         raise ArithmeticError("not integral in the ring basis")
-    x = (hx - hy * D) // 2
     # (hx + hy*sqrt(D))/2 = hx*(1 + sqrt(1 - 4*nrm/hx^2))/2 as hx^2 - D*hy^2 =
     # 4*nrm: the log of the int hx takes any size, where a float overflows
     reg = math.log(hx) + math.log((1.0 + math.sqrt(1.0 - 4 * nrm / (hx * hx))) / 2.0)
-    return UnitData(D, x, hy, hx, hy, nrm, reg)
+    return UnitData(hx, hy, nrm, reg)
 
 
 def fundamental_unit(D: int) -> UnitData:

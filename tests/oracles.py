@@ -1,7 +1,8 @@
 """Reference routes the tests check the package against, kept out of the
 package because no product code reads them: the Smith normal form with its
 unimodular transforms, kernel bases, group cohomology in kernel coordinates,
-class numbers from L(1, chi_D), the Tamagawa product over a larger set of
+class numbers from L(1, chi_D), the Frobenius element and the good-prime
+density, the partial L-value and the Tamagawa product over a larger set of
 places, the norm form, and small helpers on group tables and matrices."""
 
 import math
@@ -9,15 +10,16 @@ from collections import namedtuple
 from fractions import Fraction
 
 from tamagawa.cohomology import bar_boundary
-from tamagawa.exactcore import AbelianGroupInvariants, IntMatrix, invariants_from_relations
-from tamagawa.galois import INF, is_good_prime
-from tamagawa.globalasm import (
-    archimedean_volume,
-    l_value,
-    partial_l_value,
-    torsion_unit_order,
+from tamagawa.exactcore import (
+    AbelianGroupInvariants,
+    IntMatrix,
+    invariants_from_relations,
+    is_prime,
+    kronecker_symbol,
 )
-from tamagawa.localmeasure import bad_prime_density, local_density_good
+from tamagawa.galois import _frobenius_index, is_good_prime, point_count_Fp
+from tamagawa.globalasm import archimedean_volume, l_value, torsion_unit_order
+from tamagawa.localmeasure import LocalDensity, bad_prime_density
 from tamagawa.quadfield import QuadField, fundamental_unit, is_fundamental_discriminant
 from tamagawa.report import Real
 
@@ -229,6 +231,35 @@ def norm(field: QuadField, a: int, b: int) -> int:
     return a * a + D * a * b + ((D * D - D) // 4) * b * b
 
 
+def frobenius_element(t, p: int) -> int:
+    """Index of the Frobenius at an unramified prime in Gal(K/Q); a
+    ValueError at a non-prime or a ramified p."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    field = t.field
+    discs = (field.D,) if isinstance(field, QuadField) else field.subfield_discs
+    if any(kronecker_symbol(D, p) == 0 for D in discs):
+        raise ValueError(f"p = {p} is ramified")
+    return _frobenius_index(field, p)
+
+
+def local_density_good(torus, p: int) -> LocalDensity:
+    """Density at a good prime from the Frobenius charpoly count."""
+    if not is_good_prime(torus, p):
+        raise ValueError(f"p={p} is not a good prime for {torus.label}")
+    return LocalDensity(Fraction(point_count_Fp(torus, p), p ** torus.dim), ())
+
+
+def partial_l_value(torus, finite) -> Real:
+    """L_S(1) over S = the infinite place and the primes in `finite`: the
+    L-value with their Euler factors removed, scaled as the tnc row scales
+    it."""
+    D = torus.field.D
+    lv = l_value(D)
+    fac = float(math.prod(1 - Fraction(kronecker_symbol(D, p), p) for p in finite))
+    return Real(lv.value * fac, lv.abs_err * fac)
+
+
 def tau_over(torus, extra) -> Real:
     """L_S(1)^-1 * prod_{p in S} dens_p * vol over S = the infinite place,
     the bad primes and the primes in `extra`: the densities at good p by
@@ -240,7 +271,7 @@ def tau_over(torus, extra) -> Real:
     for p in s_finite:
         route = local_density_good if is_good_prime(torus, p) else bad_prime_density
         dens_prod *= route(torus, p).value
-    l_s = partial_l_value(torus, (INF, *s_finite))
+    l_s = partial_l_value(torus, s_finite)
     vol = archimedean_volume(torus)
     value = float(dens_prod) * vol.value / l_s.value
     err = (

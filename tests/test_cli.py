@@ -21,8 +21,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tamagawa import cli, galois, globalasm, localmeasure, report
+from tamagawa import cli, exactcore, galois, globalasm, localmeasure, report
 from tamagawa.cli import RunConfig, main, parse_torus, run_euler
+from tamagawa.cohomology import ono_constant
 from tamagawa.errors import ConfigError
 from tamagawa.exactcore import AbelianGroupInvariants, charpoly, primes_up_to
 from tamagawa.galois import euler_factor_at_one, is_good_prime, point_count_Fp
@@ -514,7 +515,7 @@ def test_tnc_fails_when_tau_misses_the_prediction(capsys, monkeypatch):
 
 def test_tnc_fails_when_h1_and_h0_torsion_differ(capsys, monkeypatch):
     monkeypatch.setattr(globalasm, "h0_torsion_dual",
-                        lambda group, lattice: AbelianGroupInvariants(0, (4,)))
+                        lambda lattice: AbelianGroupInvariants(0, (4,)))
     code, doc, _ = run_json(capsys, "verify", "tnc", "--torus", "norm1:-1")
     (row,) = doc["reports"]
     assert (code, row["verdict"]) == (1, FAIL)
@@ -645,6 +646,12 @@ PINNED_REPORTS = [
     # a real field whose fundamental unit has norm +1
     (("tnc", "--torus", "norm1:3"), 0,
      "a7b8bf22f3a0a760e0d15a4e39e83b8222d34ce8657013060cf363660dc91434"),
+    # every row over one torus, c_gamma = 3 and i(T) = 1 shared by sha-bk and tnc
+    (("all", "--torus", "norm1:-23"), 0,
+     "cb726f1bc9f750a7a479502fed8f9f1e7a9c5d8791635f1e16a636dd4523b744"),
+    # every row over a real field whose fundamental unit has norm -1
+    (("all", "--torus", "norm1:5"), 0,
+     "88707ef5e8f94342ed3378a7a638a380bf1cf9d8625c2280e002dd8d47e317ac"),
 ]
 
 
@@ -952,9 +959,9 @@ def test_all_skips_h3_where_c_gamma_has_no_route(capsys, monkeypatch):
     cohomology_module = importlib.import_module("tamagawa.cohomology")
     degrees = []
 
-    def counting(G, M, n, real=cohomology_module.cohomology):
+    def counting(M, n, real=cohomology_module.cohomology):
         degrees.append(n)
-        return real(G, M, n)
+        return real(M, n)
 
     for module in (cohomology_module, globalasm, cli):
         monkeypatch.setattr(module, "cohomology", counting)
@@ -1055,12 +1062,39 @@ def test_all_computes_each_bad_prime_density_once(capsys, monkeypatch):
     assert set(parse_torus("norm1:13").bad_primes()) <= {p for p, _ in calls}
 
 
-def test_all_computes_q_rank_once(capsys):
-    # run_all's gate and verify_tnc share one q_rank
-    galois.q_rank.cache_clear()
+def test_all_computes_i_t_once_and_reduces_d0_at_most_twice(capsys, monkeypatch):
+    # the sha-bk and tnc rows share one i(T); the Q-rank gates, H^1 and the
+    # H_0 torsion dual read d^0's Smith form from the cached H^0 and H^1.
+    # Every binding of each counted function is wrapped, and the caches
+    # start empty, so a call no wrapper sees cannot hide a recount
+    cohomology_module = importlib.import_module("tamagawa.cohomology")
+    d0 = cohomology_module.bar_boundary(parse_torus("norm1:-23").xstar, 0)
+    knots, reductions = [], []
+    real_knot = cohomology_module._knot_group_order
+    real_snf = exactcore.smith_normal_form
+
+    def counting_knot(t):
+        knots.append(t.label)
+        return real_knot(t)
+
+    def counting_snf(m):
+        if m == d0:
+            reductions.append(m)
+        return real_snf(m)
+
+    modules = [m for name, m in sys.modules.items() if name.startswith("tamagawa.")]
+    for module in modules:
+        for attr, value in list(vars(module).items()):
+            if value is real_knot:
+                monkeypatch.setattr(module, attr, counting_knot)
+            elif value is real_snf:
+                monkeypatch.setattr(module, attr, counting_snf)
+    cohomology_module._cohomology.cache_clear()
+    ono_constant.cache_clear()
     code, _, _ = run_cli(capsys, "verify", "all", "--torus", "norm1:-23")
     assert code == 0
-    assert galois.q_rank.cache_info().misses == 1
+    assert knots == ["norm1:-23"]
+    assert 1 <= len(reductions) <= 2
 
 
 def test_euler_computes_one_charpoly_per_galois_element(capsys, monkeypatch):

@@ -12,11 +12,13 @@ from tamagawa.cohomology import (
     cohomology,
     h0_torsion_dual,
     ono_constant,
+    q_rank,
     sha_order,
 )
-from tamagawa.errors import QRankError, UnsupportedTorusError
+from tamagawa.errors import BudgetExceededError, QRankError, UnsupportedTorusError
 from tamagawa.exactcore import IntMatrix, invariants_from_relations, primes_up_to
 from tamagawa.galois import (
+    FAMILIES,
     FiniteGroup,
     GaloisLattice,
     build_torus,
@@ -127,7 +129,7 @@ def _lattices_for_oracle():
 @pytest.mark.parametrize("name,lattice", _lattices_for_oracle())
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_cohomology_matches_cyclic_oracle(name, lattice, n):
-    got = cohomology(lattice.group, lattice, n)
+    got = cohomology(lattice, n)
     want = _cyclic_cohomology_oracle(lattice, n)
     assert got.free_rank == want.free_rank, (name, n, got, want)
     assert got.factors == want.factors, (name, n, got, want)
@@ -138,16 +140,16 @@ def test_cohomology_trivial_module_values():
     for m in (2, 3, 4):
         g = FiniteGroup.cyclic(m)
         tl = trivial_lattice(g, 1)
-        assert cohomology(g, tl, 0).describe() == "Z"
-        assert cohomology(g, tl, 1).order == 1
-        assert cohomology(g, tl, 2).factors == (m,)
-        assert cohomology(g, tl, 3).order == 1
+        assert cohomology(tl, 0).describe() == "Z"
+        assert cohomology(tl, 1).order == 1
+        assert cohomology(tl, 2).factors == (m,)
+        assert cohomology(tl, 3).order == 1
     # Klein four: H^1 = 0, H^2 = (Z/2)^2, H^3 = Z/2
     k4 = FiniteGroup.klein_four()
     tl = trivial_lattice(k4, 1)
-    assert cohomology(k4, tl, 1).order == 1
-    assert cohomology(k4, tl, 2).factors == (2, 2)
-    assert cohomology(k4, tl, 3).factors == (2,)
+    assert cohomology(tl, 1).order == 1
+    assert cohomology(tl, 2).factors == (2, 2)
+    assert cohomology(tl, 3).factors == (2,)
 
 
 def test_shapiro_vanishing():
@@ -155,8 +157,8 @@ def test_shapiro_vanishing():
     for field in (QuadField.from_d(-1), QuadField.from_d(7), BiquadField.from_pair(13, 17)):
         t = build_torus("res-scalars", field)
         for n in (1, 2, 3):
-            assert cohomology(t.group, t.xstar, n).order == 1, (t.label, n)
-        assert cohomology(t.group, t.xstar, 0).describe() == "Z"
+            assert cohomology(t.xstar, n).order == 1, (t.label, n)
+        assert cohomology(t.xstar, 0).describe() == "Z"
 
 
 def test_bar_boundary_squares_to_zero():
@@ -180,7 +182,7 @@ def test_cohomology_matches_kernel_coordinates(field, family, side):
     # the kernel coordinates of d^n, read off the transforms of its SNF
     lattice = getattr(build_torus(family, field), side)
     for n in (0, 1, 2):
-        assert cohomology(lattice.group, lattice, n) == \
+        assert cohomology(lattice, n) == \
             cohomology_in_kernel_coordinates(lattice, n), n
 
 
@@ -199,7 +201,7 @@ def test_rank_excess_is_an_arithmetic_error(monkeypatch):
     try:
         sign = _sign_lattice()
         with pytest.raises(ArithmeticError, match="d o d != 0"):
-            cohomology(sign.group, sign, 1)
+            cohomology(sign, 1)
     finally:
         module._cohomology.cache_clear()
 
@@ -207,32 +209,62 @@ def test_rank_excess_is_an_arithmetic_error(monkeypatch):
 def test_norm_one_h1():
     for d in (-1, -5, 13):
         t = build_torus("norm-one", QuadField.from_d(d))
-        assert cohomology(t.group, t.xstar, 1).factors == (2,)
+        assert cohomology(t.xstar, 1).factors == (2,)
     bq = build_torus("norm-one", BiquadField.from_pair(13, 17))
-    assert cohomology(bq.group, bq.xstar, 1).order == 4
+    assert cohomology(bq.xstar, 1).order == 4
 
 
 def test_h0_torsion_dual():
     t = build_torus("norm-one", QuadField.from_d(-1))
-    assert h0_torsion_dual(t.group, t.xstar).factors == (2,)
+    assert h0_torsion_dual(t.xstar).factors == (2,)
     bq = build_torus("norm-one", BiquadField.from_pair(2, 3))
-    assert h0_torsion_dual(bq.group, bq.xstar).order == 4
+    assert h0_torsion_dual(bq.xstar).order == 4
     # rank-deficient (positive Q-rank) inputs are rejected, not guessed at
     c2 = FiniteGroup.cyclic(2)
     swap = GaloisLattice(
         c2, 2, (IntMatrix.identity(2), IntMatrix.from_rows([[0, 1], [1, 0]]))
     )
-    with pytest.raises(QRankError):
-        h0_torsion_dual(c2, swap)
+    with pytest.raises(QRankError, match="^Assumption violated: Q-rank 1$"):
+        h0_torsion_dual(swap)
+
+
+@pytest.mark.parametrize("field", [
+    QuadField.from_d(-1), QuadField.from_d(5),
+    BiquadField.from_pair(2, 3), BiquadField.from_pair(13, 17),
+], ids=["-1", "5", "2,3", "13,17"])
+def test_q_rank_and_h0_torsion_dual_against_the_stacked_action(field):
+    # both read the cached H^0 and H^1; here d^0 = stack(g - 1) is built
+    # directly and reduced by the transform-tracking oracle SNF
+    for family in FAMILIES:
+        t = build_torus(family, field)
+        m = t.xstar
+        ident = IntMatrix.identity(m.rank)
+        stacked = IntMatrix.from_rows([row for g in m.mats for row in (g - ident).to_rows()])
+        snf = snf_with_transforms(stacked)
+        assert q_rank(t) == m.rank - snf.rank, t.label
+        if q_rank(t):
+            with pytest.raises(QRankError):
+                h0_torsion_dual(m)
+        else:
+            assert h0_torsion_dual(m).factors == tuple(x for x in snf.d if x > 1), t.label
+
+
+def test_cohomology_degree_and_size_limits():
+    tl = trivial_lattice(FiniteGroup.cyclic(2))
+    with pytest.raises(ValueError, match="^degree must be 0..3$"):
+        cohomology(tl, 4)
+    # bar_boundary's bound on rank * |G|^(n+1) is the only size check
+    with pytest.raises(BudgetExceededError, match="^boundary size 20736 exceeds 20000$"):
+        cohomology(trivial_lattice(FiniteGroup.cyclic(12)), 3)
 
 
 def test_sign_lattice_h_odd():
     sign = _sign_lattice()
     c2 = sign.group
-    assert cohomology(c2, sign, 0).order == 1
-    assert cohomology(c2, sign, 1).factors == (2,)
-    assert cohomology(c2, sign, 2).order == 1
-    assert cohomology(c2, sign, 3).factors == (2,)
+    assert cohomology(sign, 0).order == 1
+    assert cohomology(sign, 1).factors == (2,)
+    assert cohomology(sign, 2).order == 1
+    assert cohomology(sign, 3).factors == (2,)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamagawa import galois
+from tamagawa.cohomology import q_rank
 from tamagawa.errors import UnsupportedTorusError
 from tamagawa.exactcore import IntMatrix, charpoly, eval_poly, primes_up_to
 from tamagawa.galois import (
@@ -17,16 +18,14 @@ from tamagawa.galois import (
     build_torus,
     decomposition_subgroup,
     euler_factor_at_one,
-    frobenius_element,
     good_euler_terms,
     is_good_prime,
     point_count_Fp,
-    q_rank,
     trivial_lattice,
 )
 from tamagawa.models import count_points_mod
 from tamagawa.quadfield import BiquadField, QuadField
-from oracles import element_order, is_cyclic_subset, mul, subgroup_closure
+from oracles import element_order, frobenius_element, is_cyclic_subset, mul, subgroup_closure
 
 DS = (-1, -2, -3, -5, -6, -7, -10, -11, -13, -14, -15, -17, -19, -21, -23,
       2, 3, 5, 6, 7, 10, 11, 13, 15)

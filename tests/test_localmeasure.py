@@ -12,13 +12,12 @@ from tamagawa.galois import build_torus, is_good_prime
 from tamagawa.localmeasure import (
     bad_prime_density,
     cross_validate_density,
-    local_density_good,
     level_counts,
 )
 from tamagawa.models import count_points_mod, norm_form_model, unit_group_model
 from tamagawa.quadfield import BiquadField, QuadField
 from tamagawa.report import PASS
-from oracles import norm
+from oracles import local_density_good, norm
 
 
 BAD_DENSITIES = {
@@ -140,17 +139,20 @@ def test_bad_prime_density_validation():
 
 def test_local_density_dispatch():
     # the good-prime formula takes exactly the primes off 2 * disc, and
-    # brute force exactly the bad primes, the ones the tnc row reads
+    # brute force exactly the bad primes, the ones the tnc row reads; the
+    # cross-check rejects a bad prime before it counts anything
     for d in (-7, 5):
         t = build_torus("norm-one", QuadField.from_d(d))
         for p in (2, 3, 5, 7, 11, 13):
             if p in t.bad_primes():
                 assert not is_good_prime(t, p)
                 assert bad_prime_density(t, p).trace
-                with pytest.raises(ValueError, match="not a good prime"):
-                    local_density_good(t, p)
+                with pytest.raises(ValueError,
+                                   match=f"^p={p} is not a good prime for {t.label}$"):
+                    cross_validate_density(t, p)
             else:
-                assert local_density_good(t, p).trace == ()
+                good = cross_validate_density(t, p).values["good_formula"]
+                assert good == local_density_good(t, p).value
                 with pytest.raises(ValueError, match="neither ramified nor 2"):
                     bad_prime_density(t, p)
 

@@ -22,7 +22,7 @@ C3 = FiniteGroup.cyclic(3)
 SIGN = GaloisLattice(C2, 1, (I1, NEG1))
 MODEL_FIELDS = ("norm-one", 2, 1, -4)
 MODEL = AffineModel(*MODEL_FIELDS)
-VOLUME_FIELDS = (1.5707963267948966, 1.8e-15, 4, 0)
+VOLUME_FIELDS = (1.5707963267948966, 1.8e-15, 0)
 
 # record -> (one value per field, in field order; defaults of the trailing
 # fields, which a construction from the leading fields alone must give)
@@ -36,7 +36,7 @@ RECORDS = {
                 {"pmax": 97, "kmax": 3, "tol": 1e-6, "budget": 10**8, "jobs": 1, "out": None}),
     QuadField: ((-1, -4), {}),
     ClassGroupData: ((-4, 1, ((1, 0, 1),)), {}),
-    UnitData: ((5, 0, 1, 1, 1, -1, 0.4812118250596034), {}),
+    UnitData: ((1, 1, -1, 0.4812118250596034), {}),
     BiquadField: ((-1, 5, -5, -4, 5, -20), {}),
     AffineModel: (MODEL_FIELDS, {}),
     FiniteGroup: ((("e", "s"), ((0, 1), (1, 0))), {}),
@@ -44,7 +44,7 @@ RECORDS = {
     TorusSpec: (("norm-one", QuadField(-1, -4), 1, SIGN, SIGN.dual(), MODEL, "norm1:-1"), {}),
     LocalDensity: ((Fraction(2), ((1, 2, Fraction(2)),)), {}),
     ArchVolume: (VOLUME_FIELDS, {}),
-    CGammaResult: ((1, False, ()), {}),
+    CGammaResult: ((1, ()), {}),
 }
 
 # record -> [(field values, the ValueError message)]
