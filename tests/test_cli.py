@@ -569,6 +569,37 @@ def test_error_on_a_later_torus_writes_no_report(capsys, monkeypatch, tmp_path):
         "[timing] norm1", "internal error"]
 
 
+def _row_text(row):
+    """The text of `row` as a report renders it: the part of its one-row
+    document between the list's brackets."""
+    doc = render_report([row])
+    return doc[doc.index('"reports": [\n    ') + 17:doc.rindex("\n  ]")]
+
+
+def test_euler_fail_row_through_the_cli(capsys, monkeypatch):
+    terms = cli.good_euler_terms
+
+    def off_at_7(torus, primes):
+        for p, scaled, count in terms(torus, primes):
+            yield p, scaled + (p == 7), count
+
+    monkeypatch.setattr(cli, "good_euler_terms", off_at_7)
+    code, out, _ = run_cli(capsys, "verify", "euler", "--torus", "norm1:-1", "--pmax", "30")
+    assert code == 1
+    torus = parse_torus("norm1:-1")
+    scaled = euler_factor_at_one(torus, 7) * 7 + 1
+    count = point_count_Fp(torus, 7)
+    want = VerificationReport(
+        "euler", {"torus": "norm1:-1", "p": 7},
+        {"euler_factor": scaled / 7, "point_count": count, "density": Fraction(count, 7)},
+        FAIL, f"p^d * E_p(1) = {scaled} != {count}")
+    assert out.count(_row_text(want)) == 1
+    rows = json.loads(out)["reports"]
+    assert [r["inputs"]["p"] for r in rows if r["verdict"] == FAIL] == [7]
+    assert all(r["verdict"] == PASS for r in rows if r["inputs"]["p"] != 7)
+    assert len(rows) == 9  # the odd primes 3..29
+
+
 class _CountingSink:
     """A stdout that keeps only the number of characters written to it."""
 
@@ -652,6 +683,9 @@ PINNED_REPORTS = [
     # every row over a real field whose fundamental unit has norm -1
     (("all", "--torus", "norm1:5"), 0,
      "88707ef5e8f94342ed3378a7a638a380bf1cf9d8625c2280e002dd8d47e317ac"),
+    # a quadratic field, with split (p - 1 points) and inert (p + 1) rows
+    (("euler", "--torus", "quot:-42", "--pmax", "5000"), 0,
+     "41833fa83609793adfdab123ff3dae6dec26abd7d1f02e5b971fe03e284d256e"),
 ]
 
 
