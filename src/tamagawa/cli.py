@@ -34,7 +34,6 @@ import os
 import sys
 import time
 from collections import namedtuple
-from fractions import Fraction
 from itertools import islice
 from types import SimpleNamespace
 
@@ -62,8 +61,10 @@ from .report import (
     FAIL,
     INCONCLUSIVE,
     PASS,
+    RenderedRow,
     VerificationReport,
     render_report,
+    row_format,
     worst_exit_code,
     write_report_atomic,
 )
@@ -126,21 +127,24 @@ def parse_torus(spec: str) -> TorusSpec:
 
 
 def run_euler(torus: TorusSpec, cfg: RunConfig):
-    """The euler rows, one per good prime up to cfg.pmax, yielded as each is
-    computed: a report renders them as they come and keeps none."""
+    """The euler rows, one per good prime up to cfg.pmax, each filled into
+    the cached format of its shape as it is computed: a report appends the
+    text and keeps no row."""
+    keys = ("torus", "p"), ("euler_factor", "point_count", "density")
+    # the slots in sorted key order: [cause,] p, torus, density,
+    # euler_factor, point_count; a rational renders as "a/b"
+    fill = ("%d", json.dumps(torus.label).replace("%", "%%"), '"%d/%d"', '"%d/%d"', "%d")
+    ok = row_format("euler", PASS, False, *keys)[0] % fill
+    bad = row_format("euler", FAIL, True, *keys)[0] % ("%s", *fill)
     for p, scaled, count in good_euler_terms(torus, primes_up_to(cfg.pmax)):
         pd = p ** torus.dim
-        factor = Fraction(scaled, pd)
-        # factor * p^d is scaled, exactly: the comparison needs no Fraction
-        ok = scaled == count
-        yield VerificationReport(
-            identity="euler",
-            inputs={"torus": torus.label, "p": p},
-            values={"euler_factor": factor, "point_count": count,
-                    "density": factor if ok else Fraction(count, pd)},
-            verdict=PASS if ok else FAIL,
-            cause=None if ok else f"p^d * E_p(1) = {scaled} != {count}",
-        )
+        g = math.gcd(scaled, pd)  # E_p(1) = scaled/pd in lowest terms, as Fraction reduces it
+        if scaled == count:
+            yield RenderedRow(PASS, ok % (p, scaled // g, pd // g, scaled // g, pd // g, count))
+        else:
+            h = math.gcd(count, pd)
+            yield RenderedRow(FAIL, bad % (json.dumps(f"p^d * E_p(1) = {scaled} != {count}"),
+                                           p, count // h, pd // h, scaled // g, pd // g, count))
 
 
 def run_lifting(torus: TorusSpec, cfg: RunConfig):

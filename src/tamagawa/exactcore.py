@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, count
 from math import gcd, isqrt, prod
 
 
@@ -73,8 +73,17 @@ def primes_up_to(n: int) -> tuple[int, ...]:
     return tuple(compress(range(n + 1), sieve))
 
 
+# trial division stops here; each prime factor of what is left exceeds it
+_TRIAL_BOUND = 2**10
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of |n| as {p: multiplicity}; n must be nonzero."""
+    """Prime factorization of |n| as {p: multiplicity}; n must be nonzero.
+
+    Trial division up to _TRIAL_BOUND, then Brent's rho splits a composite
+    cofactor.  Every prime factor left after trial division is at least the
+    next trial divisor f, so a part below f^2 is prime untested, and every
+    other part is tested for primality once."""
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
@@ -90,6 +99,17 @@ def factorize(n: int) -> dict[int, int]:
             if is_prime(n):
                 break
             fresh = False
+        if f > _TRIAL_BOUND:  # n is composite
+            composites = [n]
+            while composites:
+                m = composites.pop()
+                g = _brent_split(m)
+                for part in (g, m // g):
+                    if part < f * f or is_prime(part):
+                        out[part] = out.get(part, 0) + 1
+                    else:
+                        composites.append(part)
+            return out
         for p in (f, f + 2):
             while n % p == 0:
                 out[p] = out.get(p, 0) + 1
@@ -99,6 +119,35 @@ def factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
+
+
+def _brent_split(n: int) -> int:
+    """A factor 1 < g < n of the composite n: Brent's cycle search on
+    x -> x^2 + c mod n from x = 2, taking gcds of products of 128
+    differences, for c = 1, 2, ... until one splits n (Brent, "An improved
+    Monte Carlo factorization algorithm", BIT 20, 1980; Cohen, ch. 8.5)."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the product passed a multiple of n: retrace its block
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:
+            return g
 
 
 def squarefree_part(n: int) -> int:

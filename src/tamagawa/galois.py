@@ -11,14 +11,20 @@ basis U = (e_0; e_1 - e_0; ...; e_{n-1} - e_{n-2}), whose inverse is the
 all-ones lower triangle; the sum vector becomes the first coordinate and the
 quotient action is the lower-right block of U P_g U^{-1}.
 
-Euler factors and point counts take two deliberately different routes, so
-their agreement is a real check, not a tautology.  For each Galois element g,
-with B = Fr^{-1} on X_* when Fr = g, once per torus:
+Euler factors and point counts take two routes to one polynomial.  For each
+Galois element g, with B = Fr^{-1} on X_* when Fr = g, once per torus:
 
   E_p(1) * p^d = charpoly(B)(p), by Faddeev-LeVerrier;
   |T(F_p)|    = det(x*I - B) at x = p, where that polynomial is interpolated
                 exactly from fraction-free (Bareiss) determinants at
                 x = 0..d.
+
+Both sides are polynomials of the same B, and charpoly(B) = det(x*I - B) by
+definition.  So an euler row compares Faddeev-LeVerrier with Bareiss
+interpolation at each good prime, not the Euler factor with a count of
+points, and a wrong Frobenius class passes it.  Comparing det(p - B) with
+the affine model's point count at a few primes of each class is the fix
+(ROADMAP item 3).
 
 Each prime then costs a dict lookup of its Frobenius class by its residue
 mod the field's conductor (Kronecker symbols once per residue) and two

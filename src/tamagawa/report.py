@@ -14,8 +14,11 @@ indent=2)` gives for the document's JSON form (a rational as "a/b", a Real
 as its object, a tuple as a list, a key as its str, the last of keys with
 one str), in one pass: with an indent, `json.dumps` leaves its C encoder
 unused.  Rows of one shape (identity, verdict, whether there is a cause,
-the keys) share one cached %-format that holds every key, brace and
-indent, so a row renders only its values.
+the keys) share one cached %-format, `row_format`, that holds every key,
+brace and indent, so a row renders only its values.  The euler rows, one
+per good prime and most of a report's rows, are filled into the format of
+their shape as they are computed and come as `RenderedRow`s, whose text is
+appended as it is.
 """
 
 from __future__ import annotations
@@ -41,6 +44,13 @@ IDENTITIES = ("euler", "lifting", "globalinv", "local-density", "tnc", "sha-bk")
 
 class Real(namedtuple("Real", "value abs_err")):
     """A float together with an absolute error bound, for JSON rendering."""
+
+    __slots__ = ()
+
+
+class RenderedRow(namedtuple("RenderedRow", "verdict text")):
+    """A row already filled into its shape's `row_format`, by a runner that
+    renders its rows as it computes them; a report appends its text."""
 
     __slots__ = ()
 
@@ -126,7 +136,7 @@ def _slots(keys):
 
 
 @lru_cache(maxsize=256)
-def _row_format(identity, verdict, has_cause, input_keys, value_keys):
+def row_format(identity, verdict, has_cause, input_keys, value_keys):
     """One row's text as a %-format, the keys in `json.dumps`'s sorted order,
     and the keys of inputs and of values that fill its slots."""
     inputs, input_names = _slots(input_keys)
@@ -145,25 +155,29 @@ def _fill(obj, names):
 
 def render_report(reports, config_echo=None) -> str:
     """The report document as `json.dumps(..., sort_keys=True, indent=2)`
-    renders its JSON form: each row fills the cached format of its shape.
-    `reports` is read once, so a generator's rows are rendered as they come
-    and none is kept; the text is joined once, from the head, each row and
-    its separator, and the tail."""
+    renders its JSON form: each row fills the cached format of its shape,
+    or comes filled as a `RenderedRow`.  `reports` is read once, so a
+    generator's rows are rendered as they come and none is kept; the text
+    is joined once, from the head, each row and its separator, and the
+    tail."""
     parts = ['{\n  "config_echo": ', _render(config_echo or {}, "\n  "), ',\n  "reports": [']
     append = parts.append
     sep = _ROW_NL
     for rep in reports:
+        append(sep)
+        sep = _NEXT_ROW
+        if type(rep) is RenderedRow:
+            append(rep.text)
+            continue
         inputs, values, cause = rep.inputs, rep.values, rep.cause
-        fmt, input_names, value_names = _row_format(
+        fmt, input_names, value_names = row_format(
             rep.identity, rep.verdict, cause is not None,
             tuple(inputs) if isinstance(inputs, dict) else None,
             tuple(values) if isinstance(values, dict) else None)
         args = [] if cause is None else [_render(cause, _FIELD_NL)]
         args += _fill(inputs, input_names)
         args += _fill(values, value_names)
-        append(sep)
         append(fmt % tuple(args))
-        sep = _NEXT_ROW
     append("\n  ]" if sep is _NEXT_ROW else "]")
     append(',\n  "version": ' + _render(SCHEMA_VERSION, "\n  ") + "\n}\n")
     return "".join(parts)

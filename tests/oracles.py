@@ -1,9 +1,10 @@
 """Reference routes the tests check the package against, kept out of the
 package because no product code reads them: the Smith normal form with its
 unimodular transforms, kernel bases, group cohomology in kernel coordinates,
-class numbers from L(1, chi_D), the Frobenius element and the good-prime
-density, the partial L-value and the Tamagawa product over a larger set of
-places, the norm form, and small helpers on group tables and matrices."""
+class numbers from L(1, chi_D), factorization by trial division, the
+Frobenius element and the good-prime density, the partial L-value and the
+Tamagawa product over a larger set of places, the norm form, and small
+helpers on group tables and matrices."""
 
 import math
 from collections import namedtuple
@@ -222,6 +223,35 @@ def _powers(G, g: int):
     while x != 0:
         out.append(x)
         x = G.table[x][g]
+    return out
+
+
+def factorize_by_trial_division(n: int) -> dict[int, int]:
+    """Prime factorization of |n| by trial division up to the square root of
+    the cofactor, which is tested for primality each time it changes."""
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    n = abs(n)
+    out: dict[int, int] = {}
+    for p in (2, 3):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    f = 5
+    fresh = True  # n has not been tested for primality since it last changed
+    while f * f <= n:
+        if fresh:
+            if is_prime(n):
+                break
+            fresh = False
+        for p in (f, f + 2):
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+                fresh = True
+        f += 6
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
     return out
 
 

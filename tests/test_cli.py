@@ -246,7 +246,7 @@ def test_render_matches_json_dumps_of_jsonable(reports, echo):
 
 
 def test_row_format_cache_is_bounded():
-    assert 0 < report._row_format.cache_info().maxsize < math.inf
+    assert 0 < report.row_format.cache_info().maxsize < math.inf
 
 
 @settings(max_examples=100, deadline=None)
@@ -1162,7 +1162,32 @@ def test_euler_rows_equal_rows_from_public_functions(spec):
             {"euler_factor": factor, "point_count": count,
              "density": Fraction(count, p ** torus.dim)},
             PASS if factor * p ** torus.dim == count else FAIL, None))
-    assert list(run_euler(torus, cfg)) == want
+    # the runner fills the rows' formats itself: the same verdicts, the same bytes
+    rows = list(run_euler(torus, cfg))
+    assert [r.verdict for r in rows] == [r.verdict for r in want]
+    assert render_report(rows, cfg.echo()) == render_report(want, cfg.echo())
+
+
+def test_euler_rows_are_not_built_or_walked_one_by_one(capsys, monkeypatch):
+    # ~300 rows, each filled into its cached format by the runner: neither a
+    # VerificationReport nor a walk of _render per row, only the config echo's
+    renders, reports = [], []
+    render, new = report._render, VerificationReport.__new__
+
+    def counting_render(obj, nl):
+        renders.append(obj)
+        return render(obj, nl)
+
+    def counting_new(cls, *args, **kwargs):
+        reports.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(report, "_render", counting_render)
+    monkeypatch.setattr(VerificationReport, "__new__", counting_new)
+    code, out, _ = run_cli(capsys, "verify", "euler", "--torus", "res:5,-3", "--pmax", "2000")
+    assert code == 0
+    assert out.count('"identity": "euler"') > 250
+    assert len(renders) <= 12 and reports == []
 
 
 def test_all_counts_each_level_once(capsys, monkeypatch):

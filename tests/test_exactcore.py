@@ -1,5 +1,6 @@
 """Exact-arithmetic substrate: primes, matrices, normal forms, charpoly."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -25,7 +26,7 @@ from tamagawa.exactcore import (
     squarefree_part,
     vstack,
 )
-from oracles import kernel_basis, snf_with_transforms
+from oracles import factorize_by_trial_division, kernel_basis, snf_with_transforms
 
 # ---------------------------------------------------------------------------
 # scalars
@@ -95,6 +96,23 @@ def test_factorize_tests_each_cofactor_for_primality_once(monkeypatch):
     calls.clear()
     assert factorize(2 * 3 * 5**3 * 1000003) == {2: 1, 3: 1, 5: 3, 1000003: 1}
     assert calls == [5**3 * 1000003, 1000003]
+
+
+@pytest.mark.parametrize("n", [
+    1031**2, 1031**3, 10007**2, 10007**3, 1000003**2, 1000003**3,  # prime powers
+    561, 41041,  # Carmichael numbers
+    1000003 * 1000033, 10000019 * 10000079,  # two primes above the trial bound
+    -2**40 * 1031**2 * 1033,
+])
+def test_factorize_matches_trial_division(n):
+    assert factorize(n) == factorize_by_trial_division(n)
+
+
+@given(st.lists(st.integers(2, 5000), min_size=1, max_size=3))
+def test_factorize_of_products_matches_trial_division(factors):
+    # the parts left after trial division to 2^10 are split by Brent's rho
+    n = math.prod(factors)
+    assert factorize(n) == factorize_by_trial_division(n)
 
 
 @given(st.integers(-300, 300), st.integers(-300, 300))
