@@ -133,7 +133,7 @@ def run_euler(torus: TorusSpec, cfg: RunConfig):
     keys = ("torus", "p"), ("euler_factor", "point_count", "density")
     # the slots in sorted key order: [cause,] p, torus, density,
     # euler_factor, point_count; a rational renders as "a/b"
-    fill = ("%d", json.dumps(torus.label).replace("%", "%%"), '"%d/%d"', '"%d/%d"', "%d")
+    fill = ("%d", json.dumps(torus.label), '"%d/%d"', '"%d/%d"', "%d")
     ok = row_format("euler", PASS, False, *keys)[0] % fill
     bad = row_format("euler", FAIL, True, *keys)[0] % ("%s", *fill)
     for p, scaled, count in good_euler_terms(torus, primes_up_to(cfg.pmax)):
