@@ -136,15 +136,17 @@ def run_euler(torus: TorusSpec, cfg: RunConfig):
     fill = ("%d", json.dumps(torus.label), '"%d/%d"', '"%d/%d"', "%d")
     ok = row_format("euler", PASS, False, *keys)[0] % fill
     bad = row_format("euler", FAIL, True, *keys)[0] % ("%s", *fill)
+    d = torus.dim
     for p, scaled, count in good_euler_terms(torus, primes_up_to(cfg.pmax)):
-        pd = p ** torus.dim
-        g = math.gcd(scaled, pd)  # E_p(1) = scaled/pd in lowest terms, as Fraction reduces it
+        pd = p ** d
+        g = math.gcd(scaled, pd)  # E_p(1) = a/b in lowest terms, as Fraction reduces it
+        a, b = scaled // g, pd // g
         if scaled == count:
-            yield RenderedRow(PASS, ok % (p, scaled // g, pd // g, scaled // g, pd // g, count))
+            yield RenderedRow(PASS, ok % (p, a, b, a, b, count))
         else:
             h = math.gcd(count, pd)
             yield RenderedRow(FAIL, bad % (json.dumps(f"p^d * E_p(1) = {scaled} != {count}"),
-                                           p, count // h, pd // h, scaled // g, pd // g, count))
+                                           p, count // h, pd // h, a, b, count))
 
 
 def run_lifting(torus: TorusSpec, cfg: RunConfig):

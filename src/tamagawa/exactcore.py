@@ -12,6 +12,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt, prod
+from operator import mul
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +263,10 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         n, m, k = self.rows, other.cols, self.cols
-        a, b = self.entries, other.entries
-        out = []
-        for i in range(n):
-            arow = a[i * k:(i + 1) * k]
-            for j in range(m):
-                out.append(sum(arow[t] * b[t * m + j] for t in range(k)))
-        return IntMatrix(n, m, tuple(out))
+        a = self.entries
+        rows = [a[i * k:(i + 1) * k] for i in range(n)]
+        cols = [other.entries[j::m] for j in range(m)]
+        return IntMatrix(n, m, tuple(sum(map(mul, row, col)) for row in rows for col in cols))
 
     __rmul__ = scale
 

@@ -21,14 +21,14 @@ Galois element g, with B = Fr^{-1} on X_* when Fr = g, once per torus:
 
 Both sides are polynomials of the same B, and charpoly(B) = det(x*I - B) by
 definition.  So an euler row compares Faddeev-LeVerrier with Bareiss
-interpolation at each good prime, not the Euler factor with a count of
-points, and a wrong Frobenius class passes it.  Comparing det(p - B) with
-the affine model's point count at a few primes of each class is the fix
-(ROADMAP item 3).
+interpolation, not the Euler factor with a count of points, and a wrong
+Frobenius class passes it.  Comparing det(p - B) with the affine model's
+point count at a few primes of each class is the fix (ROADMAP item 3).
 
 Each prime then costs a dict lookup of its Frobenius class by its residue
-mod the field's conductor (Kronecker symbols once per residue) and two
-polynomial evaluations.
+mod the field's conductor (Kronecker symbols once per residue) and one
+polynomial evaluation.  The two routes' coefficient tuples are compared
+once per class; only a class where they differ evaluates both at each p.
 """
 
 from __future__ import annotations
@@ -252,22 +252,29 @@ def _frobenius_index(field: QuadField | BiquadField, p: int) -> int:
 
 def _interpolated_det_poly(b: IntMatrix) -> tuple[int, ...]:
     """Coefficients of det(x*I - b), low degree first, interpolated exactly
-    from its Bareiss values at x = 0..n (Newton's forward differences)."""
+    from its Bareiss values at x = 0..n (Newton's forward differences).
+
+    The k-th difference over k! is the coefficient of x(x-1)...(x-k+1).
+    Monomials and these falling factorials are related by integer
+    unitriangular matrices (Stirling numbers of both kinds), so the
+    polynomial has integer coefficients if and only if every k! divides
+    its k-th difference: the sums stay in integers."""
     n = b.rows
     diffs = [(IntMatrix.identity(n).scale(x) - b).det() for x in range(n + 1)]
-    coeffs = [Fraction(0)] * (n + 1)
+    coeffs = [0] * (n + 1)
     basis = [1]  # x(x-1)...(x-k+1), low degree first
     for k in range(n + 1):
-        lead = Fraction(diffs[0], factorial(k))
+        lead, rem = divmod(diffs[0], factorial(k))
+        if rem:
+            raise ArithmeticError("det(x*I - B) interpolates to non-integer coefficients: "
+                                  f"forward difference {k} is {diffs[0]}, "
+                                  f"not a multiple of {factorial(k)}")
         for i, c in enumerate(basis):
             coeffs[i] += lead * c
         diffs = [hi - lo for lo, hi in zip(diffs, diffs[1:])]
         basis = [(basis[i - 1] if i else 0) - k * (basis[i] if i < len(basis) else 0)
                  for i in range(len(basis) + 1)]
-    if any(c.denominator != 1 for c in coeffs):
-        raise ArithmeticError("det(x*I - B) interpolates to non-integer coefficients "
-                              f"{', '.join(map(str, coeffs))}")
-    return tuple(int(c) for c in coeffs)
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=512)
@@ -283,8 +290,9 @@ def _frobenius_polynomials(t: TorusSpec) -> tuple[tuple[tuple[int, ...], tuple[i
 
 def good_euler_terms(t: TorusSpec, primes):
     """Yield (p, p^d * E_p(1), |T(F_p)|) for each p in `primes` (primes,
-    unchecked) that does not divide 2 * disc: the charpoly and the
-    determinant polynomial of Frobenius's class, each evaluated at p.
+    unchecked) that does not divide 2 * disc: the determinant polynomial of
+    Frobenius's class evaluated at p, and its charpoly as well where the
+    two differ.
 
     Frobenius's class is looked up by p mod |D| over a quadratic field and
     by p mod lcm(|D1|, |D2|) over a biquadratic one, so each residue class
@@ -292,7 +300,9 @@ def good_euler_terms(t: TorusSpec, primes):
     D, n -> (D|n) is a Dirichlet character mod |D|, so (D|p) = (D|q) for
     positive p = q mod |D|; and the biquadratic class is a function of
     ((D1|p), (D2|p)), each periodic mod its |Di|, hence of p mod their lcm."""
-    polys = _frobenius_polynomials(t)
+    # None for the charpoly of a class whose two coefficient tuples are
+    # equal: their values agree at every p, so one evaluation gives both
+    polys = [(None if cp == dp else cp, dp) for cp, dp in _frobenius_polynomials(t)]
     field = t.field
     two_disc = 2 * t.splitting_disc()
     period = abs(field.D) if isinstance(field, QuadField) else lcm(field.D1, field.D2)
@@ -308,7 +318,7 @@ def good_euler_terms(t: TorusSpec, primes):
         count = eval_poly(dp, p)
         if count <= 0:
             raise ArithmeticError("point count must be positive")
-        yield p, eval_poly(cp, p), count
+        yield p, count if cp is None else eval_poly(cp, p), count
 
 
 def _good_terms(t: TorusSpec, p: int) -> tuple[int, int, int]:

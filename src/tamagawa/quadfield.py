@@ -32,12 +32,16 @@ def is_fundamental_discriminant(D: int) -> bool:
     return False
 
 
+def _check_d(d: int) -> None:
+    if d in (0, 1) or squarefree_part(d) != d:
+        raise ValueError(f"d = {d} must be a squarefree integer other than 0 and 1")
+
+
 class QuadField(namedtuple("QuadField", "d D")):
     __slots__ = ()
 
     def __new__(cls, d: int, D: int):
-        if d in (0, 1) or squarefree_part(d) != d:
-            raise ValueError(f"d = {d} is not squarefree != 1")
+        _check_d(d)
         expected = d if d % 4 == 1 else 4 * d
         if D != expected:
             raise ValueError("disc does not match d")
@@ -231,9 +235,8 @@ class BiquadField(namedtuple("BiquadField", "d1 d2 d3 D1 D2 D3")):
 
     @classmethod
     def from_pair(cls, d1: int, d2: int) -> "BiquadField":
-        for d in (d1, d2):
-            if d in (0, 1) or squarefree_part(d) != d:
-                raise ValueError(f"d = {d} is not squarefree != 1")
+        _check_d(d1)
+        _check_d(d2)
         if d1 == d2:
             raise ValueError("subfields coincide")
         d3 = squarefree_part(d1 * d2)

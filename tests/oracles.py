@@ -3,8 +3,9 @@ package because no product code reads them: the Smith normal form with its
 unimodular transforms, kernel bases, group cohomology in kernel coordinates,
 class numbers from L(1, chi_D), factorization by trial division, the
 Frobenius element and the good-prime density, the partial L-value and the
-Tamagawa product over a larger set of places, the norm form, and small
-helpers on group tables and matrices."""
+Tamagawa product over a larger set of places, the norm form, the
+triple-loop matrix product, and small helpers on group tables and
+matrices."""
 
 import math
 from collections import namedtuple
@@ -189,6 +190,15 @@ def apply(m: IntMatrix, vec) -> tuple[int, ...]:
     if len(vec) != m.cols:
         raise ValueError("vector length mismatch")
     return tuple(sum(m.row(i)[j] * vec[j] for j in range(m.cols)) for i in range(m.rows))
+
+
+def matmul_naive(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """a * b by the triple loop over rows, columns and the inner index."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in product")
+    return IntMatrix(a.rows, b.cols, tuple(
+        sum(a.get(i, t) * b.get(t, j) for t in range(a.cols))
+        for i in range(a.rows) for j in range(b.cols)))
 
 
 def mul(G, i: int, j: int) -> int:

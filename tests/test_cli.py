@@ -294,6 +294,16 @@ def test_parse_torus_rejects(bad):
         parse_torus(bad)
 
 
+@pytest.mark.parametrize("spec, d", [("norm1:1", 1), ("quot:0", 0), ("norm1:-4", -4),
+                                     ("res:5,1", 1), ("norm1:12,13", 12)])
+def test_bad_field_names_what_d_must_be(capsys, spec, d):
+    # one message for a quadratic and a biquadratic field; 1 is squarefree
+    code, out, err = run_cli(capsys, "verify", "euler", "--torus", spec)
+    assert (code, out) == (64, "")
+    assert err == (f"config error: torus: cannot parse {spec!r}: "
+                   f"d = {d} must be a squarefree integer other than 0 and 1\n")
+
+
 # ---------------------------------------------------------------------------
 # exit codes and config validation
 
@@ -598,6 +608,35 @@ def test_euler_fail_row_through_the_cli(capsys, monkeypatch):
     assert [r["inputs"]["p"] for r in rows if r["verdict"] == FAIL] == [7]
     assert all(r["verdict"] == PASS for r in rows if r["inputs"]["p"] != 7)
     assert len(rows) == 9  # the odd primes 3..29
+
+
+def test_euler_route_mismatch_fails_through_the_cli(capsys, monkeypatch):
+    # class 1 (p = 3 mod 4) gets a det(x*I - B) that differs from its
+    # charpoly by 2 in the constant term: those rows FAIL, class 0's pass
+    polys = galois._frobenius_polynomials
+
+    def mutated(torus):
+        out = list(polys(torus))
+        cp, dp = out[1]
+        out[1] = cp, (dp[0] + 2, *dp[1:])
+        return tuple(out)
+
+    polys.cache_clear()
+    monkeypatch.setattr(galois, "_frobenius_polynomials", mutated)
+    code, out, _ = run_cli(capsys, "verify", "euler", "--torus", "norm1:-1", "--pmax", "30")
+    assert code == 1
+    rows = json.loads(out)["reports"]
+    verdicts = {r["inputs"]["p"]: (r["verdict"], r.get("cause")) for r in rows}
+    assert verdicts == {
+        **{p: (FAIL, f"p^d * E_p(1) = {p + 1} != {p + 3}") for p in (3, 7, 11, 19, 23)},
+        **{p: (PASS, None) for p in (5, 13, 17, 29)},
+    }
+    assert verdicts[3][1] == "p^d * E_p(1) = 4 != 6"
+    want = VerificationReport(
+        "euler", {"torus": "norm1:-1", "p": 7},
+        {"euler_factor": Fraction(8, 7), "point_count": 10, "density": Fraction(10, 7)},
+        FAIL, "p^d * E_p(1) = 8 != 10")
+    assert out.count(_row_text(want)) == 1
 
 
 class _CountingSink:
@@ -1144,6 +1183,36 @@ def test_euler_computes_one_charpoly_per_galois_element(capsys, monkeypatch):
         capsys, "verify", "euler", "--torus", "res:5,-3", "--pmax", "2000")
     assert code == 0
     assert 0 < len(calls) <= 4
+
+
+def test_euler_evaluates_one_polynomial_per_row_and_interpolates_in_integers(
+        capsys, monkeypatch):
+    # the two routes of every class of res:5,-3 have equal coefficient
+    # tuples, so each row evaluates one polynomial at p.  Every binding of
+    # eval_poly is wrapped, and the interpolation, run afresh, may build no
+    # Fraction
+    calls = []
+    real = exactcore.eval_poly
+
+    def counting(coeffs, x):
+        calls.append(x)
+        return real(coeffs, x)
+
+    def no_fraction(*args):
+        raise AssertionError("the interpolation built a Fraction")
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("tamagawa.")]:
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, attr, counting)
+    monkeypatch.setattr(galois, "Fraction", no_fraction)
+    galois._frobenius_polynomials.cache_clear()
+    code, out, _ = run_cli(
+        capsys, "verify", "euler", "--torus", "res:5,-3", "--pmax", "2000")
+    assert code == 0
+    rows = len(json.loads(out)["reports"])
+    assert rows > 250
+    assert rows <= len(calls) <= rows + 4
 
 
 @pytest.mark.parametrize("spec", ["res:5,-3", "norm1:-7", "quot:13", "norm1:13,17",

@@ -7,7 +7,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tamagawa import exactcore
@@ -26,7 +26,7 @@ from tamagawa.exactcore import (
     squarefree_part,
     vstack,
 )
-from oracles import factorize_by_trial_division, kernel_basis, snf_with_transforms
+from oracles import factorize_by_trial_division, kernel_basis, matmul_naive, snf_with_transforms
 
 # ---------------------------------------------------------------------------
 # scalars
@@ -172,9 +172,26 @@ def test_matrix_algebra():
         for j in range(2):
             assert c.get(i, j) == sum(a.get(i, k) * b.get(k, j) for k in range(4))
     assert (a + a - a).entries == a.entries
-    assert (2 * a).entries == a.scale(2).entries
+    assert (2 * a).entries == (a * 2).entries == a.scale(2).entries
     assert a.transpose().transpose().entries == a.entries
     assert vstack([a, a]).rows == 6
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5),
+       st.lists(st.integers(-10**6, 10**6), min_size=50, max_size=50))
+@example(3, 0, 2, [7] * 50)
+@example(0, 3, 2, [7] * 50)
+@example(2, 3, 0, [7] * 50)
+def test_product_matches_triple_loop(n, k, m, pool):
+    # shapes up to 5, with n x 0 times 0 x m the zero matrix
+    a = IntMatrix(n, k, tuple(pool[:n * k]))
+    b = IntMatrix(k, m, tuple(pool[25:25 + k * m]))
+    assert a * b == matmul_naive(a, b)
+    if k == 0:
+        assert a * b == IntMatrix.zeros(n, m)
+    with pytest.raises(ValueError, match="shape mismatch in product"):
+        a * IntMatrix.zeros(k + 1, m)
 
 
 def test_smith_normal_form_properties():

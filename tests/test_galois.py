@@ -185,6 +185,27 @@ def test_interpolated_det_poly_equals_charpoly():
             assert galois._interpolated_det_poly(b) == charpoly(b)
 
 
+def _matrix(rows, cols):
+    return st.lists(st.integers(-30, 30), min_size=rows * cols, max_size=rows * cols).map(
+        lambda flat: IntMatrix(rows, cols, tuple(flat)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 5), st.data())
+def test_interpolated_det_poly_matches_charpoly_on_integer_matrices(n, k, data):
+    # a product through an inner dimension k < n is singular: its constant
+    # term, +-det, is 0
+    if k < n:
+        m = data.draw(_matrix(n, k)) * data.draw(_matrix(k, n))
+    else:
+        m = data.draw(_matrix(n, n))
+    cp = charpoly(m)
+    assert galois._interpolated_det_poly(m) == cp
+    assert cp[0] == (-1) ** n * m.det()
+    if k < n:
+        assert cp[0] == 0
+
+
 def test_interpolation_rejects_non_integer_coefficients(monkeypatch):
     # values 0, 0, 1 at x = 0, 1, 2 interpolate to x(x - 1)/2
     monkeypatch.setattr(IntMatrix, "det", lambda self: (0, 0, 1)[self.get(0, 0)])

@@ -56,8 +56,8 @@ INVALID = {
                          (("euler", {}, {}, "MAYBE"), "unknown verdict 'MAYBE'"),
                          (("euler", {}, {}, FAIL), "FAIL/INCONCLUSIVE reports need a cause"),
                          (("euler", {}, {}, FAIL, ""), "FAIL/INCONCLUSIVE reports need a cause")],
-    QuadField: [((4, 16), "d = 4 is not squarefree != 1"),
-                ((1, 1), "d = 1 is not squarefree != 1"),
+    QuadField: [((4, 16), "d = 4 must be a squarefree integer other than 0 and 1"),
+                ((1, 1), "d = 1 must be a squarefree integer other than 0 and 1"),
                 ((-1, -1), "disc does not match d")],
     FiniteGroup: [((("e", "s"), ((0, 1),)), "table shape mismatch"),
                   ((("e", "s"), ((0, 1), (1, 2))), "table not closed"),
