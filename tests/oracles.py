@@ -4,8 +4,8 @@ unimodular transforms, kernel bases, group cohomology in kernel coordinates,
 class numbers from L(1, chi_D), factorization by trial division, the
 Frobenius element and the good-prime density, the partial L-value and the
 Tamagawa product over a larger set of places, the norm form, the
-triple-loop matrix product, and small helpers on group tables and
-matrices."""
+triple-loop matrix product, the norm-one lattice by conjugation, and small
+helpers on group tables and matrices."""
 
 import math
 from collections import namedtuple
@@ -19,7 +19,7 @@ from tamagawa.exactcore import (
     is_prime,
     kronecker_symbol,
 )
-from tamagawa.galois import _frobenius_index, is_good_prime, point_count_Fp
+from tamagawa.galois import _frobenius_index, _perm_matrices, is_good_prime, point_count_Fp
 from tamagawa.globalasm import archimedean_volume, l_value, torsion_unit_order
 from tamagawa.localmeasure import LocalDensity, bad_prime_density
 from tamagawa.quadfield import QuadField, fundamental_unit, is_fundamental_discriminant
@@ -199,6 +199,30 @@ def matmul_naive(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(a.rows, b.cols, tuple(
         sum(a.get(i, t) * b.get(t, j) for t in range(a.cols))
         for i in range(a.rows) for j in range(b.cols)))
+
+
+def norm_one_action_by_conjugation(group) -> tuple[IntMatrix, ...]:
+    """The action on Z[G] / Z*(sum of group elements), coordinatized through
+    the unimodular change of basis U = (e_0; e_1 - e_0; ...; e_{n-1} -
+    e_{n-2}), whose inverse is the all-ones lower triangle: the sum vector
+    becomes the first coordinate, and the quotient action is the lower-right
+    block of U P_h U^{-1}."""
+    n = group.order
+    u_rows = [[0] * n for _ in range(n)]
+    u_rows[0][0] = 1
+    for i in range(1, n):
+        u_rows[i][i] = 1
+        u_rows[i][i - 1] = -1
+    u = IntMatrix.from_rows(u_rows)
+    uinv = IntMatrix.from_rows([[1 if j <= i else 0 for j in range(n)] for i in range(n)])
+    out = []
+    for p in _perm_matrices(group):
+        conj = u * p * uinv
+        assert all(conj.get(i, 0) == (1 if i == 0 else 0) for i in range(n)), \
+            "sum vector is not fixed by the action"
+        out.append(IntMatrix.from_rows([[conj.get(i, j) for j in range(1, n)]
+                                        for i in range(1, n)]))
+    return tuple(out)
 
 
 def mul(G, i: int, j: int) -> int:

@@ -702,8 +702,12 @@ PINNED_REPORTS = [
      "6bcb9d53a46c1ddc204195dc6e80c94b86c821da72265b55d43900512d57111f"),
     (("all", "--torus", "quot:-5"), 0,
      "01b7773672f6a1c3fc54a976b360bcd14574a0a432f3ff92697500b1bc3b22a5"),
+    # h1 = Z/2 + Z/2 on norm-one, Z/4 on its dual torus: a dropped or
+    # misplaced dual of the lattice swaps them
     (("globalinv", "--torus", "norm1:13,17"), 0,
      "181038b0fb95cde5777c5bf044728b4e08599212c565619ef823e459547562c1"),
+    (("globalinv", "--torus", "quot:13,17"), 0,
+     "97235e875df4ee332c68c6236d67c451d9a709324ee32f9ad4f8e2ba6e0129a4"),
     (("tnc", "--torus", "norm1:13"), 0,
      "63aa59ff84344c1d8020a8508c43184d0f5b30f0ef36f16b5724e55b0cf38a7c"),
     (("tnc", "--torus", "norm1:-23", "--budget", "10000"), 2,

@@ -8,13 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamagawa import galois
-from tamagawa.cohomology import q_rank
+from tamagawa.cohomology import cohomology, q_rank
 from tamagawa.errors import UnsupportedTorusError
 from tamagawa.exactcore import IntMatrix, charpoly, eval_poly, primes_up_to
 from tamagawa.galois import (
     FAMILIES,
     INF,
     FiniteGroup,
+    GaloisLattice,
     build_torus,
     decomposition_subgroup,
     euler_factor_at_one,
@@ -25,7 +26,14 @@ from tamagawa.galois import (
 )
 from tamagawa.models import count_points_mod
 from tamagawa.quadfield import BiquadField, QuadField
-from oracles import element_order, frobenius_element, is_cyclic_subset, mul, subgroup_closure
+from oracles import (
+    element_order,
+    frobenius_element,
+    is_cyclic_subset,
+    mul,
+    norm_one_action_by_conjugation,
+    subgroup_closure,
+)
 
 DS = (-1, -2, -3, -5, -6, -7, -10, -11, -13, -14, -15, -17, -19, -21, -23,
       2, 3, 5, 6, 7, 10, 11, 13, 15)
@@ -107,6 +115,30 @@ def test_family_ranks_and_q_rank():
     assert q_rank(build_torus("norm-one", bq)) == 0
     assert q_rank(build_torus("res-scalars", bq)) == 1
     assert q_rank(build_torus("quotient-by-gm", bq)) == 0
+
+
+DUALITY_FIELDS = [QuadField.from_d(-23), QuadField.from_d(5), BiquadField.from_pair(13, 17),
+                  BiquadField.from_pair(-1, 2), BiquadField.from_pair(-3, 5)]
+DUALITY_IDS = ["-23", "5", "13,17", "-1,2", "-3,5"]
+
+
+@pytest.mark.parametrize("field", DUALITY_FIELDS, ids=DUALITY_IDS)
+def test_norm_one_and_quotient_are_dual_tori(field):
+    # Z[G]/Z*N is the dual of the augmentation kernel, and Z[G] its own dual
+    n1, qt, res = (build_torus(f, field) for f in ("norm-one", "quotient-by-gm", "res-scalars"))
+    assert n1.xcochar == qt.xstar
+    assert n1.xstar == qt.xcochar
+    assert res.xstar.dual() == res.xstar
+
+
+@pytest.mark.parametrize("field", DUALITY_FIELDS, ids=DUALITY_IDS)
+def test_norm_one_lattice_matches_the_conjugation_reference(field):
+    t = build_torus("norm-one", field)
+    ref = GaloisLattice(t.group, t.dim, norm_one_action_by_conjugation(t.group))
+    for n in range(4):
+        assert cohomology(t.xstar, n).describe() == cohomology(ref, n).describe()
+    for g in range(t.group.order):
+        assert charpoly(t.xstar.mats[g]) == charpoly(ref.mats[g])
 
 
 def test_norm_one_is_sign_rep_for_quadratic():
