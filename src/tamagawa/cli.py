@@ -27,7 +27,6 @@ go to stderr only.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 import os
@@ -54,7 +53,13 @@ from .galois import (
     is_good_prime,
 )
 from .globalasm import c_gamma, verify_tnc
-from .localmeasure import affine_model, bad_prime_density, cross_validate_density, level_counts
+from .localmeasure import (
+    CROSS_CHECK_PMAX,
+    affine_model,
+    bad_prime_density,
+    cross_validate_density,
+    level_counts,
+)
 from .models import COUNT_BUDGET
 from .quadfield import BiquadField, QuadField
 from .report import (
@@ -152,7 +157,7 @@ def run_euler(torus: TorusSpec, cfg: RunConfig):
 def run_lifting(torus: TorusSpec, cfg: RunConfig):
     model = affine_model(torus)
     rows = []
-    for p in primes_up_to(min(cfg.pmax, 13)):
+    for p in primes_up_to(min(cfg.pmax, CROSS_CHECK_PMAX)):
         if not is_good_prime(torus, p):
             continue
         counts = [count for _, count in islice(level_counts(model, p, cfg.budget), cfg.kmax)]
@@ -202,7 +207,7 @@ def run_density(torus: TorusSpec, cfg: RunConfig):
             rows.append(VerificationReport(
                 "local-density", inputs, {"trace": exc.trace},
                 INCONCLUSIVE, cause=str(exc)))
-    for p in primes_up_to(min(cfg.pmax, 13)):
+    for p in primes_up_to(min(cfg.pmax, CROSS_CHECK_PMAX)):
         if is_good_prime(torus, p):
             rows.append(cross_validate_density(torus, p, budget=cfg.budget))
     return rows
@@ -338,6 +343,8 @@ def _merge_config(args) -> RunConfig:
     )
     if cfg.out is not None and not isinstance(cfg.out, str):
         raise ConfigError("out: expected a file path string")
+    if cfg.out == "":
+        raise ConfigError("out: the file path is empty")
     cfg.validate()
     return cfg
 
@@ -544,20 +551,6 @@ def _write_stdout(text: str, what: str) -> bool:
 
 
 def main(argv=None) -> int:
-    # Move what the import left on the heap to the permanent generation, so
-    # that no collection during the run traverses it.  A caller that froze
-    # objects itself is left as it was.
-    freeze = gc.get_freeze_count() == 0
-    if freeze:
-        gc.freeze()
-    try:
-        return _main(argv)
-    finally:
-        if freeze:
-            gc.unfreeze()
-
-
-def _main(argv) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
     except UsageError as exc:

@@ -4,12 +4,12 @@ Three families over a quadratic or biquadratic field K with G = Gal(K/Q):
 
   res-scalars     X^* = Z[G], the regular permutation module
   norm-one        X^* = Z[G] / Z*(sum of group elements)
-  quotient-by-gm  X^* = augmentation kernel of Z[G]
+  quotient-by-gm  X^* = augmentation kernel I_G of Z[G]
 
-The norm-one quotient is coordinatized through the unimodular change of
-basis U = (e_0; e_1 - e_0; ...; e_{n-1} - e_{n-2}), whose inverse is the
-all-ones lower triangle; the sum vector becomes the first coordinate and the
-quotient action is the lower-right block of U P_g U^{-1}.
+Under the G-invariant pairing <g, h> = [g = h] on Z[G], Z[G] is its own dual
+(P_h^T = P_{h^{-1}}), and Z[G] / Z*(sum) is the dual of I_G: the norm-one
+torus and the quotient by G_m are dual tori.  So norm-one's X^* is built as
+the dual of I_G, and its X_* is I_G itself.
 
 Euler factors and point counts take two routes to one polynomial.  For each
 Galois element g, with B = Fr^{-1} on X_* when Fr = g, once per torus:
@@ -143,25 +143,6 @@ def _perm_matrices(group: FiniteGroup) -> tuple[IntMatrix, ...]:
     return tuple(out)
 
 
-def _norm_one_action(group: FiniteGroup) -> tuple[IntMatrix, ...]:
-    n = group.order
-    u_rows = [[0] * n for _ in range(n)]
-    u_rows[0][0] = 1
-    for i in range(1, n):
-        u_rows[i][i] = 1
-        u_rows[i][i - 1] = -1
-    u = IntMatrix.from_rows(u_rows)
-    uinv = IntMatrix.from_rows([[1 if j <= i else 0 for j in range(n)] for i in range(n)])
-    out = []
-    for p in _perm_matrices(group):
-        conj = u * p * uinv
-        block = [[conj.get(i, j) for j in range(1, n)] for i in range(1, n)]
-        if any(conj.get(i, 0) != (1 if i == 0 else 0) for i in range(n)):
-            raise ArithmeticError("sum vector is not fixed by the action")
-        out.append(IntMatrix.from_rows(block))
-    return tuple(out)
-
-
 def _aug_kernel_action(group: FiniteGroup) -> tuple[IntMatrix, ...]:
     # basis f_i = e_i - e_{n-1}, i < n-1; h.f_i = f_{h i} - f_{h (n-1)}
     n = group.order
@@ -209,31 +190,21 @@ def build_torus(family: str, field: QuadField | BiquadField) -> TorusSpec:
     if not quad and not isinstance(field, BiquadField):
         raise UnsupportedTorusError(f"unsupported field descriptor {field!r}")
     group = FiniteGroup.cyclic(2) if quad else FiniteGroup.klein_four()
-    n = group.order
-    model = None
     if family == "res-scalars":
-        xstar = GaloisLattice(group, n, _perm_matrices(group))
-        dim = n
-        if quad:
-            model = unit_group_model(field)
-    elif family == "norm-one":
-        xstar = GaloisLattice(group, n - 1, _norm_one_action(group))
-        dim = n - 1
-        if quad:
-            model = norm_form_model(field)
+        xstar = GaloisLattice(group, group.order, _perm_matrices(group))
     else:
-        xstar = GaloisLattice(group, n - 1, _aug_kernel_action(group))
-        dim = n - 1
-        if quad:
-            # over quadratic K this torus is Q-isomorphic to norm-one via
-            # t -> t/s(t), so it shares the norm-form model
-            model = norm_form_model(field)
+        xstar = GaloisLattice(group, group.order - 1, _aug_kernel_action(group))
+        if family == "norm-one":
+            xstar = xstar.dual()
     if quad:
+        # over quadratic K the quotient is Q-isomorphic to norm-one via
+        # t -> t/s(t), so it shares the norm-form model
+        model = unit_group_model(field) if family == "res-scalars" else norm_form_model(field)
         desc = str(field.d)
     else:
-        desc = f"{field.d1},{field.d2}"
+        model, desc = None, f"{field.d1},{field.d2}"
     label = f"{FAMILY_TAGS[family]}:{desc}"
-    return TorusSpec(family, field, dim, xstar, xstar.dual(), model, label)
+    return TorusSpec(family, field, xstar.rank, xstar, xstar.dual(), model, label)
 
 
 def is_good_prime(t: TorusSpec, p: int) -> bool:

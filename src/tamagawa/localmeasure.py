@@ -25,6 +25,11 @@ from .models import COUNT_BUDGET, AffineModel, count_points_mod
 from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport
 
 
+# the largest good prime at which the brute-force route cross-checks the
+# closed form: the affine enumeration stays cheap enough for two levels
+CROSS_CHECK_PMAX = 13
+
+
 class LocalDensity(namedtuple("LocalDensity", "value trace")):
     """trace is ((k, count, ratio), ...), the levels of the brute-force
     route."""
@@ -89,7 +94,7 @@ def bad_prime_density(
     """Density at a ramified prime or p=2 by stabilized brute force: three
     equal ratios in a row, or two at the top of the level ladder."""
     model = affine_model(torus)
-    if p != 2 and p not in torus.bad_primes():
+    if p not in torus.bad_primes():
         raise ValueError(f"p={p} is neither ramified nor 2 for {torus.label}")
     return _stabilized_density(model, p, budget, 3)
 
@@ -99,13 +104,10 @@ def cross_validate_density(
     p: int,
     budget: int = COUNT_BUDGET,
 ) -> VerificationReport:
-    """Exact equality check of the two density routes at a good prime.
-
-    Restricted to p <= 13 so the affine enumeration stays cheap enough
-    to run at least two levels.
-    """
-    if p > 13:
-        raise ValueError("brute-force cross-validation is limited to p <= 13")
+    """Exact equality check of the two density routes at a good prime
+    p <= CROSS_CHECK_PMAX."""
+    if p > CROSS_CHECK_PMAX:
+        raise ValueError(f"brute-force cross-validation is limited to p <= {CROSS_CHECK_PMAX}")
     if not is_good_prime(torus, p):
         raise ValueError(f"p={p} is not a good prime for {torus.label}")
     good = Fraction(point_count_Fp(torus, p), p ** torus.dim)

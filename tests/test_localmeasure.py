@@ -155,6 +155,10 @@ def test_local_density_dispatch():
                 assert good == local_density_good(t, p).value
                 with pytest.raises(ValueError, match="neither ramified nor 2"):
                     bad_prime_density(t, p)
+        # 17 is good for both fields, but above the cross-check's bound
+        with pytest.raises(ValueError,
+                           match=r"^brute-force cross-validation is limited to p <= 13$"):
+            cross_validate_density(t, 17)
 
 
 def test_res_density_routes_agree_at_2():
