@@ -11,6 +11,14 @@ Under the G-invariant pairing <g, h> = [g = h] on Z[G], Z[G] is its own dual
 torus and the quotient by G_m are dual tori.  So norm-one's X^* is built as
 the dual of I_G, and its X_* is I_G itself.
 
+K is described by the discriminants D_i of its quadratic subfields, and G
+by one table of their characters chi_i(g) = +-1.  Two rules read it: the
+Frobenius at an unramified p is the row equal to the Kronecker symbols
+(D_i | p); the decomposition group D_v is the set of g with chi(g) = 1 for
+every subfield character chi that splits at v ((D | p) = 1 at a prime p,
+D > 0 at infinity), so its fixed field is the largest subfield in which v
+splits completely.
+
 Euler factors and point counts take two routes to one polynomial.  For each
 Galois element g, with B = Fr^{-1} on X_* when Fr = g, once per torus:
 
@@ -36,7 +44,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, lcm, prod
 
 from .errors import UnsupportedTorusError
 from .exactcore import IntMatrix, charpoly, eval_poly, is_prime, kronecker_symbol
@@ -93,6 +101,14 @@ class FiniteGroup(namedtuple("FiniteGroup", "labels table")):
     def klein_four(cls) -> "FiniteGroup":
         table = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
         return cls(("e", "s1", "s2", "s3"), table)
+
+
+# chi_i(g) for field.subfield_discs, keyed by their number, in the element
+# numbering of FiniteGroup.cyclic(2) and klein_four()
+_CHARACTERS = {
+    1: ((1,), (-1,)),
+    3: ((1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)),
+}
 
 
 class GaloisLattice(namedtuple("GaloisLattice", "group rank mats")):
@@ -171,9 +187,7 @@ class TorusSpec(namedtuple("TorusSpec", "family field dim xstar xcochar model la
         return self.xstar.group
 
     def splitting_disc(self) -> int:
-        if isinstance(self.field, QuadField):
-            return self.field.D
-        return self.field.D1 * self.field.D2 * self.field.D3
+        return prod(self.field.subfield_discs)
 
     def ramified_primes(self) -> tuple[int, ...]:
         return self.field.ramified_primes()
@@ -191,11 +205,10 @@ def build_torus(family: str, field: QuadField | BiquadField) -> TorusSpec:
         raise UnsupportedTorusError(f"unsupported field descriptor {field!r}")
     group = FiniteGroup.cyclic(2) if quad else FiniteGroup.klein_four()
     if family == "res-scalars":
-        xstar = GaloisLattice(group, group.order, _perm_matrices(group))
+        xstar = xcochar = GaloisLattice(group, group.order, _perm_matrices(group))
     else:
-        xstar = GaloisLattice(group, group.order - 1, _aug_kernel_action(group))
-        if family == "norm-one":
-            xstar = xstar.dual()
+        aug = GaloisLattice(group, group.order - 1, _aug_kernel_action(group))
+        xstar, xcochar = (aug.dual(), aug) if family == "norm-one" else (aug, aug.dual())
     if quad:
         # over quadratic K the quotient is Q-isomorphic to norm-one via
         # t -> t/s(t), so it shares the norm-form model
@@ -204,21 +217,19 @@ def build_torus(family: str, field: QuadField | BiquadField) -> TorusSpec:
     else:
         model, desc = None, f"{field.d1},{field.d2}"
     label = f"{FAMILY_TAGS[family]}:{desc}"
-    return TorusSpec(family, field, xstar.rank, xstar, xstar.dual(), model, label)
+    return TorusSpec(family, field, xstar.rank, xstar, xcochar, model, label)
 
 
 def is_good_prime(t: TorusSpec, p: int) -> bool:
     return is_prime(p) and (2 * t.splitting_disc()) % p != 0
 
 
-_BIQUAD_FROBENIUS = {(1, 1): 0, (1, -1): 1, (-1, 1): 2, (-1, -1): 3}
-
-
 def _frobenius_index(field: QuadField | BiquadField, p: int) -> int:
     """Index of the Frobenius at a prime p known to be unramified in K."""
-    if isinstance(field, QuadField):
-        return 0 if kronecker_symbol(field.D, p) == 1 else 1
-    return _BIQUAD_FROBENIUS[kronecker_symbol(field.D1, p), kronecker_symbol(field.D2, p)]
+    discs = field.subfield_discs
+    # from a list: tuple() of a generator resizes its result, and each
+    # call would leave a 3-tuple on the interpreter's free list
+    return _CHARACTERS[len(discs)].index(tuple([kronecker_symbol(D, p) for D in discs]))
 
 
 def _interpolated_det_poly(b: IntMatrix) -> tuple[int, ...]:
@@ -265,18 +276,18 @@ def good_euler_terms(t: TorusSpec, primes):
     Frobenius's class evaluated at p, and its charpoly as well where the
     two differ.
 
-    Frobenius's class is looked up by p mod |D| over a quadratic field and
-    by p mod lcm(|D1|, |D2|) over a biquadratic one, so each residue class
-    pays for its Kronecker symbols once.  This is exact: for a discriminant
-    D, n -> (D|n) is a Dirichlet character mod |D|, so (D|p) = (D|q) for
-    positive p = q mod |D|; and the biquadratic class is a function of
-    ((D1|p), (D2|p)), each periodic mod its |Di|, hence of p mod their lcm."""
+    Frobenius's class is looked up by p mod the lcm of the |D_i|, which is
+    |D| over a quadratic field and lcm(|D1|, |D2|) over a biquadratic one,
+    so each residue class pays for its Kronecker symbols once.  This is
+    exact: for a discriminant D, n -> (D|n) is a Dirichlet character mod
+    |D|, so (D|p) = (D|q) for positive p = q mod |D|, and the class is a
+    function of the (D_i|p)."""
     # None for the charpoly of a class whose two coefficient tuples are
     # equal: their values agree at every p, so one evaluation gives both
     polys = [(None if cp == dp else cp, dp) for cp, dp in _frobenius_polynomials(t)]
     field = t.field
     two_disc = 2 * t.splitting_disc()
-    period = abs(field.D) if isinstance(field, QuadField) else lcm(field.D1, field.D2)
+    period = lcm(*field.subfield_discs)
     by_residue = {}
     for p in primes:
         if two_disc % p == 0:
@@ -312,23 +323,9 @@ def point_count_Fp(t: TorusSpec, p: int) -> int:
 
 def decomposition_subgroup(t: TorusSpec, place) -> tuple[int, ...]:
     """Element indices of the decomposition subgroup at a place (prime or
-    INF), identity first."""
-    field = t.field
-    if isinstance(field, QuadField):
-        if place == INF:
-            return (0, 1) if field.d < 0 else (0,)
-        chi = kronecker_symbol(field.D, place)
-        return (0,) if chi == 1 else (0, 1)
-    if place == INF:
-        signs = [field.d1 > 0, field.d2 > 0, field.d3 > 0]
-        if all(signs):
-            return (0,)
-        return (0, 1 + signs.index(True))
-    chis = [field.chi(i, place) for i in (1, 2, 3)]
-    if all(chis):
-        g = _frobenius_index(field, place)
-        return (0,) if g == 0 else (0, g)
-    unram = [i for i, c in enumerate(chis) if c != 0]
-    if len(unram) == 1 and chis[unram[0]] == 1:
-        return (0, 1 + unram[0])
-    return (0, 1, 2, 3)
+    INF), identity first: the g on which every subfield character that
+    splits at the place is 1."""
+    discs = t.field.subfield_discs
+    split = [D > 0 if place == INF else kronecker_symbol(D, place) == 1 for D in discs]
+    return tuple(g for g, row in enumerate(_CHARACTERS[len(discs)])
+                 if all(c == 1 for c, s in zip(row, split) if s))

@@ -6,9 +6,9 @@ D = d (d = 1 mod 4) or 4d, ring basis (1, w) with w = (D + sqrt(D))/2, so
 N(a + b*w) = a^2 + D*a*b + ((D^2 - D)/4)*b^2 and w has minimal polynomial
 x^2 - D*x + (D^2 - D)/4.
 
-Biquadratic composita Q(sqrt(d1), sqrt(d2)) are carried as the triple of
-quadratic characters of the three quadratic subfields; no general number
-field machinery.
+Both kinds of field are described by the discriminants of their quadratic
+subfields, subfield_discs: (D,) for Q(sqrt(d)), (D1, D2, D3) for the
+compositum Q(sqrt(d1), sqrt(d2)); no general number field machinery.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import isqrt
 
-from .exactcore import factorize, kronecker_symbol, squarefree_part
+from .exactcore import factorize, squarefree_part
 
 
 def is_fundamental_discriminant(D: int) -> bool:
@@ -37,7 +37,16 @@ def _check_d(d: int) -> None:
         raise ValueError(f"d = {d} must be a squarefree integer other than 0 and 1")
 
 
-class QuadField(namedtuple("QuadField", "d D")):
+class _Subfields:
+    """What QuadField and BiquadField read off their subfield_discs."""
+
+    __slots__ = ()
+
+    def ramified_primes(self) -> tuple[int, ...]:
+        return tuple(sorted({p for D in self.subfield_discs for p in factorize(D)}))
+
+
+class QuadField(_Subfields, namedtuple("QuadField", "d D")):
     __slots__ = ()
 
     def __new__(cls, d: int, D: int):
@@ -62,8 +71,9 @@ class QuadField(namedtuple("QuadField", "d D")):
     def is_imaginary(self) -> bool:
         return self.d < 0
 
-    def ramified_primes(self) -> tuple[int, ...]:
-        return tuple(sorted(factorize(self.D)))
+    @property
+    def subfield_discs(self) -> tuple[int]:
+        return (self.D,)
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +234,10 @@ def norm_one_unit(D: int) -> UnitData:
 
 
 # ---------------------------------------------------------------------------
-# biquadratic composita as character triples
+# biquadratic composita through their three quadratic subfields
 
 
-class BiquadField(namedtuple("BiquadField", "d1 d2 d3 D1 D2 D3")):
+class BiquadField(_Subfields, namedtuple("BiquadField", "d1 d2 d3 D1 D2 D3")):
     """Q(sqrt(d1), sqrt(d2)), Galois group (Z/2)^2, carried through its three
     quadratic subfields Q(sqrt(d1)), Q(sqrt(d2)), Q(sqrt(d3))."""
 
@@ -246,13 +256,3 @@ class BiquadField(namedtuple("BiquadField", "d1 d2 d3 D1 D2 D3")):
     @property
     def subfield_discs(self) -> tuple[int, int, int]:
         return (self.D1, self.D2, self.D3)
-
-    def ramified_primes(self) -> tuple[int, ...]:
-        ps: set[int] = set()
-        for D in self.subfield_discs:
-            ps.update(factorize(D))
-        return tuple(sorted(ps))
-
-    def chi(self, i: int, p: int) -> int:
-        """Character of the i-th quadratic subfield at p (i = 1, 2, 3)."""
-        return kronecker_symbol(self.subfield_discs[i - 1], p)

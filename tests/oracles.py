@@ -2,7 +2,8 @@
 package because no product code reads them: the Smith normal form with its
 unimodular transforms, kernel bases, group cohomology in kernel coordinates,
 class numbers from L(1, chi_D), factorization by trial division, the
-Frobenius element and the good-prime density, the partial L-value and the
+Frobenius element and the decomposition groups by cases over the field
+type, the good-prime density, the partial L-value and the
 Tamagawa product over a larger set of places, the norm form, the
 triple-loop matrix product, the norm-one lattice by conjugation, and small
 helpers on group tables and matrices."""
@@ -19,7 +20,7 @@ from tamagawa.exactcore import (
     is_prime,
     kronecker_symbol,
 )
-from tamagawa.galois import _frobenius_index, _perm_matrices, is_good_prime, point_count_Fp
+from tamagawa.galois import INF, _perm_matrices, is_good_prime, point_count_Fp
 from tamagawa.globalasm import archimedean_volume, l_value, torsion_unit_order
 from tamagawa.localmeasure import LocalDensity, bad_prime_density
 from tamagawa.quadfield import QuadField, fundamental_unit, is_fundamental_discriminant
@@ -295,16 +296,52 @@ def norm(field: QuadField, a: int, b: int) -> int:
     return a * a + D * a * b + ((D * D - D) // 4) * b * b
 
 
+_BIQUAD_FROBENIUS = {(1, 1): 0, (1, -1): 1, (-1, 1): 2, (-1, -1): 3}
+
+
+def frobenius_index_by_cases(field, p: int) -> int:
+    """Index of the Frobenius at a prime p unramified in K, from (D|p) over
+    a quadratic field and ((D1|p), (D2|p)) over a biquadratic one."""
+    if isinstance(field, QuadField):
+        return 0 if kronecker_symbol(field.D, p) == 1 else 1
+    return _BIQUAD_FROBENIUS[kronecker_symbol(field.D1, p), kronecker_symbol(field.D2, p)]
+
+
+def decomposition_subgroup_by_cases(t, place) -> tuple[int, ...]:
+    """The decomposition subgroup at a place, identity first, by cases: the
+    field type, infinity or a prime, and over a biquadratic field whether p
+    is unramified, ramified with one unramified subfield in which it splits,
+    or neither."""
+    field = t.field
+    if isinstance(field, QuadField):
+        if place == INF:
+            return (0, 1) if field.d < 0 else (0,)
+        chi = kronecker_symbol(field.D, place)
+        return (0,) if chi == 1 else (0, 1)
+    if place == INF:
+        signs = [field.d1 > 0, field.d2 > 0, field.d3 > 0]
+        if all(signs):
+            return (0,)
+        return (0, 1 + signs.index(True))
+    chis = [kronecker_symbol(D, place) for D in field.subfield_discs]
+    if all(chis):
+        g = frobenius_index_by_cases(field, place)
+        return (0,) if g == 0 else (0, g)
+    unram = [i for i, c in enumerate(chis) if c != 0]
+    if len(unram) == 1 and chis[unram[0]] == 1:
+        return (0, 1 + unram[0])
+    return (0, 1, 2, 3)
+
+
 def frobenius_element(t, p: int) -> int:
-    """Index of the Frobenius at an unramified prime in Gal(K/Q); a
-    ValueError at a non-prime or a ramified p."""
+    """Index of the Frobenius at an unramified prime in Gal(K/Q), by cases;
+    a ValueError at a non-prime or a ramified p."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     field = t.field
-    discs = (field.D,) if isinstance(field, QuadField) else field.subfield_discs
-    if any(kronecker_symbol(D, p) == 0 for D in discs):
+    if any(kronecker_symbol(D, p) == 0 for D in field.subfield_discs):
         raise ValueError(f"p = {p} is ramified")
-    return _frobenius_index(field, p)
+    return frobenius_index_by_cases(field, p)
 
 
 def local_density_good(torus, p: int) -> LocalDensity:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from tamagawa import galois
 from tamagawa.cohomology import cohomology, q_rank
 from tamagawa.errors import UnsupportedTorusError
-from tamagawa.exactcore import IntMatrix, charpoly, eval_poly, primes_up_to
+from tamagawa.exactcore import IntMatrix, charpoly, eval_poly, primes_up_to, squarefree_part
 from tamagawa.galois import (
     FAMILIES,
     INF,
@@ -27,8 +27,10 @@ from tamagawa.galois import (
 from tamagawa.models import count_points_mod
 from tamagawa.quadfield import BiquadField, QuadField
 from oracles import (
+    decomposition_subgroup_by_cases,
     element_order,
     frobenius_element,
+    frobenius_index_by_cases,
     is_cyclic_subset,
     mul,
     norm_one_action_by_conjugation,
@@ -313,6 +315,46 @@ def test_decomposition_biquadratic():
     tneg = build_torus("norm-one", BiquadField.from_pair(-1, 2))
     # complex conjugation fixes the one real subfield Q(sqrt 2) = K_2
     assert decomposition_subgroup(tneg, INF) == (0, 2)
+
+
+def test_character_rules_match_the_case_analysis():
+    # the two rules on the character table against the case analysis they
+    # replaced, on every quadratic field with squarefree |d| <= 30, every
+    # biquadratic pair of them, and the places INF and p <= 100
+    ds = [d for d in range(-30, 31) if d not in (0, 1) and squarefree_part(d) == d]
+    fields = [QuadField.from_d(d) for d in ds]
+    fields += [BiquadField.from_pair(a, b) for i, a in enumerate(ds) for b in ds[i + 1:]]
+    places = (INF, *primes_up_to(100))
+    assert (len(fields), len(fields) * len(places)) == (37 + 666, 18278)
+    for k in fields:
+        t = build_torus("norm-one", k)
+        for v in places:
+            assert decomposition_subgroup(t, v) == decomposition_subgroup_by_cases(t, v), (k, v)
+            if v != INF and t.splitting_disc() % v:
+                assert galois._frobenius_index(k, v) == frobenius_index_by_cases(k, v), (k, v)
+
+
+@pytest.mark.parametrize("field", [QuadField.from_d(-5), BiquadField.from_pair(13, 17)])
+def test_build_torus_validates_each_lattice_once(field, monkeypatch):
+    # Z[G] is its own dual; I_G and its dual serve norm-one and quot, in
+    # opposite roles
+    calls = []
+    real = GaloisLattice.__new__
+
+    def counting(cls, *args):
+        calls.append(cls)
+        return real(cls, *args)
+
+    monkeypatch.setattr(GaloisLattice, "__new__", staticmethod(counting))
+    built = {}
+    for family in FAMILIES:
+        calls.clear()
+        built[family] = build_torus.__wrapped__(family, field)
+        assert len(calls) == {"res-scalars": 1, "norm-one": 2, "quotient-by-gm": 2}[family]
+    monkeypatch.undo()
+    for t in built.values():
+        assert t.xcochar == t.xstar.dual()
+    assert built["norm-one"].xstar == built["quotient-by-gm"].xcochar
 
 
 def test_build_torus_rejections():

@@ -6,6 +6,8 @@ import math
 import pytest
 
 from tamagawa.errors import BudgetExceededError
+from tamagawa.exactcore import kronecker_symbol, primes_up_to
+from tamagawa.galois import _CHARACTERS
 from tamagawa.models import count_points_mod, norm_form_model, unit_group_model
 from tamagawa.quadfield import (
     BiquadField,
@@ -38,6 +40,7 @@ def test_quadfield_construction():
         QuadField(4, 16)  # not squarefree
     assert QuadField.from_d(-5).ramified_primes() == (2, 5)
     assert QuadField.from_d(-3).ramified_primes() == (3,)
+    assert QuadField.from_d(-5).subfield_discs == (-20,)
 
 
 def test_norm_form():
@@ -187,7 +190,13 @@ def test_biquad_construction():
 
 
 def test_biquad_chi():
-    b = BiquadField.from_pair(13, 17)
-    # chi_i(p) multiplicativity across the three quadratic subfields (1-based)
-    for p in (3, 5, 7, 11, 23, 29):
-        assert b.chi(3, p) == b.chi(1, p) * b.chi(2, p)
+    # the K4 character table: chi_3 = chi_1 * chi_2 on every element, and
+    # the Kronecker symbols of D1, D2 and D3 multiply at unramified p
+    for c1, c2, c3 in _CHARACTERS[3]:
+        assert c3 == c1 * c2
+    for b in (BiquadField.from_pair(13, 17), BiquadField.from_pair(-1, 2),
+              BiquadField.from_pair(2, 3), BiquadField.from_pair(-3, -7)):
+        D1, D2, D3 = b.subfield_discs
+        for p in primes_up_to(200):
+            if (D1 * D2 * D3) % p:
+                assert kronecker_symbol(D3, p) == kronecker_symbol(D1, p) * kronecker_symbol(D2, p)
