@@ -8,9 +8,9 @@ config error or violated structural assumption (Q-rank gate, unsupported
 family), 70 internal error (a failed internal consistency check), 73 the
 report could not be written to --out (EX_CANTCREAT), 74 it could not be
 written to stdout, say to a pipe whose reader has exited (EX_IOERR).
-The rows are rendered as they are computed and the report is written in
-one piece after the last: a run that exits 64 or 70 writes nothing to
-stdout or --out.
+The rows are rendered into one ASCII byte buffer as they are computed, and
+the report is written from it in one piece after the last: a run that exits
+64 or 70 writes nothing to stdout or --out.
 
 The grammar: the command `verify` first, then at most one identity anywhere.
 Long options only, each in full or as an unambiguous prefix (`--tor`), with
@@ -66,10 +66,9 @@ from .report import (
     FAIL,
     INCONCLUSIVE,
     PASS,
-    RenderedRow,
     VerificationReport,
-    render_report,
-    row_format,
+    euler_rows,
+    render_report_bytes,
     worst_exit_code,
     write_report_atomic,
 )
@@ -113,13 +112,22 @@ class RunConfig(namedtuple("RunConfig", "identity tori pmax kmax tol budget jobs
         return dict(zip(self._fields[:-2], self))
 
 
+def _decimal(s: str) -> int:
+    """`s` as an int if it is [+-]?[0-9]+: int() alone also reads "1_3",
+    " +13 " and the digits of other scripts."""
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"d must be ASCII decimal, not {s!r}")
+    return int(s)
+
+
 def parse_torus(spec: str) -> TorusSpec:
     try:
         tag, _, ds = spec.partition(":")
         if tag not in TAG_FAMILIES:
             raise ValueError(f"unknown family tag {tag!r}, expected one of "
                              f"{sorted(TAG_FAMILIES)}")
-        parts = [int(x) for x in ds.split(",")] if ds else []
+        parts = [_decimal(x) for x in ds.split(",")] if ds else []
         if len(parts) == 1:
             field = QuadField.from_d(parts[0])
         elif len(parts) == 2:
@@ -132,26 +140,9 @@ def parse_torus(spec: str) -> TorusSpec:
 
 
 def run_euler(torus: TorusSpec, cfg: RunConfig):
-    """The euler rows, one per good prime up to cfg.pmax, each filled into
-    the cached format of its shape as it is computed: a report appends the
-    text and keeps no row."""
-    keys = ("torus", "p"), ("euler_factor", "point_count", "density")
-    # the slots in sorted key order: [cause,] p, torus, density,
-    # euler_factor, point_count; a rational renders as "a/b"
-    fill = ("%d", json.dumps(torus.label), '"%d/%d"', '"%d/%d"', "%d")
-    ok = row_format("euler", PASS, False, *keys)[0] % fill
-    bad = row_format("euler", FAIL, True, *keys)[0] % ("%s", *fill)
-    d = torus.dim
-    for p, scaled, count in good_euler_terms(torus, primes_up_to(cfg.pmax)):
-        pd = p ** d
-        g = math.gcd(scaled, pd)  # E_p(1) = a/b in lowest terms, as Fraction reduces it
-        a, b = scaled // g, pd // g
-        if scaled == count:
-            yield RenderedRow(PASS, ok % (p, a, b, a, b, count))
-        else:
-            h = math.gcd(count, pd)
-            yield RenderedRow(FAIL, bad % (json.dumps(f"p^d * E_p(1) = {scaled} != {count}"),
-                                           p, count // h, pd // h, a, b, count))
+    """The euler rows, one per good prime up to cfg.pmax, filled into bytes
+    as they are computed: a report appends them and keeps no row."""
+    return euler_rows(torus.label, torus.dim, good_euler_terms(torus, primes_up_to(cfg.pmax)))
 
 
 def run_lifting(torus: TorusSpec, cfg: RunConfig):
@@ -534,13 +525,21 @@ def _rows(tori, cfg, seen):
               f"{time.monotonic() - t0:.2f}s", file=sys.stderr)
 
 
-def _write_stdout(text: str, what: str) -> bool:
-    """Write and flush `text`; False, with one error line, if stdout fails,
-    say a pipe whose reader has exited.  Its fd then points at os.devnull, so
-    that the flush at interpreter exit cannot fail again."""
+def _write_stdout(data: bytes, what: str) -> bool:
+    """Write and flush the ASCII `data` in one piece, to stdout's binary
+    layer, or as text to a stream that has none (redirect_stdout(StringIO)).
+    False, with one error line, if stdout fails, say a pipe whose reader has
+    exited.  Its fd then points at os.devnull, so that the flush at
+    interpreter exit cannot fail again."""
+    out = sys.stdout
     try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
+        out.flush()  # any text already written goes first
+        if hasattr(out, "buffer"):
+            out = out.buffer
+        else:
+            data = data.decode()
+        out.write(data)
+        out.flush()
         return True
     except OSError as exc:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -557,14 +556,14 @@ def main(argv=None) -> int:
         sys.stderr.write(f"{_usage()}tamagawa: error: {exc}\n")
         return 64
     if args is None:
-        return 0 if _write_stdout(_help(), "help") else 74
+        return 0 if _write_stdout(_help().encode(), "help") else 74
     try:
         cfg = _merge_config(args)
         tori = [parse_torus(s) for s in cfg.tori]
         # the rows are computed as the report renders them, so an error in
         # any of them ends the run before a byte of the report is written
         seen = {}
-        text = render_report(_rows(tori, cfg, seen), cfg.echo())
+        data = render_report_bytes(_rows(tori, cfg, seen), cfg.echo())
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 64
@@ -574,10 +573,10 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 70
-    code = worst_exit_code(seen.values()) if _write_stdout(text, "report") else 74
+    code = worst_exit_code(seen.values()) if _write_stdout(data, "report") else 74
     if cfg.out:
         try:
-            write_report_atomic(cfg.out, text)
+            write_report_atomic(cfg.out, data)
         except OSError as exc:
             print(f"error: cannot write report to {cfg.out}: {exc.strerror or exc}",
                   file=sys.stderr)

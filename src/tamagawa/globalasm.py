@@ -240,6 +240,10 @@ def verify_tnc(
     invariant #H^1(G, X^*) = #torsion(H_0(G, X^*)).  A non-stabilized
     density is INCONCLUSIVE, never silently dropped.
     """
+    # a tol of 1 or more is as coarse as the predictions #H^1/i(T) (2 on
+    # norm1:-1), so a wrong tau could PASS: a doubled c_gamma's 4 does at tol 5
+    if not tol < 1:
+        raise ConfigError(f"tol: {tol:g} must be below 1")
     rank = q_rank(torus)
     if rank != 0:
         raise QRankError(rank)

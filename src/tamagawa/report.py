@@ -9,22 +9,28 @@ whatever --jobs (which changes nothing) and --out say, so nothing time-
 dependent may enter these structures; wall-clock timings go to stderr in
 the CLI instead.
 
-`render_report` writes the text that `json.dumps(..., sort_keys=True,
+`render_report_bytes` writes the bytes that `json.dumps(..., sort_keys=True,
 indent=2)` gives for the document's JSON form (a rational as "a/b", a Real
 as its object, a tuple as a list, a key as its str, the last of keys with
 one str), in one pass: with an indent, `json.dumps` leaves its C encoder
-unused.  Rows of one shape (identity, verdict, whether there is a cause,
-the keys) share one cached %-format, `row_format`, that holds every key,
-brace and indent, so a row renders only its values.  The euler rows, one
-per good prime and most of a report's rows, are filled into the format of
-their shape as they are computed and come as `RenderedRow`s, whose text is
-appended as it is.
+unused.  The report is pure ASCII, since every key and string goes through
+`encode_basestring_ascii` or `json.dumps`, so it is built once, in one
+bytearray, which the CLI writes to stdout and --out in one piece: no list
+of rows, no joined str and no encoded copy is made.  `render_report`
+decodes that buffer for a caller that wants a str.  Rows of one shape
+(identity, verdict, whether there is a cause, the keys) share one cached
+%-format, `row_format`, that holds every key, brace and indent, so a row
+renders only its values.  The euler rows, one per good prime and nearly
+all of a report's bytes, are made by `euler_rows` as the runner computes
+them: each is filled into the bytes format of its verdict, and a run of
+them comes as one `RenderedRow`, whose bytes are appended as they are.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import stat
 from collections import namedtuple
@@ -49,8 +55,10 @@ class Real(namedtuple("Real", "value abs_err")):
 
 
 class RenderedRow(namedtuple("RenderedRow", "verdict text")):
-    """A row already filled into its shape's `row_format`, by a runner that
-    renders its rows as it computes them; a report appends its text."""
+    """One row, or a run of rows of one verdict joined as a report separates
+    them, already filled into its shape's `row_format` as ASCII bytes by a
+    runner that renders its rows as it computes them.  A report appends the
+    bytes as they are; `verdict` is that of every row in them."""
 
     __slots__ = ()
 
@@ -118,9 +126,13 @@ def _render(obj, nl: str) -> str:
 
 
 _ROW_NL = "\n    "
-_NEXT_ROW = "," + _ROW_NL
+_FIRST_ROW = _ROW_NL.encode()
+_NEXT_ROW = b"," + _FIRST_ROW
 _FIELD_NL = _ROW_NL + "  "
 _ENTRY_NL = _FIELD_NL + "  "
+# PASS euler rows per RenderedRow: a run joined in one piece passes through
+# the runners and the renderer once, and stays small beside the report
+EULER_CHUNK = 32
 
 
 def _slots(keys):
@@ -147,27 +159,62 @@ def row_format(identity, verdict, has_cause, input_keys, value_keys):
     return "{" + _FIELD_NL + ("," + _FIELD_NL).join(fields) + _ROW_NL + "}", input_names, value_names
 
 
+def euler_rows(label, dim, terms):
+    """The euler rows of the torus `label` of dimension d = `dim`, from its
+    good-prime terms (p, p^d * E_p(1), |T(F_p)|): a row PASSes when the two
+    counts agree.  Each row is filled into the bytes %-format of its
+    verdict, E_p(1) and the density as "a/b" in lowest terms, as Fraction
+    reduces them.  A run of up to EULER_CHUNK PASS rows comes as one
+    `RenderedRow`, joined as a report separates rows; a FAIL row comes
+    alone."""
+    keys = ("torus", "p"), ("euler_factor", "point_count", "density")
+    # the slots in sorted key order: [cause,] p, torus, density,
+    # euler_factor, point_count
+    fill = ("%d", _quote(label).replace("%", "%%"), '"%d/%d"', '"%d/%d"', "%d")
+    ok = (row_format("euler", PASS, False, *keys)[0] % fill).encode()
+    bad = (row_format("euler", FAIL, True, *keys)[0] % ("%s", *fill)).encode()
+    run = []
+    for p, scaled, count in terms:
+        pd = p ** dim
+        g = math.gcd(scaled, pd)
+        a, b = scaled // g, pd // g
+        if scaled == count:
+            run.append(ok % (p, a, b, a, b, count))
+            if len(run) < EULER_CHUNK:
+                continue
+            yield RenderedRow(PASS, _NEXT_ROW.join(run))
+        else:
+            if run:
+                yield RenderedRow(PASS, _NEXT_ROW.join(run))
+            h = math.gcd(count, pd)
+            cause = _quote(f"p^d * E_p(1) = {scaled} != {count}").encode()
+            yield RenderedRow(FAIL, bad % (cause, p, count // h, pd // h, a, b, count))
+        run = []
+    if run:
+        yield RenderedRow(PASS, _NEXT_ROW.join(run))
+
+
 def _fill(obj, names):
     if names is None:
         return [_render(obj, _FIELD_NL)]
     return [_render(obj[k], _ENTRY_NL) for k in names]
 
 
-def render_report(reports, config_echo=None) -> str:
+def render_report_bytes(reports, config_echo=None) -> bytearray:
     """The report document as `json.dumps(..., sort_keys=True, indent=2)`
-    renders its JSON form: each row fills the cached format of its shape,
-    or comes filled as a `RenderedRow`.  `reports` is read once, so a
-    generator's rows are rendered as they come and none is kept; the text
-    is joined once, from the head, each row and its separator, and the
-    tail."""
-    parts = ['{\n  "config_echo": ', _render(config_echo or {}, "\n  "), ',\n  "reports": [']
-    append = parts.append
-    sep = _ROW_NL
+    renders its JSON form, in ASCII: each row fills the cached format of
+    its shape, or comes filled as a `RenderedRow`.  `reports` is read once,
+    so a generator's rows are rendered as they come and none is kept; each
+    row's bytes are appended to the one buffer as it comes."""
+    buf = bytearray(b'{\n  "config_echo": ')
+    buf += _render(config_echo or {}, "\n  ").encode()
+    buf += b',\n  "reports": ['
+    sep = _FIRST_ROW
     for rep in reports:
-        append(sep)
+        buf += sep
         sep = _NEXT_ROW
         if type(rep) is RenderedRow:
-            append(rep.text)
+            buf += rep.text
             continue
         inputs, values, cause = rep.inputs, rep.values, rep.cause
         fmt, input_names, value_names = row_format(
@@ -177,10 +224,15 @@ def render_report(reports, config_echo=None) -> str:
         args = [] if cause is None else [_render(cause, _FIELD_NL)]
         args += _fill(inputs, input_names)
         args += _fill(values, value_names)
-        append(fmt % tuple(args))
-    append("\n  ]" if sep is _NEXT_ROW else "]")
-    append(',\n  "version": ' + _render(SCHEMA_VERSION, "\n  ") + "\n}\n")
-    return "".join(parts)
+        buf += (fmt % tuple(args)).encode()
+    buf += b"\n  ]" if sep is _NEXT_ROW else b"]"
+    buf += b',\n  "version": %d\n}\n' % SCHEMA_VERSION
+    return buf
+
+
+def render_report(reports, config_echo=None) -> str:
+    """`render_report_bytes`'s document as a str."""
+    return render_report_bytes(reports, config_echo).decode("ascii")
 
 
 def worst_exit_code(reports) -> int:
@@ -193,8 +245,8 @@ def worst_exit_code(reports) -> int:
     return 0
 
 
-def write_report_atomic(path: str, text: str) -> None:
-    """Write `text` to `path` through a temporary file renamed over it, so
+def write_report_atomic(path: str, data: bytes) -> None:
+    """Write `data` to `path` through a temporary file renamed over it, so
     no reader sees half a report.  An existing target that is not a regular
     file (a FIFO, a device) is written in place: a rename would replace it
     with a regular file.  Raises OSError when the report cannot be written,
@@ -204,8 +256,8 @@ def write_report_atomic(path: str, text: str) -> None:
     except FileNotFoundError:
         mode = None
     if mode is not None and not stat.S_ISREG(mode):
-        with open(path, "w") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(data)
         return
     dirpath = os.path.dirname(os.path.abspath(path))
     for n in itertools.count():
@@ -217,8 +269,8 @@ def write_report_atomic(path: str, text: str) -> None:
         except FileExistsError:
             continue
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -90,9 +90,9 @@ def test_worst_exit_code():
 
 def test_write_report_atomic(tmp_path):
     path = tmp_path / "r.json"
-    write_report_atomic(str(path), "old\n")
-    write_report_atomic(str(path), "new\n")
-    assert path.read_text() == "new\n"
+    write_report_atomic(str(path), b"old\n")
+    write_report_atomic(str(path), bytearray(b"new\n"))
+    assert path.read_bytes() == b"new\n"
     assert [p for p in os.listdir(tmp_path) if p.endswith(".tmp")] == []
 
 
@@ -100,8 +100,8 @@ def test_write_report_atomic(tmp_path):
 def test_write_report_gives_the_mode_of_a_new_file(tmp_path, umask):
     old = os.umask(umask)
     try:
-        write_report_atomic(str(tmp_path / "new.json"), "x\n")
-        write_report_atomic(str(tmp_path / "new.json"), "y\n")  # over a regular file
+        write_report_atomic(str(tmp_path / "new.json"), b"x\n")
+        write_report_atomic(str(tmp_path / "new.json"), b"y\n")  # over a regular file
         with open(tmp_path / "plain.json", "w") as fh:
             fh.write("x\n")
     finally:
@@ -114,11 +114,11 @@ def test_write_report_into_fifo_keeps_the_fifo(tmp_path):
     fifo = tmp_path / "pipe"
     os.mkfifo(fifo)
     got = []
-    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
     reader.start()
-    write_report_atomic(str(fifo), "report\n")
+    write_report_atomic(str(fifo), b"report\n")
     reader.join(timeout=10)
-    assert not reader.is_alive() and got == ["report\n"]
+    assert not reader.is_alive() and got == [b"report\n"]
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert sorted(os.listdir(tmp_path)) == ["pipe"]
 
@@ -309,6 +309,23 @@ def test_parse_torus_rejects(bad):
         parse_torus(bad)
 
 
+@pytest.mark.parametrize("spec, d", [
+    ("norm1:1_3", "1_3"), ("norm1: +13 ", " +13 "), ("norm1:\u0663", "\u0663"),
+    ("norm1:13,\uff11\uff17", "\uff11\uff17"), ("norm1:+-3", "+-3"), ("norm1:+", "+"),
+    ("norm1:13,", ""), ("res:-1,,5", "")])
+def test_d_is_ascii_decimal_only(capsys, spec, d):
+    # int() reads the first four as 13, 13, 3 and 13,17; the grammar is [+-]?[0-9]+
+    code, out, err = run_cli(capsys, "verify", "globalinv", "--torus", spec)
+    assert (code, out) == (64, "")
+    assert err == (f"config error: torus: cannot parse {spec!r}: "
+                   f"d must be ASCII decimal, not {d!r}\n")
+
+
+def test_d_may_carry_a_sign():
+    assert parse_torus("norm1:+13").label == "norm1:13"
+    assert parse_torus("res:-1,+5").label == "res:-1,5"
+
+
 @pytest.mark.parametrize("spec, d", [("norm1:1", 1), ("quot:0", 0), ("norm1:-4", -4),
                                      ("res:5,1", 1), ("norm1:12,13", 12)])
 def test_bad_field_names_what_d_must_be(capsys, spec, d):
@@ -398,6 +415,16 @@ def test_tol_below_l_value_accuracy_exits_64(capsys, identity, tol):
     assert out == ""
     assert "config error: tol:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("tol", ["1", "5", "1e300"])
+@pytest.mark.parametrize("identity", ["tnc", "all"])
+def test_tol_of_one_or_more_exits_64(capsys, identity, tol):
+    # a tol as coarse as the prediction 2 would let a wrong tau PASS
+    code, out, err = run_cli(
+        capsys, "verify", identity, "--torus", "norm1:-1", "--tol", tol)
+    assert (code, out) == (64, "")
+    assert err.splitlines() == [f"config error: tol: {float(tol):g} must be below 1"]
 
 
 def test_budget_ceiling(capsys):
@@ -686,6 +713,25 @@ def test_euler_report_peak_memory_is_bounded_by_its_text():
     assert peak <= 3 * sink.chars, (peak, sink.chars)
 
 
+def test_euler_report_peak_memory_is_its_bytes_written_once():
+    # a stdout with a binary layer gets the one buffer the report is built
+    # in: no row list, joined str or encoded copy adds to the traced peak
+    argv = ["verify", "euler", "--torus", "res:5,-3", "--pmax", "20000"]
+    sink = _CountingSink()
+    sink.buffer = _CountingSink()
+    with redirect_stdout(sink), redirect_stderr(io.StringIO()):
+        assert main(argv) == 0  # fill the caches before tracing
+        sink.buffer.chars = 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert sink.chars == 0 and sink.buffer.chars > 500_000
+    assert peak <= 1.3 * sink.buffer.chars, (peak, sink.buffer.chars)
+
+
 def test_euler_run_triggers_no_collection(capsys):
     # no row outlives its rendering, so the tracked heap does not grow.  The
     # collection first empties generation 0 of what earlier tests left there
@@ -933,6 +979,27 @@ def test_out_writes_stdout_text(capsys, tmp_path):
     )
     assert code == 0
     assert path.read_text() == out
+
+
+@pytest.mark.parametrize("target", ["file", "fifo"])
+def test_out_bytes_equal_stdout_bytes(tmp_path, target):
+    # both get the one buffer, stdout through its binary layer
+    path = tmp_path / "report.json"
+    got = []
+    if target == "fifo":
+        os.mkfifo(path)
+        reader = threading.Thread(target=lambda: got.append(path.read_bytes()), daemon=True)
+        reader.start()
+    proc = _console("verify", "all", "--torus", "norm1:-1", "--pmax", "3000",
+                    "--out", str(path), capture_output=True)
+    if target == "fifo":
+        reader.join(timeout=10)
+        assert stat.S_ISFIFO(os.stat(path).st_mode)
+    else:
+        got.append(path.read_bytes())
+    assert proc.returncode == 0 and len(proc.stdout) > 100_000
+    assert got == [proc.stdout]
+    assert proc.stdout.isascii()
 
 
 # ---------------------------------------------------------------------------
@@ -1239,10 +1306,29 @@ def test_euler_rows_equal_rows_from_public_functions(spec):
             {"euler_factor": factor, "point_count": count,
              "density": Fraction(count, p ** torus.dim)},
             PASS if factor * p ** torus.dim == count else FAIL, None))
-    # the runner fills the rows' formats itself: the same verdicts, the same bytes
+    # the runner fills the rows' formats itself: the same bytes, in runs of
+    # at most EULER_CHUNK rows of the verdict their RenderedRow names
     rows = list(run_euler(torus, cfg))
-    assert [r.verdict for r in rows] == [r.verdict for r in want]
     assert render_report(rows, cfg.echo()) == render_report(want, cfg.echo())
+    sizes = [r.text.count(b'"verdict": "' + r.verdict.encode()) for r in rows]
+    assert sizes == [r.text.count(b'"verdict"') for r in rows]
+    assert sum(sizes) == len(want) and max(sizes) <= report.EULER_CHUNK
+
+
+def test_euler_rows_join_runs_of_pass_rows_only(monkeypatch):
+    # seven PASS rows, a FAIL, two PASS: runs of at most three, the FAIL alone
+    monkeypatch.setattr(report, "EULER_CHUNK", 3)
+    primes = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+    terms = [(p, p - 1, p - 1 if p != 23 else p + 1) for p in primes]
+    rows = list(report.euler_rows("norm1:-3,%d", 1, terms))
+    assert [(r.verdict, r.text.count(b'"identity"')) for r in rows] == [
+        (PASS, 3), (PASS, 3), (PASS, 1), (FAIL, 1), (PASS, 2)]
+    want = [VerificationReport(
+        "euler", {"torus": "norm1:-3,%d", "p": p},
+        {"euler_factor": Fraction(s, p), "point_count": c, "density": Fraction(c, p)},
+        PASS if s == c else FAIL, None if s == c else f"p^d * E_p(1) = {s} != {c}")
+        for p, s, c in terms]
+    assert render_report(rows) == render_report(want)
 
 
 def test_euler_rows_are_not_built_or_walked_one_by_one(capsys, monkeypatch):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from tamagawa import globalasm
 from tamagawa.errors import ConfigError, QRankError, UnsupportedTorusError
 from tamagawa.exactcore import (
     IntMatrix,
@@ -361,6 +362,16 @@ def test_verify_tnc_real_field():
     rep = verify_tnc(norm_one(5), tol=1e-3)
     assert rep.verdict == "PASS"
     assert abs(rep.values["tau_tam"].value - 2.0) < 1e-3
+
+
+@pytest.mark.parametrize("tol", [1, 5.0, 1e300, math.inf, math.nan])
+def test_verify_tnc_rejects_a_tol_of_one_or_more(monkeypatch, tol):
+    # at tol 5 a doubled c_gamma's tau = 4 would PASS against the prediction 2
+    with pytest.raises(ConfigError, match="^tol: .* must be below 1$"):
+        verify_tnc(norm_one(-1), tol=tol)
+    real = globalasm.c_gamma
+    monkeypatch.setattr(globalasm, "c_gamma", lambda t: real(t)._replace(value=2))
+    assert verify_tnc(norm_one(-1), tol=0.999).verdict == "FAIL"
 
 
 def test_verify_tnc_rank_gate():
