@@ -12,7 +12,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt, prod
-from operator import mul
+from operator import add, mul, sub
 
 
 # ---------------------------------------------------------------------------
@@ -64,14 +64,19 @@ def is_prime(n: int) -> bool:
 
 @lru_cache(maxsize=32)
 def primes_up_to(n: int) -> tuple[int, ...]:
+    """The primes p <= n, ascending: 2, then an Eratosthenes sieve on the
+    odd numbers alone, whose byte i stands for 2i + 1."""
     if n < 2:
         return ()
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytearray(len(range(p * p, n + 1, p)))
-    return tuple(compress(range(n + 1), sieve))
+    half = (n + 1) // 2  # the odd numbers 1, 3, ..., up to n
+    sieve = bytearray([1]) * half
+    sieve[0] = 0
+    for i in range(1, (isqrt(n) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2  # p^2 = 2 * start + 1; odd multiples are 2p apart
+            sieve[start::p] = bytes(len(range(start, half, p)))
+    return (2, *compress(range(1, n + 1, 2), sieve))
 
 
 # trial division stops here; each prime factor of what is left exceeds it
@@ -220,14 +225,13 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
 
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
+        entries = [0] * (n * n)
+        entries[::n + 1] = [1] * n
+        return cls(n, n, tuple(entries))
 
     @classmethod
     def zeros(cls, nr: int, nc: int) -> "IntMatrix":
         return cls(nr, nc, (0,) * (nr * nc))
-
-    def get(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
 
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
@@ -236,26 +240,23 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)),
-        )
+        e, nc = self.entries, self.cols
+        return IntMatrix(nc, self.rows, tuple([x for j in range(nc) for x in e[j::nc]]))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return IntMatrix(self.rows, self.cols, tuple(map(add, self.entries, other.entries)))
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_shape(other)
-        return IntMatrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.entries, other.entries)))
+        return IntMatrix(self.rows, self.cols, tuple(map(sub, self.entries, other.entries)))
 
     def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple(k * a for a in self.entries))
+        return IntMatrix(self.rows, self.cols, tuple([k * a for a in self.entries]))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -266,14 +267,9 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         a = self.entries
         rows = [a[i * k:(i + 1) * k] for i in range(n)]
         cols = [other.entries[j::m] for j in range(m)]
-        return IntMatrix(n, m, tuple(sum(map(mul, row, col)) for row in rows for col in cols))
+        return IntMatrix(n, m, tuple([sum(map(mul, row, col)) for row in rows for col in cols]))
 
     __rmul__ = scale
-
-    def trace(self) -> int:
-        if self.rows != self.cols:
-            raise ValueError("trace of non-square matrix")
-        return sum(self.get(i, i) for i in range(self.rows))
 
     def det(self) -> int:
         """Fraction-free Bareiss elimination."""
@@ -282,7 +278,8 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         n = self.rows
         if n == 0:
             return 1
-        a = self.to_rows()
+        e = self.entries
+        a = [list(e[i * n:(i + 1) * n]) for i in range(n)]
         sign = 1
         prev = 1
         for k in range(n - 1):
@@ -379,19 +376,30 @@ def row_lattice_index(m: IntMatrix) -> int:
 def charpoly(m: IntMatrix) -> tuple[int, ...]:
     """Coefficients c_0..c_n of det(x*I - m), low degree first.
 
-    Faddeev-LeVerrier: all divisions are exact over Z.
+    Faddeev-LeVerrier (Cohen, A Course in Computational Algebraic Number
+    Theory, section 2.2): with M_1 = I and c_n = 1,
+
+        c_{n-k} = -tr(m M_k) / k,    M_{k+1} = m M_k + c_{n-k} I,
+
+    and every division is exact over Z.  Each product m M_k serves both
+    its trace and the next M, and m M_1 = m is free: n - 1 products, on
+    lists of rows.  M_k is a polynomial in m, so m M_k = M_k m, whose
+    entries are dot products of M_k's rows with m's columns, sliced once.
     """
     if m.rows != m.cols:
         raise ValueError("charpoly of non-square matrix")
     n = m.rows
+    e = m.entries
+    cols = [e[j::n] for j in range(n)]
     c = [0] * (n + 1)
     c[n] = 1
-    mk = IntMatrix.zeros(n, n)
-    ident = IntMatrix.identity(n)
+    mk = [list(e[i * n:(i + 1) * n]) for i in range(n)]  # m M_1
     for k in range(1, n + 1):
-        mk = m * mk + ident.scale(c[n - k + 1])
-        prod = m * mk
-        c[n - k] = -prod.trace() // k
+        c[n - k] = ck = -sum([mk[i][i] for i in range(n)]) // k
+        if k < n:
+            for i in range(n):
+                mk[i][i] += ck  # now M_{k+1}
+            mk = [[sum(map(mul, row, col)) for col in cols] for row in mk]
     return tuple(c)
 
 

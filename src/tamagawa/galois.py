@@ -33,8 +33,11 @@ interpolation, not the Euler factor with a count of points, and a wrong
 Frobenius class passes it.  Comparing det(p - B) with the affine model's
 point count at a few primes of each class is the fix (ROADMAP item 3).
 
-Each prime then costs a dict lookup of its Frobenius class by its residue
-mod the field's conductor (Kronecker symbols once per residue) and one
+The setup, once per torus, is |G| charpolys of d x d matrices (d - 1
+products each, on lists of rows, no IntMatrix) and (d + 1)|G| Bareiss
+determinants, each of one x*I - B built straight from B's entries.  Each
+prime then costs a dict lookup of its Frobenius class by its residue mod
+the field's conductor (Kronecker symbols once per residue) and one
 polynomial evaluation.  The two routes' coefficient tuples are compared
 once per class; only a class where they differ evaluates both at each p.
 """
@@ -242,7 +245,12 @@ def _interpolated_det_poly(b: IntMatrix) -> tuple[int, ...]:
     polynomial has integer coefficients if and only if every k! divides
     its k-th difference: the sums stay in integers."""
     n = b.rows
-    diffs = [(IntMatrix.identity(n).scale(x) - b).det() for x in range(n + 1)]
+    neg = [-a for a in b.entries]
+    diffs = []
+    for x in range(n + 1):
+        shifted = neg[:]  # x*I - b
+        shifted[::n + 1] = [a + x for a in neg[::n + 1]]
+        diffs.append(IntMatrix(n, n, tuple(shifted)).det())
     coeffs = [0] * (n + 1)
     basis = [1]  # x(x-1)...(x-k+1), low degree first
     for k in range(n + 1):

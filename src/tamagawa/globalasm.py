@@ -252,6 +252,12 @@ def verify_tnc(
     # c_gamma first: it rejects the tori it has no route for before i(T)
     # computes H^3(G, Z) for nothing
     c = c_gamma(torus)
+    # tau / c_gamma gets half of tol, which L(1, chi_D) must be able to meet
+    tau_tol = tol / (2 * c.value)
+    if tau_tol < 1e-12:
+        raise ConfigError(
+            f"tol: {tau_tol:g} is below the closed-form accuracy 1e-12 of L(1, chi_D)"
+        )
     if h1_order is None:
         raise ArithmeticError(f"H^1 of {torus.label} is infinite")
     i_t = ono_constant(torus)
@@ -266,12 +272,6 @@ def verify_tnc(
             dens_prod *= bad_prime_density(torus, p, budget).value
     except NotStabilizedError as exc:
         return VerificationReport("tnc", inputs, values, INCONCLUSIVE, str(exc))
-    # tau / c_gamma gets half of tol, which L(1, chi_D) must be able to meet
-    tau_tol = tol / (2 * c.value)
-    if tau_tol < 1e-12:
-        raise ConfigError(
-            f"tol: {tau_tol:g} is below the closed-form accuracy 1e-12 of L(1, chi_D)"
-        )
     # L_S(1): L(1, chi_D) without its Euler factors at the bad primes
     D = torus.field.D
     lv = l_value(D)

@@ -5,8 +5,9 @@ class numbers from L(1, chi_D), factorization by trial division, the
 Frobenius element and the decomposition groups by cases over the field
 type, the good-prime density, the partial L-value and the
 Tamagawa product over a larger set of places, the norm form, the
-triple-loop matrix product, the norm-one lattice by conjugation, and small
-helpers on group tables and matrices."""
+triple-loop matrix product, the determinant by cofactor expansion, the
+norm-one lattice by conjugation, and small helpers on group tables and
+matrices."""
 
 import math
 from collections import namedtuple
@@ -168,7 +169,7 @@ def kernel_basis(m: IntMatrix) -> IntMatrix:
     last cols - rank columns of v."""
     snf = snf_with_transforms(m)
     r, nc = snf.rank, m.cols
-    return IntMatrix(nc, nc - r, tuple(snf.v.get(i, j) for i in range(nc) for j in range(r, nc)))
+    return IntMatrix(nc, nc - r, tuple(entry(snf.v, i, j) for i in range(nc) for j in range(r, nc)))
 
 
 def cohomology_in_kernel_coordinates(lattice, n: int) -> AbelianGroupInvariants:
@@ -193,12 +194,26 @@ def apply(m: IntMatrix, vec) -> tuple[int, ...]:
     return tuple(sum(m.row(i)[j] * vec[j] for j in range(m.cols)) for i in range(m.rows))
 
 
+def entry(m: IntMatrix, i: int, j: int) -> int:
+    """The entry of m in row i and column j."""
+    return m.entries[i * m.cols + j]
+
+
+def det_by_cofactors(rows) -> int:
+    """Determinant of a square list of rows by Laplace expansion along the
+    first row: no division, no pivoting, n! terms."""
+    if not rows:
+        return 1
+    return sum((-1) ** j * x * det_by_cofactors([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
 def matmul_naive(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     """a * b by the triple loop over rows, columns and the inner index."""
     if a.cols != b.rows:
         raise ValueError("shape mismatch in product")
     return IntMatrix(a.rows, b.cols, tuple(
-        sum(a.get(i, t) * b.get(t, j) for t in range(a.cols))
+        sum(entry(a, i, t) * entry(b, t, j) for t in range(a.cols))
         for i in range(a.rows) for j in range(b.cols)))
 
 
@@ -219,9 +234,9 @@ def norm_one_action_by_conjugation(group) -> tuple[IntMatrix, ...]:
     out = []
     for p in _perm_matrices(group):
         conj = u * p * uinv
-        assert all(conj.get(i, 0) == (1 if i == 0 else 0) for i in range(n)), \
+        assert all(entry(conj, i, 0) == (1 if i == 0 else 0) for i in range(n)), \
             "sum vector is not fixed by the action"
-        out.append(IntMatrix.from_rows([[conj.get(i, j) for j in range(1, n)]
+        out.append(IntMatrix.from_rows([[entry(conj, i, j) for j in range(1, n)]
                                         for i in range(1, n)]))
     return tuple(out)
 

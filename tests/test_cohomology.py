@@ -30,6 +30,7 @@ from oracles import (
     apply,
     cohomology_in_kernel_coordinates,
     element_order,
+    entry,
     kernel_basis,
     snf_with_transforms,
     subgroup_closure,
@@ -71,7 +72,7 @@ def _cyclic_cohomology_oracle(lattice, n):
         res = snf_with_transforms(ker_gens)
         coords = []
         for j in range(image_mat.cols):
-            vec = tuple(image_mat.get(i, j) for i in range(rank))
+            vec = tuple(entry(image_mat, i, j) for i in range(rank))
             lifted = apply(res.u, vec)
             x = []
             for i in range(ker_gens.cols):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tamagawa import exactcore
+from tamagawa import exactcore, galois
 from tamagawa.exactcore import (
     AbelianGroupInvariants,
     IntMatrix,
@@ -26,7 +26,14 @@ from tamagawa.exactcore import (
     squarefree_part,
     vstack,
 )
-from oracles import factorize_by_trial_division, kernel_basis, matmul_naive, snf_with_transforms
+from oracles import (
+    det_by_cofactors,
+    entry,
+    factorize_by_trial_division,
+    kernel_basis,
+    matmul_naive,
+    snf_with_transforms,
+)
 
 # ---------------------------------------------------------------------------
 # scalars
@@ -53,6 +60,16 @@ def test_primes_small():
 ])
 def test_is_prime_rejects_strong_pseudoprimes(n):
     assert not is_prime(n)
+
+
+def test_primes_up_to_matches_trial_division_at_every_bound():
+    # the odd-only sieve at every n <= 3000: even and odd n, squares of
+    # primes and their neighbours; the sweep bypasses the cache
+    primes = [p for p in range(2, 3001) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    for n in range(-2, 3001):
+        assert primes_up_to.__wrapped__(n) == tuple(p for p in primes if p <= n), n
+    assert len(primes_up_to(10**5)) == 9592
+    assert len(primes_up_to(10**6)) == 78498
 
 
 def test_is_prime_matches_sieve():
@@ -145,23 +162,11 @@ def _rand_matrix(rows, cols, lo=-6, hi=6, rng=_rng):
     )
 
 
-def _det_cofactor(m):
-    if m.rows == 1:
-        return m.get(0, 0)
-    total = 0
-    for j in range(m.cols):
-        minor = IntMatrix.from_rows(
-            [[m.get(i, jj) for jj in range(m.cols) if jj != j] for i in range(1, m.rows)]
-        )
-        total += (-1) ** j * m.get(0, j) * _det_cofactor(minor)
-    return total
-
-
 def test_det_matches_cofactor_expansion():
     for _ in range(40):
         n = _rng.randint(1, 5)
         m = _rand_matrix(n, n)
-        assert m.det() == _det_cofactor(m)
+        assert m.det() == det_by_cofactors(m.to_rows())
 
 
 def test_matrix_algebra():
@@ -170,7 +175,7 @@ def test_matrix_algebra():
     c = a * b
     for i in range(3):
         for j in range(2):
-            assert c.get(i, j) == sum(a.get(i, k) * b.get(k, j) for k in range(4))
+            assert entry(c, i, j) == sum(entry(a, i, k) * entry(b, k, j) for k in range(4))
     assert (a + a - a).entries == a.entries
     assert (2 * a).entries == (a * 2).entries == a.scale(2).entries
     assert a.transpose().transpose().entries == a.entries
@@ -204,7 +209,7 @@ def test_smith_normal_form_properties():
         for i in range(d.rows):
             for j in range(d.cols):
                 want = res.d[i] if i == j and i < len(res.d) else 0
-                assert d.get(i, j) == want
+                assert entry(d, i, j) == want
         assert abs(res.u.det()) == 1
         assert abs(res.v.det()) == 1
         assert (res.v * res.vinv).entries == IntMatrix.identity(m.cols).entries
@@ -224,7 +229,7 @@ def _determinantal_invariants(m):
         divisor = 0
         for rows in combinations(range(m.rows), i):
             for cols in combinations(range(m.cols), i):
-                minor = IntMatrix.from_rows([[m.get(r, c) for c in cols] for r in rows])
+                minor = IntMatrix.from_rows([[entry(m, r, c) for c in cols] for r in rows])
                 divisor = gcd(divisor, minor.det())
         if not divisor:
             break
@@ -268,7 +273,7 @@ def test_kernel_basis():
         m = _rand_matrix(_rng.randint(1, 4), _rng.randint(1, 5))
         k = kernel_basis(m)
         prod = m * k
-        assert all(prod.get(i, j) == 0 for i in range(prod.rows) for j in range(prod.cols))
+        assert all(entry(prod, i, j) == 0 for i in range(prod.rows) for j in range(prod.cols))
         assert k.cols == m.cols - len(smith_normal_form(m))
 
 
@@ -282,6 +287,37 @@ def test_charpoly_matches_det():
         for x in (-3, -1, 0, 1, 2, 5):
             xi = IntMatrix.identity(n).scale(x)
             assert eval_poly(cp, x) == (xi - m).det()
+
+
+def _square_matrix(draw, n):
+    """An n x n integer matrix of one of three kinds: any, singular (a
+    product through an inner dimension k < n) or a multiple d*A with
+    d >= 2, whose determinant is 0 or a multiple of d^n."""
+    entries = st.integers(-20, 20)
+    kind = draw(st.sampled_from(("any", "singular", "multiple")))
+    if kind == "singular" and n:
+        k = draw(st.integers(0, n - 1))
+        a = draw(st.lists(entries, min_size=n * k, max_size=n * k))
+        b = draw(st.lists(entries, min_size=k * n, max_size=k * n))
+        return IntMatrix(n, k, tuple(a)) * IntMatrix(k, n, tuple(b))
+    flat = draw(st.lists(entries, min_size=n * n, max_size=n * n))
+    d = draw(st.integers(2, 5)) if kind == "multiple" else 1
+    return IntMatrix(n, n, tuple(d * x for x in flat))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.data())
+def test_charpoly_matches_both_determinant_routes(n, data):
+    # Faddeev-LeVerrier against the Bareiss interpolation of det(x*I - m)
+    # and against the cofactor expansion of det(x*I - m) at several x
+    m = _square_matrix(data.draw, n)
+    cp = charpoly(m)
+    assert len(cp) == n + 1 and cp[-1] == 1
+    assert cp == galois._interpolated_det_poly(m)
+    rows = m.to_rows()
+    for x in (-2, 0, 1, 7):
+        shifted = [[(x if i == j else 0) - v for j, v in enumerate(r)] for i, r in enumerate(rows)]
+        assert eval_poly(cp, x) == det_by_cofactors(shifted)
 
 
 def test_invariants_from_relations():

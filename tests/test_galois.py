@@ -242,7 +242,7 @@ def test_interpolated_det_poly_matches_charpoly_on_integer_matrices(n, k, data):
 
 def test_interpolation_rejects_non_integer_coefficients(monkeypatch):
     # values 0, 0, 1 at x = 0, 1, 2 interpolate to x(x - 1)/2
-    monkeypatch.setattr(IntMatrix, "det", lambda self: (0, 0, 1)[self.get(0, 0)])
+    monkeypatch.setattr(IntMatrix, "det", lambda self: (0, 0, 1)[self.entries[0]])
     with pytest.raises(ArithmeticError):
         galois._interpolated_det_poly(IntMatrix.zeros(2, 2))
 
@@ -355,6 +355,27 @@ def test_build_torus_validates_each_lattice_once(field, monkeypatch):
     for t in built.values():
         assert t.xcochar == t.xstar.dual()
     assert built["norm-one"].xstar == built["quotient-by-gm"].xcochar
+
+
+def test_euler_setup_builds_one_matrix_per_interpolation_point(monkeypatch):
+    # charpoly works on lists of rows, and the interpolation builds x*I - B
+    # once per point x = 0..n: at most (n + 1) * |G| matrices per torus
+    t = build_torus("res-scalars", BiquadField.from_pair(5, -3))
+    b = t.xcochar.mats[1]
+    calls = []
+    real = IntMatrix.__new__
+
+    def counting(cls, *args):
+        calls.append(cls)
+        return real(cls, *args)
+
+    monkeypatch.setattr(IntMatrix, "__new__", staticmethod(counting))
+    charpoly(b)
+    assert calls == []
+    polys = galois._frobenius_polynomials.__wrapped__(t)
+    assert len(calls) <= (t.dim + 1) * t.group.order == 20
+    monkeypatch.undo()
+    assert polys == galois._frobenius_polynomials(t)
 
 
 def test_build_torus_rejections():

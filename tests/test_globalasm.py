@@ -384,6 +384,6 @@ def test_verify_tnc_budget_starved_is_inconclusive():
     assert rep.verdict == "INCONCLUSIVE"
     assert rep.cause and "stabilize" in rep.cause
     assert rep.values == {"ono_rhs": Fraction(2), "h1_order": 2, "h0_dual_order": 2}
-    # the densities come before the tolerance floor
-    assert verify_tnc(norm_one(-23), tol=1e-12, budget=10**4) == rep._replace(
-        inputs={"torus": "norm1:-23", "tol": 1e-12})
+    # the tolerance floor comes before the densities: it needs only c_gamma
+    with pytest.raises(ConfigError, match="below the closed-form accuracy"):
+        verify_tnc(norm_one(-23), tol=1e-12, budget=10**4)
