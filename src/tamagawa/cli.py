@@ -142,7 +142,8 @@ def parse_torus(spec: str) -> TorusSpec:
 def run_euler(torus: TorusSpec, cfg: RunConfig):
     """The euler rows, one per good prime up to cfg.pmax, filled into bytes
     as they are computed: a report appends them and keeps no row."""
-    return euler_rows(torus.label, torus.dim, good_euler_terms(torus, primes_up_to(cfg.pmax)))
+    terms = good_euler_terms(torus, primes_up_to(cfg.pmax), cfg.budget)
+    return euler_rows(torus.label, torus.dim, terms)
 
 
 def run_lifting(torus: TorusSpec, cfg: RunConfig):

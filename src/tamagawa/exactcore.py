@@ -12,7 +12,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt, prod
-from operator import add, mul, sub
+from operator import mul, sub
 
 
 # ---------------------------------------------------------------------------
@@ -229,38 +229,19 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         entries[::n + 1] = [1] * n
         return cls(n, n, tuple(entries))
 
-    @classmethod
-    def zeros(cls, nr: int, nc: int) -> "IntMatrix":
-        return cls(nr, nc, (0,) * (nr * nc))
-
     def row(self, i: int) -> tuple[int, ...]:
         return self.entries[i * self.cols:(i + 1) * self.cols]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.row(i)) for i in range(self.rows)]
 
     def transpose(self) -> "IntMatrix":
         e, nc = self.entries, self.cols
         return IntMatrix(nc, self.rows, tuple([x for j in range(nc) for x in e[j::nc]]))
 
-    def __add__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
-        return IntMatrix(self.rows, self.cols, tuple(map(add, self.entries, other.entries)))
-
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_shape(other)
-        return IntMatrix(self.rows, self.cols, tuple(map(sub, self.entries, other.entries)))
-
-    def _same_shape(self, other):
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+        return IntMatrix(self.rows, self.cols, tuple(map(sub, self.entries, other.entries)))
 
-    def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix(self.rows, self.cols, tuple([k * a for a in self.entries]))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
+    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
         n, m, k = self.rows, other.cols, self.cols
@@ -268,8 +249,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         rows = [a[i * k:(i + 1) * k] for i in range(n)]
         cols = [other.entries[j::m] for j in range(m)]
         return IntMatrix(n, m, tuple([sum(map(mul, row, col)) for row in rows for col in cols]))
-
-    __rmul__ = scale
 
     def det(self) -> int:
         """Fraction-free Bareiss elimination."""

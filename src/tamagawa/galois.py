@@ -19,27 +19,22 @@ every subfield character chi that splits at v ((D | p) = 1 at a prime p,
 D > 0 at infinity), so its fixed field is the largest subfield in which v
 splits completely.
 
-Euler factors and point counts take two routes to one polynomial.  For each
-Galois element g, with B = Fr^{-1} on X_* when Fr = g, once per torus:
-
-  E_p(1) * p^d = charpoly(B)(p), by Faddeev-LeVerrier;
-  |T(F_p)|    = det(x*I - B) at x = p, where that polynomial is interpolated
-                exactly from fraction-free (Bareiss) determinants at
-                x = 0..d.
-
-Both sides are polynomials of the same B, and charpoly(B) = det(x*I - B) by
-definition.  So an euler row compares Faddeev-LeVerrier with Bareiss
-interpolation, not the Euler factor with a count of points, and a wrong
-Frobenius class passes it.  Comparing det(p - B) with the affine model's
-point count at a few primes of each class is the fix (ROADMAP item 3).
+Euler factors and point counts read one polynomial per Galois element g:
+with B = Fr^{-1} on X_* when Fr = g, charpoly(B) by Faddeev-LeVerrier,
+once per torus.  At a good p of class g, charpoly(B)(p) is both
+p^d * E_p(1) and |T(F_p)| (Ono, "Arithmetic of algebraic tori", Ann. of
+Math. 74, 1961), so an euler row needs a second side that is not this
+polynomial: for a torus with an affine model, the model's count of points
+mod p at the first d + 1 good primes of each class that a sweep meets.
+d + 1 values pin a polynomial of degree d, so the rows of class g check a
+polynomial whose values were counted.  Biquadratic tori have no model, and
+their rows evaluate the polynomial alone.
 
 The setup, once per torus, is |G| charpolys of d x d matrices (d - 1
-products each, on lists of rows, no IntMatrix) and (d + 1)|G| Bareiss
-determinants, each of one x*I - B built straight from B's entries.  Each
-prime then costs a dict lookup of its Frobenius class by its residue mod
-the field's conductor (Kronecker symbols once per residue) and one
-polynomial evaluation.  The two routes' coefficient tuples are compared
-once per class; only a class where they differ evaluates both at each p.
+products each, on lists of rows, no IntMatrix).  Each prime then costs a
+dict lookup of its Frobenius class by its residue mod the field's
+conductor (Kronecker symbols once per residue) and one polynomial
+evaluation; the first d + 1 of each class also cost one count in O(p).
 """
 
 from __future__ import annotations
@@ -47,11 +42,11 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm, prod
+from math import lcm, prod
 
 from .errors import UnsupportedTorusError
 from .exactcore import IntMatrix, charpoly, eval_poly, is_prime, kronecker_symbol
-from .models import norm_form_model, unit_group_model
+from .models import COUNT_BUDGET, cached_point_count, norm_form_model, unit_group_model
 from .quadfield import BiquadField, QuadField
 
 INF = "inf"
@@ -235,54 +230,20 @@ def _frobenius_index(field: QuadField | BiquadField, p: int) -> int:
     return _CHARACTERS[len(discs)].index(tuple([kronecker_symbol(D, p) for D in discs]))
 
 
-def _interpolated_det_poly(b: IntMatrix) -> tuple[int, ...]:
-    """Coefficients of det(x*I - b), low degree first, interpolated exactly
-    from its Bareiss values at x = 0..n (Newton's forward differences).
-
-    The k-th difference over k! is the coefficient of x(x-1)...(x-k+1).
-    Monomials and these falling factorials are related by integer
-    unitriangular matrices (Stirling numbers of both kinds), so the
-    polynomial has integer coefficients if and only if every k! divides
-    its k-th difference: the sums stay in integers."""
-    n = b.rows
-    neg = [-a for a in b.entries]
-    diffs = []
-    for x in range(n + 1):
-        shifted = neg[:]  # x*I - b
-        shifted[::n + 1] = [a + x for a in neg[::n + 1]]
-        diffs.append(IntMatrix(n, n, tuple(shifted)).det())
-    coeffs = [0] * (n + 1)
-    basis = [1]  # x(x-1)...(x-k+1), low degree first
-    for k in range(n + 1):
-        lead, rem = divmod(diffs[0], factorial(k))
-        if rem:
-            raise ArithmeticError("det(x*I - B) interpolates to non-integer coefficients: "
-                                  f"forward difference {k} is {diffs[0]}, "
-                                  f"not a multiple of {factorial(k)}")
-        for i, c in enumerate(basis):
-            coeffs[i] += lead * c
-        diffs = [hi - lo for lo, hi in zip(diffs, diffs[1:])]
-        basis = [(basis[i - 1] if i else 0) - k * (basis[i] if i < len(basis) else 0)
-                 for i in range(len(basis) + 1)]
-    return tuple(coeffs)
-
-
 @lru_cache(maxsize=512)
-def _frobenius_polynomials(t: TorusSpec) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """For each Galois element g, (charpoly(B), det(x*I - B)) of
-    B = g^{-1} on X_*: the two routes, each computed once per torus."""
-    out = []
-    for g in range(t.group.order):
-        b = t.xcochar.mats[t.group.inv(g)]
-        out.append((charpoly(b), _interpolated_det_poly(b)))
-    return tuple(out)
+def _frobenius_polynomials(t: TorusSpec) -> tuple[tuple[int, ...], ...]:
+    """For each Galois element g, charpoly(B) of B = g^{-1} on X_*, low
+    degree first, computed once per torus."""
+    return tuple(charpoly(t.xcochar.mats[t.group.inv(g)]) for g in range(t.group.order))
 
 
-def good_euler_terms(t: TorusSpec, primes):
+def good_euler_terms(t: TorusSpec, primes, budget: int = COUNT_BUDGET):
     """Yield (p, p^d * E_p(1), |T(F_p)|) for each p in `primes` (primes,
-    unchecked) that does not divide 2 * disc: the determinant polynomial of
-    Frobenius's class evaluated at p, and its charpoly as well where the
-    two differ.
+    unchecked) that does not divide 2 * disc.  The second value is the
+    charpoly of Frobenius's class at p.  The third is the affine model's
+    count of points mod p at the first d + 1 primes of each class that the
+    sweep meets, where p^nvars is within `budget`, and that polynomial's
+    value everywhere else.
 
     Frobenius's class is looked up by p mod the lcm of the |D_i|, which is
     |D| over a quadratic field and lcm(|D1|, |D2|) over a biquadratic one,
@@ -290,9 +251,10 @@ def good_euler_terms(t: TorusSpec, primes):
     exact: for a discriminant D, n -> (D|n) is a Dirichlet character mod
     |D|, so (D|p) = (D|q) for positive p = q mod |D|, and the class is a
     function of the (D_i|p)."""
-    # None for the charpoly of a class whose two coefficient tuples are
-    # equal: their values agree at every p, so one evaluation gives both
-    polys = [(None if cp == dp else cp, dp) for cp, dp in _frobenius_polynomials(t)]
+    polys = _frobenius_polynomials(t)
+    model = t.model
+    # per class, how many of its primes are still to be counted
+    uncounted = [0 if model is None else t.dim + 1] * len(polys)
     field = t.field
     two_disc = 2 * t.splitting_disc()
     period = lcm(*field.subfield_discs)
@@ -302,31 +264,35 @@ def good_euler_terms(t: TorusSpec, primes):
             continue
         r = p % period
         try:
-            cp, dp = by_residue[r]
+            g = by_residue[r]
         except KeyError:
-            cp, dp = by_residue[r] = polys[_frobenius_index(field, p)]
-        count = eval_poly(dp, p)
-        if count <= 0:
+            g = by_residue[r] = _frobenius_index(field, p)
+        value = eval_poly(polys[g], p)
+        if value <= 0:
             raise ArithmeticError("point count must be positive")
-        yield p, count if cp is None else eval_poly(cp, p), count
+        if uncounted[g] and p ** model.nvars <= budget:
+            uncounted[g] -= 1
+            yield p, value, cached_point_count(model, p, 1, budget)
+        else:
+            yield p, value, value
 
 
-def _good_terms(t: TorusSpec, p: int) -> tuple[int, int, int]:
+def _class_polynomial_at(t: TorusSpec, p: int) -> int:
+    """charpoly(Fr_p^{-1} | X_*) at p, with no count of points."""
     if not is_good_prime(t, p):
         raise ValueError(f"p = {p} is not a good prime for {t.label}")
-    return next(good_euler_terms(t, (p,)))
+    return eval_poly(_frobenius_polynomials(t)[_frobenius_index(t.field, p)], p)
 
 
 def euler_factor_at_one(t: TorusSpec, p: int) -> Fraction:
     """det(1 - Fr_p^{-1} p^{-1} | X_* x Q), via the characteristic polynomial."""
-    _, factor, _ = _good_terms(t, p)
-    return Fraction(factor, p ** t.dim)
+    return Fraction(_class_polynomial_at(t, p), p ** t.dim)
 
 
 def point_count_Fp(t: TorusSpec, p: int) -> int:
-    """|T(F_p)| = det(p - Fr_p^{-1} | X_*), via the interpolated determinant."""
-    _, _, count = _good_terms(t, p)
-    return count
+    """|T(F_p)| = det(p - Fr_p^{-1} | X_*): the characteristic polynomial at
+    p, not a count, so the density cross-check compares it with one."""
+    return _class_polynomial_at(t, p)
 
 
 def decomposition_subgroup(t: TorusSpec, place) -> tuple[int, ...]:

@@ -206,14 +206,19 @@ def c_gamma(torus: TorusSpec) -> CGammaResult:
 # the tnc row
 
 
-def assert_good_factors(torus: TorusSpec):
-    """Assert the good Euler factors at p <= GOOD_FACTOR_BOUND cancel the
-    good densities exactly.
+def assert_good_factors(torus: TorusSpec, budget: int = COUNT_BUDGET):
+    """Assert that the good Euler factors at p <= GOOD_FACTOR_BOUND cancel
+    their densities, where good_euler_terms counts the points.
 
-    These factors never enter tau; this check is what licenses dropping
-    them.  good_euler_terms skips every p | 2 * disc, the bad primes.
+    tau drops these factors on the strength of a theorem, not of this
+    check: at a good p the smooth model's density is |T(F_p)|/p^d =
+    L_p(1, X^*)^-1 (Ono, "Arithmetic of algebraic tori", Ann. of Math. 74,
+    1961).  The check compares the Frobenius class's polynomial with the
+    model's point count at the first d + 1 good primes of each class, so a
+    wrong class or polynomial is an internal error.  good_euler_terms skips
+    every p | 2 * disc, the bad primes.
     """
-    for p, scaled, count in good_euler_terms(torus, primes_up_to(GOOD_FACTOR_BOUND)):
+    for p, scaled, count in good_euler_terms(torus, primes_up_to(GOOD_FACTOR_BOUND), budget):
         if scaled != count:
             pd = p ** torus.dim
             raise ArithmeticError(
@@ -231,10 +236,11 @@ def verify_tnc(
     #H^1(G, X^*) / i(T).
 
     tau = c_gamma * L_S(1)^-1 * prod_{p in S} dens_p * vol, with S the
-    infinite place and the bad primes {2} u ramified: the good densities
-    cancel their Euler factors (assert_good_factors), so S needs no other
-    prime.  tau's float error bound must stay below tol/2, and its gap to
-    the prediction below tol.
+    infinite place and the bad primes {2} u ramified: at a good p the
+    density is L_p(1, X^*)^-1 and cancels its Euler factor (Ono), so S
+    needs no other prime; assert_good_factors checks that cancellation
+    against counted points.  tau's float error bound must stay below
+    tol/2, and its gap to the prediction below tol.
 
     PASS needs both |tau - prediction| < tol and the finite global
     invariant #H^1(G, X^*) = #torsion(H_0(G, X^*)).  A non-stabilized
@@ -264,7 +270,7 @@ def verify_tnc(
     rhs = Fraction(h1_order, i_t)
     inputs = {"torus": torus.label, "tol": tol}
     values = {"ono_rhs": rhs, "h1_order": h1_order, "h0_dual_order": h0_order}
-    assert_good_factors(torus)
+    assert_good_factors(torus, budget)
     bad = torus.bad_primes()
     dens_prod = Fraction(1)
     try:

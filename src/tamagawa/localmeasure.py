@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import BudgetExceededError, NotStabilizedError, UnsupportedTorusError
 from .galois import TorusSpec, is_good_prime, point_count_Fp
-from .models import COUNT_BUDGET, AffineModel, count_points_mod
+from .models import COUNT_BUDGET, AffineModel, cached_point_count
 from .report import FAIL, INCONCLUSIVE, PASS, VerificationReport
 
 
@@ -44,15 +43,6 @@ def affine_model(torus: TorusSpec) -> AffineModel:
             f"no affine model attached to {torus.label}; cannot count points"
         )
     return torus.model
-
-
-@lru_cache(maxsize=256)
-def cached_point_count(model: AffineModel, p: int, k: int, budget: int) -> int:
-    """`count_points_mod(model, p, k)`, counted once per process: at good
-    p <= 13, `verify all` needs the same levels for its lifting rows and
-    for its density cross-checks, and at bad p for its density rows and
-    for tau."""
-    return count_points_mod(model, p, k, budget=budget)
 
 
 def level_counts(model: AffineModel, p: int, budget: int = COUNT_BUDGET):

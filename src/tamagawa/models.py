@@ -17,6 +17,7 @@ the fibre formula).
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import lru_cache
 
 from .errors import BudgetExceededError
 from .exactcore import is_prime
@@ -97,3 +98,13 @@ def count_points_mod(model: AffineModel, p: int, k: int,
     if model.kind == "unit-group":
         return q * q - (q // p) ** 2 * fibre_sum(p, 0)
     return fibre_sum(q, 1)
+
+
+@lru_cache(maxsize=256)
+def cached_point_count(model: AffineModel, p: int, k: int, budget: int) -> int:
+    """`count_points_mod(model, p, k)`, counted once per process: `verify
+    all` reads the same levels for its euler rows and its tnc row's good
+    factors (k = 1 at good p), its lifting rows and its density
+    cross-checks (good p <= 13), and its density rows and tau (bad p).
+    Callers pass all four arguments by position, so one level is one key."""
+    return count_points_mod(model, p, k, budget=budget)

@@ -5,13 +5,14 @@ class numbers from L(1, chi_D), factorization by trial division, the
 Frobenius element and the decomposition groups by cases over the field
 type, the good-prime density, the partial L-value and the
 Tamagawa product over a larger set of places, the norm form, the
-triple-loop matrix product, the determinant by cofactor expansion, the
-norm-one lattice by conjugation, and small helpers on group tables and
-matrices."""
+triple-loop matrix product, the determinant by cofactor expansion,
+det(x*I - B) interpolated from Bareiss determinants, the norm-one lattice
+by conjugation, and small helpers on group tables and matrices."""
 
 import math
 from collections import namedtuple
 from fractions import Fraction
+from operator import add
 
 from tamagawa.cohomology import bar_boundary
 from tamagawa.exactcore import (
@@ -47,7 +48,7 @@ def snf_with_transforms(m: IntMatrix) -> SnfResult:
     submatrix, ties broken row-major. Deterministic for a given input.
     """
     nr, nc = m.rows, m.cols
-    a = m.to_rows()
+    a = rows(m)
     u = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
     v = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
     vinv = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
@@ -197,6 +198,53 @@ def apply(m: IntMatrix, vec) -> tuple[int, ...]:
 def entry(m: IntMatrix, i: int, j: int) -> int:
     """The entry of m in row i and column j."""
     return m.entries[i * m.cols + j]
+
+
+def rows(m: IntMatrix) -> list[list[int]]:
+    """The rows of m, as lists."""
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def zeros(nr: int, nc: int) -> IntMatrix:
+    return IntMatrix(nr, nc, (0,) * (nr * nc))
+
+
+def scalar(n: int, x: int) -> IntMatrix:
+    """x times the n x n identity."""
+    return IntMatrix(n, n, tuple(x if i == j else 0 for i in range(n) for j in range(n)))
+
+
+def matrix_sum(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    return IntMatrix(a.rows, a.cols, tuple(map(add, a.entries, b.entries)))
+
+
+def interpolated_det_poly(b: IntMatrix) -> tuple[int, ...]:
+    """Coefficients of det(x*I - b), low degree first, interpolated exactly
+    from its Bareiss values at x = 0..n (Newton's forward differences).
+
+    The k-th difference over k! is the coefficient of x(x-1)...(x-k+1).
+    Monomials and these falling factorials are related by integer
+    unitriangular matrices (Stirling numbers of both kinds), so the
+    polynomial has integer coefficients if and only if every k! divides
+    its k-th difference: the sums stay in integers."""
+    n = b.rows
+    diffs = [(scalar(n, x) - b).det() for x in range(n + 1)]
+    coeffs = [0] * (n + 1)
+    basis = [1]  # x(x-1)...(x-k+1), low degree first
+    for k in range(n + 1):
+        lead, rem = divmod(diffs[0], math.factorial(k))
+        if rem:
+            raise ArithmeticError("det(x*I - B) interpolates to non-integer coefficients: "
+                                  f"forward difference {k} is {diffs[0]}, "
+                                  f"not a multiple of {math.factorial(k)}")
+        for i, c in enumerate(basis):
+            coeffs[i] += lead * c
+        diffs = [hi - lo for lo, hi in zip(diffs, diffs[1:])]
+        basis = [(basis[i - 1] if i else 0) - k * (basis[i] if i < len(basis) else 0)
+                 for i in range(len(basis) + 1)]
+    return tuple(coeffs)
 
 
 def det_by_cofactors(rows) -> int:

@@ -21,14 +21,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tamagawa import cli, exactcore, galois, globalasm, localmeasure, report
+from tamagawa import cli, exactcore, galois, globalasm, models, report
 from tamagawa.cli import RunConfig, main, parse_torus, run_euler
 from tamagawa.cohomology import ono_constant
 from tamagawa.errors import ConfigError
 from tamagawa.exactcore import AbelianGroupInvariants, charpoly, primes_up_to
 from tamagawa.galois import euler_factor_at_one, is_good_prime, point_count_Fp
 from tamagawa.globalasm import c_gamma
-from tamagawa.localmeasure import LocalDensity, cached_point_count
+from tamagawa.localmeasure import LocalDensity
+from tamagawa.models import cached_point_count
 from tamagawa.report import (
     FAIL,
     IDENTITIES,
@@ -538,8 +539,8 @@ def test_good_factor_mismatch_exits_70(capsys, monkeypatch):
     # error: tau drops those factors on the strength of that cancellation
     terms = globalasm.good_euler_terms
 
-    def off_by_one(torus, primes):
-        for p, scaled, count in terms(torus, primes):
+    def off_by_one(torus, primes, budget):
+        for p, scaled, count in terms(torus, primes, budget):
             yield p, scaled + 1, count
 
     monkeypatch.setattr(globalasm, "good_euler_terms", off_by_one)
@@ -605,11 +606,11 @@ def test_error_on_a_later_torus_writes_no_report(capsys, monkeypatch, tmp_path):
     calls = []
     terms = cli.good_euler_terms
 
-    def second_fails(torus, primes):
+    def second_fails(torus, primes, budget):
         calls.append(torus.label)
         if len(calls) == 2:
             raise ArithmeticError(f"good factor mismatch on {torus.label}")
-        return terms(torus, primes)
+        return terms(torus, primes, budget)
 
     monkeypatch.setattr(cli, "good_euler_terms", second_fails)
     path = tmp_path / "report.json"
@@ -631,8 +632,8 @@ def _row_text(row):
 def test_euler_fail_row_through_the_cli(capsys, monkeypatch):
     terms = cli.good_euler_terms
 
-    def off_at_7(torus, primes):
-        for p, scaled, count in terms(torus, primes):
+    def off_at_7(torus, primes, budget):
+        for p, scaled, count in terms(torus, primes, budget):
             yield p, scaled + (p == 7), count
 
     monkeypatch.setattr(cli, "good_euler_terms", off_at_7)
@@ -650,35 +651,6 @@ def test_euler_fail_row_through_the_cli(capsys, monkeypatch):
     assert [r["inputs"]["p"] for r in rows if r["verdict"] == FAIL] == [7]
     assert all(r["verdict"] == PASS for r in rows if r["inputs"]["p"] != 7)
     assert len(rows) == 9  # the odd primes 3..29
-
-
-def test_euler_route_mismatch_fails_through_the_cli(capsys, monkeypatch):
-    # class 1 (p = 3 mod 4) gets a det(x*I - B) that differs from its
-    # charpoly by 2 in the constant term: those rows FAIL, class 0's pass
-    polys = galois._frobenius_polynomials
-
-    def mutated(torus):
-        out = list(polys(torus))
-        cp, dp = out[1]
-        out[1] = cp, (dp[0] + 2, *dp[1:])
-        return tuple(out)
-
-    polys.cache_clear()
-    monkeypatch.setattr(galois, "_frobenius_polynomials", mutated)
-    code, out, _ = run_cli(capsys, "verify", "euler", "--torus", "norm1:-1", "--pmax", "30")
-    assert code == 1
-    rows = json.loads(out)["reports"]
-    verdicts = {r["inputs"]["p"]: (r["verdict"], r.get("cause")) for r in rows}
-    assert verdicts == {
-        **{p: (FAIL, f"p^d * E_p(1) = {p + 1} != {p + 3}") for p in (3, 7, 11, 19, 23)},
-        **{p: (PASS, None) for p in (5, 13, 17, 29)},
-    }
-    assert verdicts[3][1] == "p^d * E_p(1) = 4 != 6"
-    want = VerificationReport(
-        "euler", {"torus": "norm1:-1", "p": 7},
-        {"euler_factor": Fraction(8, 7), "point_count": 10, "density": Fraction(10, 7)},
-        FAIL, "p^d * E_p(1) = 8 != 10")
-    assert out.count(_row_text(want)) == 1
 
 
 class _CountingSink:
@@ -1187,16 +1159,16 @@ def test_all_computes_c_gamma_once(capsys):
 
 
 def _counting_point_counts(monkeypatch):
-    """The (p, k) of every count_points_mod call from localmeasure, which
-    starts with an empty count cache."""
+    """The (model, p, k) of every count_points_mod call from the count
+    cache, which starts empty."""
     calls = []
-    count = localmeasure.count_points_mod
+    count = models.count_points_mod
 
     def counting(model, p, k, budget):
-        calls.append((p, k))
+        calls.append((model, p, k))
         return count(model, p, k, budget=budget)
 
-    monkeypatch.setattr(localmeasure, "count_points_mod", counting)
+    monkeypatch.setattr(models, "count_points_mod", counting)
     cached_point_count.cache_clear()
     return calls
 
@@ -1207,7 +1179,20 @@ def test_all_computes_each_bad_prime_density_once(capsys, monkeypatch):
     code, _, _ = run_cli(capsys, "verify", "all", "--torus", "norm1:13")
     assert code == 0
     assert len(calls) == len(set(calls))
-    assert set(parse_torus("norm1:13").bad_primes()) <= {p for p, _ in calls}
+    assert set(parse_torus("norm1:13").bad_primes()) <= {p for _, p, _ in calls}
+
+
+@pytest.mark.parametrize("spec,euler_counted", [("norm1:-1", (3, 5, 7, 13)),
+                                                ("res:-3", (5, 7, 11, 13, 17, 19))])
+def test_all_counts_each_model_level_once(capsys, monkeypatch, spec, euler_counted):
+    # the euler rows, tnc's good factors, the lifting rows and both density
+    # routes read one count cache: each (model, p, k) is counted once
+    calls = _counting_point_counts(monkeypatch)
+    code, _, _ = run_cli(capsys, "verify", "all", "--torus", spec)
+    assert code == 0
+    assert len(calls) == len(set(calls))
+    model = parse_torus(spec).model
+    assert {(model, p, 1) for p in euler_counted} <= set(calls)
 
 
 def test_all_computes_i_t_once_and_reduces_d0_at_most_twice(capsys, monkeypatch):
@@ -1260,12 +1245,10 @@ def test_euler_computes_one_charpoly_per_galois_element(capsys, monkeypatch):
     assert 0 < len(calls) <= 4
 
 
-def test_euler_evaluates_one_polynomial_per_row_and_interpolates_in_integers(
-        capsys, monkeypatch):
-    # the two routes of every class of res:5,-3 have equal coefficient
-    # tuples, so each row evaluates one polynomial at p.  Every binding of
-    # eval_poly is wrapped, and the interpolation, run afresh, may build no
-    # Fraction
+def test_euler_evaluates_one_polynomial_per_row(capsys, monkeypatch):
+    # each row evaluates its class's polynomial at p once, and res:5,-3, a
+    # biquadratic torus, has no model to count.  Every binding of eval_poly
+    # is wrapped
     calls = []
     real = exactcore.eval_poly
 
@@ -1273,21 +1256,16 @@ def test_euler_evaluates_one_polynomial_per_row_and_interpolates_in_integers(
         calls.append(x)
         return real(coeffs, x)
 
-    def no_fraction(*args):
-        raise AssertionError("the interpolation built a Fraction")
-
     for module in [m for name, m in sys.modules.items() if name.startswith("tamagawa.")]:
         for attr, value in list(vars(module).items()):
             if value is real:
                 monkeypatch.setattr(module, attr, counting)
-    monkeypatch.setattr(galois, "Fraction", no_fraction)
-    galois._frobenius_polynomials.cache_clear()
     code, out, _ = run_cli(
         capsys, "verify", "euler", "--torus", "res:5,-3", "--pmax", "2000")
     assert code == 0
     rows = len(json.loads(out)["reports"])
     assert rows > 250
-    assert rows <= len(calls) <= rows + 4
+    assert len(calls) == rows
 
 
 @pytest.mark.parametrize("spec", ["res:5,-3", "norm1:-7", "quot:13", "norm1:13,17",

@@ -32,8 +32,11 @@ from oracles import (
     element_order,
     entry,
     kernel_basis,
+    matrix_sum,
+    rows,
     snf_with_transforms,
     subgroup_closure,
+    zeros,
 )
 
 
@@ -56,10 +59,10 @@ def _cyclic_cohomology_oracle(lattice, n):
     rank = lattice.rank
     a = lattice.mats[gen]
     ident = IntMatrix.identity(rank)
-    norm = IntMatrix.zeros(rank, rank)
+    norm = zeros(rank, rank)
     power = ident
     for _ in range(group.order):
-        norm = norm + power
+        norm = matrix_sum(norm, power)
         power = a * power
     gm1 = a - ident
 
@@ -67,7 +70,7 @@ def _cyclic_cohomology_oracle(lattice, n):
         """Invariants of (lattice spanned by ker_gens) / (columns of
         image_mat), both inside Z^rank."""
         if ker_gens.cols == 0:
-            return invariants_from_relations(0, IntMatrix.zeros(0, 0))
+            return invariants_from_relations(0, zeros(0, 0))
         # solve ker_gens * x = image columns over Z via SNF
         res = snf_with_transforms(ker_gens)
         coords = []
@@ -86,14 +89,14 @@ def _cyclic_cohomology_oracle(lattice, n):
             for i in range(ker_gens.cols, ker_gens.rows):
                 assert lifted[i] == 0
             coords.append(x)
-        rel = IntMatrix.from_rows(coords).transpose() if coords else IntMatrix.zeros(
+        rel = IntMatrix.from_rows(coords).transpose() if coords else zeros(
             ker_gens.cols, 0)
         full = res.v * rel if coords else rel
         return invariants_from_relations(ker_gens.cols, full)
 
     if n == 0:
         fixed = kernel_basis(gm1)
-        return invariants_from_relations(fixed.cols, IntMatrix.zeros(fixed.cols, 0))
+        return invariants_from_relations(fixed.cols, zeros(fixed.cols, 0))
     if n % 2 == 0:
         return quotient_orders(kernel_basis(gm1), norm)
     return quotient_orders(kernel_basis(norm), gm1)
@@ -240,7 +243,7 @@ def test_q_rank_and_h0_torsion_dual_against_the_stacked_action(field):
         t = build_torus(family, field)
         m = t.xstar
         ident = IntMatrix.identity(m.rank)
-        stacked = IntMatrix.from_rows([row for g in m.mats for row in (g - ident).to_rows()])
+        stacked = IntMatrix.from_rows([row for g in m.mats for row in rows(g - ident)])
         snf = snf_with_transforms(stacked)
         assert q_rank(t) == m.rank - snf.rank, t.label
         if q_rank(t):

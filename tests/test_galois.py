@@ -31,10 +31,13 @@ from oracles import (
     element_order,
     frobenius_element,
     frobenius_index_by_cases,
+    interpolated_det_poly,
     is_cyclic_subset,
     mul,
     norm_one_action_by_conjugation,
+    scalar,
     subgroup_closure,
+    zeros,
 )
 
 DS = (-1, -2, -3, -5, -6, -7, -10, -11, -13, -14, -15, -17, -19, -21, -23,
@@ -188,7 +191,7 @@ def test_frozen_euler_factors():
 
 
 def test_euler_factor_vs_point_count_all_families():
-    # p^dim * E_p(1) == |T(F_p)| : charpoly route vs determinant route
+    # p^dim * E_p(1) == |T(F_p)|: both read the class's one polynomial
     for d in DS:
         k = QuadField.from_d(d)
         for family in FAMILIES:
@@ -200,7 +203,7 @@ def test_euler_factor_vs_point_count_all_families():
 
 
 def test_point_count_vs_brute_force():
-    # the determinant count against honest affine enumeration over F_p
+    # the class's polynomial against honest affine enumeration over F_p
     for d in (-1, -3, -7, 5, 13):
         k = QuadField.from_d(d)
         for family in FAMILIES:
@@ -212,11 +215,12 @@ def test_point_count_vs_brute_force():
 
 
 def test_interpolated_det_poly_equals_charpoly():
-    # det(x*I - B) from Bareiss values at 0..d has integer coefficients
-    # (the interpolation raises otherwise) and is the characteristic polynomial
+    # the oracle det(x*I - B) from Bareiss values at 0..d has integer
+    # coefficients (the interpolation raises otherwise) and is the
+    # characteristic polynomial
     for t in all_tori():
         for b in t.xcochar.mats:
-            assert galois._interpolated_det_poly(b) == charpoly(b)
+            assert interpolated_det_poly(b) == charpoly(b)
 
 
 def _matrix(rows, cols):
@@ -234,7 +238,7 @@ def test_interpolated_det_poly_matches_charpoly_on_integer_matrices(n, k, data):
     else:
         m = data.draw(_matrix(n, n))
     cp = charpoly(m)
-    assert galois._interpolated_det_poly(m) == cp
+    assert interpolated_det_poly(m) == cp
     assert cp[0] == (-1) ** n * m.det()
     if k < n:
         assert cp[0] == 0
@@ -244,7 +248,7 @@ def test_interpolation_rejects_non_integer_coefficients(monkeypatch):
     # values 0, 0, 1 at x = 0, 1, 2 interpolate to x(x - 1)/2
     monkeypatch.setattr(IntMatrix, "det", lambda self: (0, 0, 1)[self.entries[0]])
     with pytest.raises(ArithmeticError):
-        galois._interpolated_det_poly(IntMatrix.zeros(2, 2))
+        interpolated_det_poly(zeros(2, 2))
 
 
 # fields whose Frobenius period, |D| or lcm(|D1|, |D2|), exceeds 2000, so
@@ -254,9 +258,9 @@ LONG_PERIOD_FIELDS = (QuadField.from_d(-9973), QuadField.from_d(9967),
 
 
 def test_euler_terms_against_per_prime_bareiss():
-    # the old per-prime determinant is the oracle for the interpolated one,
-    # frobenius_element for the class looked up by residue, and every good
-    # p <= 2000 (and only those) is swept
+    # the per-prime determinant is the oracle for the charpoly, and for the
+    # counts where the model's are read; frobenius_element for the class
+    # looked up by residue; every good p <= 2000 (and only those) is swept
     long_period = [build_torus(family, k) for k in LONG_PERIOD_FIELDS for family in FAMILIES]
     for t in all_tori() + long_period:
         good = [p for p in primes_up_to(2000) if is_good_prime(t, p)]
@@ -264,7 +268,7 @@ def test_euler_terms_against_per_prime_bareiss():
         assert [p for p, _, _ in terms] == good
         for p, scaled, count in terms:
             b = t.xcochar.mats[t.group.inv(frobenius_element(t, p))]
-            assert count == (IntMatrix.identity(t.dim).scale(p) - b).det()
+            assert count == (scalar(t.dim, p) - b).det()
             assert scaled == eval_poly(charpoly(b), p) == count
 
 
@@ -357,11 +361,10 @@ def test_build_torus_validates_each_lattice_once(field, monkeypatch):
     assert built["norm-one"].xstar == built["quotient-by-gm"].xcochar
 
 
-def test_euler_setup_builds_one_matrix_per_interpolation_point(monkeypatch):
-    # charpoly works on lists of rows, and the interpolation builds x*I - B
-    # once per point x = 0..n: at most (n + 1) * |G| matrices per torus
+def test_euler_setup_builds_no_matrix(monkeypatch):
+    # charpoly works on lists of rows, and the setup is one charpoly per
+    # Galois element
     t = build_torus("res-scalars", BiquadField.from_pair(5, -3))
-    b = t.xcochar.mats[1]
     calls = []
     real = IntMatrix.__new__
 
@@ -370,12 +373,58 @@ def test_euler_setup_builds_one_matrix_per_interpolation_point(monkeypatch):
         return real(cls, *args)
 
     monkeypatch.setattr(IntMatrix, "__new__", staticmethod(counting))
-    charpoly(b)
-    assert calls == []
     polys = galois._frobenius_polynomials.__wrapped__(t)
-    assert len(calls) <= (t.dim + 1) * t.group.order == 20
+    assert calls == []
     monkeypatch.undo()
     assert polys == galois._frobenius_polynomials(t)
+    assert polys == tuple(charpoly(t.xcochar.mats[t.group.inv(g)]) for g in range(t.group.order))
+
+
+def _counted_primes(monkeypatch):
+    """The p of every count good_euler_terms reads, with its budget."""
+    calls = []
+    real = galois.cached_point_count
+
+    def counting(model, p, k, budget):
+        assert k == 1
+        calls.append((p, budget))
+        return real(model, p, k, budget)
+
+    monkeypatch.setattr(galois, "cached_point_count", counting)
+    return calls
+
+
+@pytest.mark.parametrize("family,field,budget,counted", [
+    # split p = 1 mod 4, inert p = 3 mod 4; d + 1 = 2 of each
+    ("norm-one", QuadField.from_d(-1), 10 ** 8, [3, 5, 7, 13]),
+    # split where (-23|p) = 1: 3, 13, 29; inert: 5, 7, 11; d + 1 = 3 of each
+    ("res-scalars", QuadField.from_d(-23), 10 ** 8, [3, 5, 7, 11, 13, 29]),
+    # 29^3 exceeds the budget of the unit-group model's three variables
+    ("res-scalars", QuadField.from_d(-23), 10 ** 4, [3, 5, 7, 11, 13]),
+    # no affine model, nothing to count
+    ("norm-one", BiquadField.from_pair(5, -3), 10 ** 8, []),
+])
+def test_euler_terms_count_the_first_primes_of_each_class(monkeypatch, family, field, budget,
+                                                          counted):
+    t = build_torus(family, field)
+    calls = _counted_primes(monkeypatch)
+    terms = list(good_euler_terms(t, primes_up_to(200), budget))
+    assert calls == [(p, budget) for p in counted]
+    assert len(terms) > 40
+    for p, scaled, count in terms:
+        assert scaled == count == eval_poly(charpoly(
+            t.xcochar.mats[t.group.inv(frobenius_element(t, p))]), p)
+
+
+def test_euler_terms_yield_a_count_that_misses_its_polynomial(monkeypatch):
+    # a count of p + 99 points, which no class's polynomial gives: the third
+    # value is the count at the counted primes, and only there
+    monkeypatch.setattr(galois, "cached_point_count", lambda model, p, k, budget: p + 99)
+    t = build_torus("norm-one", QuadField.from_d(-1))
+    terms = list(good_euler_terms(t, primes_up_to(30)))
+    assert [(p, count) for p, scaled, count in terms if scaled != count] == [
+        (p, p + 99) for p in (3, 5, 7, 13)]
+    assert [p for p, _, _ in terms] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
 
 
 def test_build_torus_rejections():
