@@ -1,0 +1,62 @@
+"""Record the report-byte corpus, tests/data/report_digests.json.
+
+    PYTHONPATH=src python3 tests/record_digests.py
+
+Runs every argv of the corpus once, in one process, with TAMAGAWA_BUDGET
+unset, and writes argv -> [exit code, sha256 of the stdout bytes, stderr
+without its [timing] lines].  The corpus is every invocation of
+perfbench/reference.json, copied into the file so that the replay test does
+not read perfbench/, and the argv of EXTRA.  test_digests.py replays it.
+
+Re-record only on purpose: an entry may change only with a CHANGES.md line
+that names it.
+"""
+
+import hashlib
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from tamagawa.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+DIGESTS = ROOT / "tests" / "data" / "report_digests.json"
+REFERENCE = ROOT / "perfbench" / "reference.json"
+
+EXTRA = [
+    *(f"verify all --torus {spec}" for spec in (
+        "res:5,-3", "res:-3", "quot:-1,5", "norm1:-1,2", "res:-1",
+        "norm1:13,17", "quot:13,17", "norm1:2,3")),
+    # exit 64: the tol floor, a bad flag value, a bad torus spec
+    "verify tnc --torus norm1:-23 --tol 1e-12",
+    "verify euler --torus norm1:-1 --pmax abc",
+    "verify euler --torus bad",
+]
+
+
+def run(argv: str) -> list:
+    """[exit code, sha256 of stdout, stderr without [timing] lines] of one
+    in-process run of `argv`, split on spaces."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv.split())
+    kept = [line for line in err.getvalue().splitlines(keepends=True)
+            if not line.startswith("[timing] ")]
+    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest(), "".join(kept)]
+
+
+def main_record() -> int:
+    os.environ.pop("TAMAGAWA_BUDGET", None)
+    corpus = sorted(json.loads(REFERENCE.read_text())["invocations"]) + EXTRA
+    entries = {argv: run(argv) for argv in corpus}
+    DIGESTS.parent.mkdir(exist_ok=True)
+    DIGESTS.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
+    print(f"{len(entries)} entries written to {DIGESTS}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main_record())
