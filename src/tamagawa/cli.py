@@ -49,6 +49,7 @@ from .galois import (
     TAG_FAMILIES,
     TorusSpec,
     build_torus,
+    counting_budget,
     good_euler_terms,
     is_good_prime,
 )
@@ -141,9 +142,16 @@ def parse_torus(spec: str) -> TorusSpec:
 
 def run_euler(torus: TorusSpec, cfg: RunConfig):
     """The euler rows, one per good prime up to cfg.pmax, filled into bytes
-    as they are computed: a report appends them and keeps no row."""
-    terms = good_euler_terms(torus, primes_up_to(cfg.pmax), cfg.budget)
-    return euler_rows(torus.label, torus.dim, terms)
+    as they are computed: a report appends them and keeps no row.  If the
+    budget left a class counted at fewer than d + 1 primes, one stderr line
+    then says how many rows rest on its polynomial alone."""
+    short = []
+    terms = good_euler_terms(torus, primes_up_to(cfg.pmax), cfg.budget, short)
+    yield from euler_rows(torus.label, torus.dim, terms)
+    if short:
+        print(f"[uncounted] {torus.label} euler: {len(short)} rows rest on a class "
+              f"polynomial counted at fewer than d + 1 primes; --budget "
+              f"{counting_budget(torus, short)} leaves none", file=sys.stderr)
 
 
 def run_lifting(torus: TorusSpec, cfg: RunConfig):

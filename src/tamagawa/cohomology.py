@@ -2,16 +2,16 @@
 
 C^n(G, M) = Maps(G^n, M) is coordinatized by pairs (tuple, coord) with index
 tupidx*rank + coord, tuples ordered lexicographically (first entry most
-significant). H^n = ker d^n / im d^{n-1} needs only the Smith invariants of
-d^n and d^{n-1}: C^n / ker d^n embeds in the free module C^{n+1}, so ker d^n
-is a direct summand of C^n, and
+significant).  Every d^n, d^0 = stack(g - 1) included, comes from the one
+loop in `bar_boundary`.  H^n = ker d^n / im d^{n-1} is read off the Smith
+invariants of d^n and d^{n-1} alone: C^n / ker d^n embeds in the free module
+C^{n+1}, so ker d^n is a direct summand of C^n, and
 
     coker d^{n-1} = C^n / im d^{n-1} = H^n + Z^(rank d^n).
 
-So H^n has free rank cols d^n - rank d^n - rank d^{n-1} and the torsion of
-coker d^{n-1}.  This module alone builds d^0 = stack(g - 1): the Q-rank is
-the free rank of H^0, and the H_0 torsion dual is the torsion of coker d^0,
-which H^1 shares.
+So H^n has free rank cols d^n - rank d^n - rank d^{n-1}, and its torsion is
+the invariants of d^{n-1} above 1.  The Q-rank is the free rank of H^0, and
+the H_0 torsion dual is the torsion of coker d^0, which H^1 shares.
 
 The knot-group order i(T) of the norm-one family comes from the
 decomposition groups and H^3(G, Z) alone; `_knot_group_order` carries the
@@ -24,13 +24,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import BudgetExceededError, QRankError, UnsupportedTorusError
-from .exactcore import (
-    AbelianGroupInvariants,
-    IntMatrix,
-    invariants_from_relations,
-    smith_normal_form,
-    vstack,
-)
+from .exactcore import AbelianGroupInvariants, IntMatrix, smith_normal_form
 from .galois import (
     INF,
     GaloisLattice,
@@ -60,9 +54,6 @@ def bar_boundary(lattice: GaloisLattice, n: int) -> IntMatrix:
     cols_n = rank * ng ** n
     if rows_n > _COL_BUDGET:
         raise BudgetExceededError(f"boundary size {rows_n} exceeds {_COL_BUDGET}")
-    if n == 0:
-        blocks = [lattice.mats[g] - IntMatrix.identity(rank) for g in range(ng)]
-        return vstack(blocks)
     rows = [[0] * cols_n for _ in range(rows_n)]
     for s in product(range(ng), repeat=n + 1):
         rbase = _tuple_index(s, ng) * rank
@@ -89,13 +80,12 @@ def bar_boundary(lattice: GaloisLattice, n: int) -> IntMatrix:
 @lru_cache(maxsize=None)
 def _cohomology(lattice: GaloisLattice, n: int) -> AbelianGroupInvariants:
     dn = bar_boundary(lattice, n)
-    dprev = bar_boundary(lattice, n - 1) if n else IntMatrix(dn.cols, 0, ())
-    coker = invariants_from_relations(dn.cols, dprev)
-    free = coker.free_rank - len(smith_normal_form(dn))
+    prev = smith_normal_form(bar_boundary(lattice, n - 1)) if n else ()
+    free = dn.cols - len(prev) - len(smith_normal_form(dn))
     if free < 0:
         # rank d^n + rank d^{n-1} <= cols d^n holds whenever d o d = 0
         raise ArithmeticError("d o d != 0: rank d^n + rank d^{n-1} exceeds cols d^n")
-    return AbelianGroupInvariants(free, coker.factors)
+    return AbelianGroupInvariants(free, tuple(x for x in prev if x > 1))
 
 
 def cohomology(M: GaloisLattice, n: int) -> AbelianGroupInvariants:

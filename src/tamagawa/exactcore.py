@@ -12,7 +12,7 @@ from collections import namedtuple
 from functools import lru_cache
 from itertools import compress, count
 from math import gcd, isqrt, prod
-from operator import mul, sub
+from operator import mul
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +236,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         e, nc = self.entries, self.cols
         return IntMatrix(nc, self.rows, tuple([x for j in range(nc) for x in e[j::nc]]))
 
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
-        return IntMatrix(self.rows, self.cols, tuple(map(sub, self.entries, other.entries)))
-
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
@@ -280,17 +275,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
                 rowi[k] = 0
             prev = pivot
         return sign * a[n - 1][n - 1]
-
-
-def vstack(mats) -> IntMatrix:
-    mats = list(mats)
-    if not mats:
-        raise ValueError("vstack of nothing")
-    nc = mats[0].cols
-    if any(m.cols != nc for m in mats):
-        raise ValueError("column mismatch")
-    flat = tuple(x for m in mats for x in m.entries)
-    return IntMatrix(sum(m.rows for m in mats), nc, flat)
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
@@ -423,14 +407,4 @@ class AbelianGroupInvariants(namedtuple("AbelianGroupInvariants", "free_rank fac
             parts.append(f"Z^{self.free_rank}" if self.free_rank > 1 else "Z")
         parts.extend(f"Z/{f}" for f in self.factors)
         return " + ".join(parts) if parts else "0"
-
-
-def invariants_from_relations(ambient_rank: int, relations: IntMatrix) -> AbelianGroupInvariants:
-    """Invariants of Z^ambient_rank / column-span(relations)."""
-    if relations.rows != ambient_rank:
-        raise ValueError("relation matrix must have ambient_rank rows")
-    if relations.cols == 0:
-        return AbelianGroupInvariants(ambient_rank, ())
-    nonzero = smith_normal_form(relations)
-    return AbelianGroupInvariants(ambient_rank - len(nonzero), tuple(x for x in nonzero if x > 1))
 

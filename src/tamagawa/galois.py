@@ -237,7 +237,7 @@ def _frobenius_polynomials(t: TorusSpec) -> tuple[tuple[int, ...], ...]:
     return tuple(charpoly(t.xcochar.mats[t.group.inv(g)]) for g in range(t.group.order))
 
 
-def good_euler_terms(t: TorusSpec, primes, budget: int = COUNT_BUDGET):
+def good_euler_terms(t: TorusSpec, primes, budget: int = COUNT_BUDGET, short=None):
     """Yield (p, p^d * E_p(1), |T(F_p)|) for each p in `primes` (primes,
     unchecked) that does not divide 2 * disc.  The second value is the
     charpoly of Frobenius's class at p.  The third is the affine model's
@@ -250,7 +250,11 @@ def good_euler_terms(t: TorusSpec, primes, budget: int = COUNT_BUDGET):
     so each residue class pays for its Kronecker symbols once.  This is
     exact: for a discriminant D, n -> (D|n) is a Dirichlet character mod
     |D|, so (D|p) = (D|q) for positive p = q mod |D|, and the class is a
-    function of the (D_i|p)."""
+    function of the (D_i|p).
+
+    A class whose count stops short of d + 1 at the budget leaves the rows
+    of its later primes on the polynomial alone: each appends (p, g, n) to
+    the list `short`, if one is given, with n the counts class g lacks."""
     polys = _frobenius_polynomials(t)
     model = t.model
     # per class, how many of its primes are still to be counted
@@ -270,11 +274,26 @@ def good_euler_terms(t: TorusSpec, primes, budget: int = COUNT_BUDGET):
         value = eval_poly(polys[g], p)
         if value <= 0:
             raise ArithmeticError("point count must be positive")
-        if uncounted[g] and p ** model.nvars <= budget:
-            uncounted[g] -= 1
-            yield p, value, cached_point_count(model, p, 1, budget)
-        else:
-            yield p, value, value
+        if uncounted[g]:
+            if p ** model.nvars <= budget:
+                uncounted[g] -= 1
+                yield p, value, cached_point_count(model, p, 1, budget)
+                continue
+            if short is not None:
+                short.append((p, g, uncounted[g]))
+        yield p, value, value
+
+
+def counting_budget(t: TorusSpec, short) -> int:
+    """The least budget under which no row of `short`, as good_euler_terms
+    fills it, rests on the polynomial alone: each short class counts the
+    primes it lacks, or every prime of it that the sweep met."""
+    need = {}
+    for p, g, lacking in short:
+        n = need.get(g, (0,))[0]
+        if n < lacking:
+            need[g] = n + 1, p
+    return max(p for _, p in need.values()) ** t.model.nvars
 
 
 def _class_polynomial_at(t: TorusSpec, p: int) -> int:

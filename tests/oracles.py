@@ -1,24 +1,25 @@
 """Reference routes the tests check the package against, kept out of the
 package because no product code reads them: the Smith normal form with its
 unimodular transforms, kernel bases, group cohomology in kernel coordinates,
-class numbers from L(1, chi_D), factorization by trial division, the
-Frobenius element and the decomposition groups by cases over the field
-type, the good-prime density, the partial L-value and the
-Tamagawa product over a larger set of places, the norm form, the
-triple-loop matrix product, the determinant by cofactor expansion,
+the invariants of Z^k modulo the columns of a relation matrix
+(`invariants_from_relations`), the matrix difference (`matrix_difference`)
+and the vertical stack (`vstack`), class numbers from L(1, chi_D),
+factorization by trial division, the Frobenius element and the decomposition
+groups by cases over the field type, the good-prime density, the partial
+L-value and the Tamagawa product over a larger set of places, the norm form,
+the triple-loop matrix product, the determinant by cofactor expansion,
 det(x*I - B) interpolated from Bareiss determinants, the norm-one lattice
 by conjugation, and small helpers on group tables and matrices."""
 
 import math
 from collections import namedtuple
 from fractions import Fraction
-from operator import add
+from operator import add, sub
 
 from tamagawa.cohomology import bar_boundary
 from tamagawa.exactcore import (
     AbelianGroupInvariants,
     IntMatrix,
-    invariants_from_relations,
     is_prime,
     kronecker_symbol,
 )
@@ -220,6 +221,34 @@ def matrix_sum(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     return IntMatrix(a.rows, a.cols, tuple(map(add, a.entries, b.entries)))
 
 
+def matrix_difference(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    return IntMatrix(a.rows, a.cols, tuple(map(sub, a.entries, b.entries)))
+
+
+def vstack(mats) -> IntMatrix:
+    mats = list(mats)
+    if not mats:
+        raise ValueError("vstack of nothing")
+    nc = mats[0].cols
+    if any(m.cols != nc for m in mats):
+        raise ValueError("column mismatch")
+    flat = tuple(x for m in mats for x in m.entries)
+    return IntMatrix(sum(m.rows for m in mats), nc, flat)
+
+
+def invariants_from_relations(ambient_rank: int, relations: IntMatrix) -> AbelianGroupInvariants:
+    """Invariants of Z^ambient_rank / column-span(relations), from the
+    transform-tracking SNF, so that no route here shares the package's."""
+    if relations.rows != ambient_rank:
+        raise ValueError("relation matrix must have ambient_rank rows")
+    if relations.cols == 0:
+        return AbelianGroupInvariants(ambient_rank, ())
+    nonzero = [x for x in snf_with_transforms(relations).d if x]
+    return AbelianGroupInvariants(ambient_rank - len(nonzero), tuple(x for x in nonzero if x > 1))
+
+
 def interpolated_det_poly(b: IntMatrix) -> tuple[int, ...]:
     """Coefficients of det(x*I - b), low degree first, interpolated exactly
     from its Bareiss values at x = 0..n (Newton's forward differences).
@@ -230,7 +259,7 @@ def interpolated_det_poly(b: IntMatrix) -> tuple[int, ...]:
     polynomial has integer coefficients if and only if every k! divides
     its k-th difference: the sums stay in integers."""
     n = b.rows
-    diffs = [(scalar(n, x) - b).det() for x in range(n + 1)]
+    diffs = [matrix_difference(scalar(n, x), b).det() for x in range(n + 1)]
     coeffs = [0] * (n + 1)
     basis = [1]  # x(x-1)...(x-k+1), low degree first
     for k in range(n + 1):

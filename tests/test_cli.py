@@ -606,11 +606,11 @@ def test_error_on_a_later_torus_writes_no_report(capsys, monkeypatch, tmp_path):
     calls = []
     terms = cli.good_euler_terms
 
-    def second_fails(torus, primes, budget):
+    def second_fails(torus, primes, *rest):
         calls.append(torus.label)
         if len(calls) == 2:
             raise ArithmeticError(f"good factor mismatch on {torus.label}")
-        return terms(torus, primes, budget)
+        return terms(torus, primes, *rest)
 
     monkeypatch.setattr(cli, "good_euler_terms", second_fails)
     path = tmp_path / "report.json"
@@ -632,8 +632,8 @@ def _row_text(row):
 def test_euler_fail_row_through_the_cli(capsys, monkeypatch):
     terms = cli.good_euler_terms
 
-    def off_at_7(torus, primes, budget):
-        for p, scaled, count in terms(torus, primes, budget):
+    def off_at_7(torus, primes, *rest):
+        for p, scaled, count in terms(torus, primes, *rest):
             yield p, scaled + (p == 7), count
 
     monkeypatch.setattr(cli, "good_euler_terms", off_at_7)
@@ -772,6 +772,23 @@ PINNED_REPORTS = [
 def test_report_bytes_are_pinned(capsys, argv, code, digest):
     got, out, _ = run_cli(capsys, "verify", *argv)
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def test_euler_names_rows_on_a_class_polynomial_counted_short(capsys):
+    # res:-163's split class starts at 41, and 41^3 exceeds --budget 10000:
+    # the report keeps every byte it had before the note (sha256 of stdout
+    # recorded without it), and one stderr line precedes the [timing] line
+    code, out, err = run_cli(capsys, "verify", "euler", "--torus", "res:-163",
+                             "--budget", "10000")
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        0, "8ca09ed5739882a691eaaa66cade33f31f4a549e0275cc913607656f00f386da")
+    note, timing = err.splitlines()
+    assert note == ("[uncounted] res:-163 euler: 8 rows rest on a class polynomial "
+                    "counted at fewer than d + 1 primes; --budget 103823 leaves none")
+    assert timing.startswith("[timing] res:-163 euler: ")
+    code, _, err = run_cli(capsys, "verify", "euler", "--torus", "res:-163",
+                           "--budget", "103823")
+    assert code == 0 and err.startswith("[timing] ")
 
 
 @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])

@@ -16,7 +16,7 @@ from tamagawa.cohomology import (
     sha_order,
 )
 from tamagawa.errors import BudgetExceededError, QRankError, UnsupportedTorusError
-from tamagawa.exactcore import IntMatrix, invariants_from_relations, primes_up_to
+from tamagawa.exactcore import IntMatrix, primes_up_to
 from tamagawa.galois import (
     FAMILIES,
     FiniteGroup,
@@ -31,11 +31,13 @@ from oracles import (
     cohomology_in_kernel_coordinates,
     element_order,
     entry,
+    invariants_from_relations,
     kernel_basis,
+    matrix_difference,
     matrix_sum,
-    rows,
     snf_with_transforms,
     subgroup_closure,
+    vstack,
     zeros,
 )
 
@@ -64,7 +66,7 @@ def _cyclic_cohomology_oracle(lattice, n):
     for _ in range(group.order):
         norm = matrix_sum(norm, power)
         power = a * power
-    gm1 = a - ident
+    gm1 = matrix_difference(a, ident)
 
     def quotient_orders(ker_gens, image_mat):
         """Invariants of (lattice spanned by ker_gens) / (columns of
@@ -177,6 +179,29 @@ def test_bar_boundary_squares_to_zero():
             assert not any(prod.entries), (lattice, n)
 
 
+def _d0_lattices():
+    out = []
+    for field, group in ((QuadField.from_d(-7), "C2"), (BiquadField.from_pair(13, 17), "K4")):
+        for family in FAMILIES:
+            t = build_torus(family, field)
+            out += [(f"{t.label} {side} {group}", getattr(t, side))
+                    for side in ("xstar", "xcochar")]
+    for n in (3, 4):
+        out.append((f"trivial C{n}", trivial_lattice(FiniteGroup.cyclic(n), 2)))
+    return out
+
+
+D0_LATTICES = _d0_lattices()
+
+
+@pytest.mark.parametrize("lattice", [m for _, m in D0_LATTICES],
+                         ids=[name for name, _ in D0_LATTICES])
+def test_d0_is_the_stacked_action_minus_one(lattice):
+    # the one loop of bar_boundary at n = 0: row block g is g - 1
+    ident = IntMatrix.identity(lattice.rank)
+    assert bar_boundary(lattice, 0) == vstack(matrix_difference(g, ident) for g in lattice.mats)
+
+
 @pytest.mark.parametrize("field", [QuadField.from_d(-7), BiquadField.from_pair(13, 17)],
                          ids=["C2", "K4"])
 @pytest.mark.parametrize("family", ["res-scalars", "norm-one", "quotient-by-gm"])
@@ -243,7 +268,7 @@ def test_q_rank_and_h0_torsion_dual_against_the_stacked_action(field):
         t = build_torus(family, field)
         m = t.xstar
         ident = IntMatrix.identity(m.rank)
-        stacked = IntMatrix.from_rows([row for g in m.mats for row in rows(g - ident)])
+        stacked = vstack(matrix_difference(g, ident) for g in m.mats)
         snf = snf_with_transforms(stacked)
         assert q_rank(t) == m.rank - snf.rank, t.label
         if q_rank(t):

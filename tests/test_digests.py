@@ -9,10 +9,9 @@ from pathlib import Path
 from record_digests import DIGESTS, run
 
 
-def test_report_digests_hold(monkeypatch, capsys):
+def test_report_digests_hold(monkeypatch):
     monkeypatch.delenv("TAMAGAWA_BUDGET", raising=False)
     corpus = json.loads(Path(DIGESTS).read_text())
     assert len(corpus) == 60
-    changed = {argv: run(argv) for argv in corpus}
-    changed = {argv: got for argv, got in changed.items() if got != corpus[argv]}
-    assert changed == {}
+    got = {argv: run(argv) for argv in corpus}
+    assert {argv: entry for argv, entry in got.items() if entry != corpus[argv]} == {}

