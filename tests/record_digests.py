@@ -26,6 +26,32 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "tests" / "data" / "report_digests.json"
 REFERENCE = ROOT / "perfbench" / "reference.json"
 
+# argv that test_cli.py also replays one by one, each under its own test id
+PINNED = [
+    "verify euler --torus res:5,-3 --pmax 2000",
+    "verify euler --torus norm1:13,-19 --pmax 1000",
+    "verify density --torus norm1:-131",
+    "verify lifting --torus norm1:-1 --kmax 4",
+    "verify all --torus quot:-5",
+    # h1 = Z/2 + Z/2 on norm-one, Z/4 on its dual torus: a dropped or
+    # misplaced dual of the lattice swaps them
+    "verify globalinv --torus norm1:13,17",
+    "verify globalinv --torus quot:13,17",
+    "verify tnc --torus norm1:13",
+    "verify tnc --torus norm1:-23 --budget 10000",
+    "verify sha --torus norm1:-23",
+    # c_gamma = 3 scales tau_tam and its error bar
+    "verify tnc --torus norm1:-23 --tol 1e-3",
+    # a real field whose fundamental unit has norm +1
+    "verify tnc --torus norm1:3",
+    # every row over one torus, c_gamma = 3 and i(T) = 1 shared by sha-bk and tnc
+    "verify all --torus norm1:-23",
+    # every row over a real field whose fundamental unit has norm -1
+    "verify all --torus norm1:5",
+    # a quadratic field, with split (p - 1 points) and inert (p + 1) rows
+    "verify euler --torus quot:-42 --pmax 5000",
+]
+
 EXTRA = [
     *(f"verify all --torus {spec}" for spec in (
         "res:5,-3", "res:-3", "quot:-1,5", "norm1:-1,2", "res:-1",
@@ -34,6 +60,7 @@ EXTRA = [
     "verify tnc --torus norm1:-23 --tol 1e-12",
     "verify euler --torus norm1:-1 --pmax abc",
     "verify euler --torus bad",
+    *PINNED,
 ]
 
 

@@ -42,6 +42,7 @@ from tamagawa.report import (
     worst_exit_code,
     write_report_atomic,
 )
+from record_digests import DIGESTS, PINNED, run
 
 
 def run_cli(capsys, *argv):
@@ -726,52 +727,11 @@ def test_euler_run_triggers_no_collection(capsys):
 
 # sha256 of stdout and the exit code, recorded with the renderer that ran
 # `json.dumps` over the `to_jsonable` tree
-PINNED_REPORTS = [
-    (("euler", "--torus", "res:5,-3", "--pmax", "2000"), 0,
-     "31e42d09f92f404ec62c14ef24403747c5892df9ab95b2be64e4a3baf1f38aa7"),
-    (("euler", "--torus", "norm1:13,-19", "--pmax", "1000"), 0,
-     "1d50ba9f49f0f0fdeb5a6b835a62edae68ea8e1d7ec8073004b859ac6d95a60e"),
-    (("density", "--torus", "norm1:-131"), 2,
-     "2a4ab8c99bd3c38fbd68ea180748d9c8bd51c7796120b91e4945f34552c88e15"),
-    (("lifting", "--torus", "norm1:-1", "--kmax", "4"), 0,
-     "6bcb9d53a46c1ddc204195dc6e80c94b86c821da72265b55d43900512d57111f"),
-    (("all", "--torus", "quot:-5"), 0,
-     "01b7773672f6a1c3fc54a976b360bcd14574a0a432f3ff92697500b1bc3b22a5"),
-    # h1 = Z/2 + Z/2 on norm-one, Z/4 on its dual torus: a dropped or
-    # misplaced dual of the lattice swaps them
-    (("globalinv", "--torus", "norm1:13,17"), 0,
-     "181038b0fb95cde5777c5bf044728b4e08599212c565619ef823e459547562c1"),
-    (("globalinv", "--torus", "quot:13,17"), 0,
-     "97235e875df4ee332c68c6236d67c451d9a709324ee32f9ad4f8e2ba6e0129a4"),
-    (("tnc", "--torus", "norm1:13"), 0,
-     "63aa59ff84344c1d8020a8508c43184d0f5b30f0ef36f16b5724e55b0cf38a7c"),
-    (("tnc", "--torus", "norm1:-23", "--budget", "10000"), 2,
-     "b474902e6bb2ff8b7f7e499837200dd66ac842b2adc7884a1016877b5b40a99c"),
-    (("sha", "--torus", "norm1:-23"), 0,
-     "176779b5efd1fd34309460dc4773880aba1499ae3d686374138840e91f02db22"),
-    # c_gamma = 3 scales tau_tam and its error bar
-    (("tnc", "--torus", "norm1:-23", "--tol", "1e-3"), 0,
-     "2465de6202744ee0c9e1afdcbdb63637df463af8a063d311f9ba93fa5047b5bd"),
-    # a real field whose fundamental unit has norm +1
-    (("tnc", "--torus", "norm1:3"), 0,
-     "a7b8bf22f3a0a760e0d15a4e39e83b8222d34ce8657013060cf363660dc91434"),
-    # every row over one torus, c_gamma = 3 and i(T) = 1 shared by sha-bk and tnc
-    (("all", "--torus", "norm1:-23"), 0,
-     "cb726f1bc9f750a7a479502fed8f9f1e7a9c5d8791635f1e16a636dd4523b744"),
-    # every row over a real field whose fundamental unit has norm -1
-    (("all", "--torus", "norm1:5"), 0,
-     "88707ef5e8f94342ed3378a7a638a380bf1cf9d8625c2280e002dd8d47e317ac"),
-    # a quadratic field, with split (p - 1 points) and inert (p + 1) rows
-    (("euler", "--torus", "quot:-42", "--pmax", "5000"), 0,
-     "41833fa83609793adfdab123ff3dae6dec26abd7d1f02e5b971fe03e284d256e"),
-]
-
-
-@pytest.mark.parametrize("argv,code,digest", PINNED_REPORTS,
-                         ids=[" ".join(argv) for argv, _, _ in PINNED_REPORTS])
-def test_report_bytes_are_pinned(capsys, argv, code, digest):
-    got, out, _ = run_cli(capsys, "verify", *argv)
-    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+@pytest.mark.parametrize("argv", PINNED, ids=[a.removeprefix("verify ") for a in PINNED])
+def test_report_bytes_are_pinned(monkeypatch, argv):
+    monkeypatch.delenv("TAMAGAWA_BUDGET", raising=False)
+    # exit code, stdout sha256 and stderr as the report-byte corpus holds them
+    assert run(argv) == json.loads(DIGESTS.read_text())[argv]
 
 
 def test_euler_names_rows_on_a_class_polynomial_counted_short(capsys):

@@ -12,6 +12,6 @@ from record_digests import DIGESTS, run
 def test_report_digests_hold(monkeypatch):
     monkeypatch.delenv("TAMAGAWA_BUDGET", raising=False)
     corpus = json.loads(Path(DIGESTS).read_text())
-    assert len(corpus) == 60
+    assert len(corpus) == 75
     got = {argv: run(argv) for argv in corpus}
     assert {argv: entry for argv, entry in got.items() if entry != corpus[argv]} == {}
