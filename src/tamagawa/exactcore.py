@@ -15,6 +15,18 @@ from math import gcd, isqrt, prod
 from operator import mul
 
 
+class Record(tuple):
+    """Base of the namedtuple records whose __new__ validates: namedtuple's
+    own _make, which _replace calls, skips __new__, and this one does not.
+    Derive as class R(Record, namedtuple("R", fields))."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
 # ---------------------------------------------------------------------------
 # elementary number theory
 
@@ -198,7 +210,7 @@ def kronecker_symbol(a: int, n: int) -> int:
 # integer matrices
 
 
-class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
+class IntMatrix(Record, namedtuple("IntMatrix", "rows cols entries")):
     """Immutable integer matrix, row-major flat storage."""
 
     __slots__ = ()
@@ -207,11 +219,6 @@ class IntMatrix(namedtuple("IntMatrix", "rows cols entries")):
         if len(entries) != rows * cols:
             raise ValueError("entry count must equal rows*cols")
         return super().__new__(cls, rows, cols, entries)
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return cls(*iterable)
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
@@ -373,7 +380,7 @@ def eval_poly(coeffs, x: int) -> int:
     return acc
 
 
-class AbelianGroupInvariants(namedtuple("AbelianGroupInvariants", "free_rank factors")):
+class AbelianGroupInvariants(Record, namedtuple("AbelianGroupInvariants", "free_rank factors")):
     """Invariant-factor presentation Z^free_rank + Z/d_1 + ... (d_i | d_{i+1})."""
 
     __slots__ = ()
@@ -385,11 +392,6 @@ class AbelianGroupInvariants(namedtuple("AbelianGroupInvariants", "free_rank fac
         if any(f < 2 for f in factors):
             raise ValueError("factors must be > 1")
         return super().__new__(cls, free_rank, factors)
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return cls(*iterable)
 
     @property
     def order(self) -> int | None:

@@ -1,4 +1,4 @@
-"""Torus families via their character/cocharacter lattices.
+"""Torus families via their character lattices.
 
 Three families over a quadratic or biquadratic field K with G = Gal(K/Q):
 
@@ -9,7 +9,8 @@ Three families over a quadratic or biquadratic field K with G = Gal(K/Q):
 Under the G-invariant pairing <g, h> = [g = h] on Z[G], Z[G] is its own dual
 (P_h^T = P_{h^{-1}}), and Z[G] / Z*(sum) is the dual of I_G: the norm-one
 torus and the quotient by G_m are dual tori.  So norm-one's X^* is built as
-the dual of I_G, and its X_* is I_G itself.
+the dual of I_G.  A torus stores X^* alone; its cocharacter lattice X_* is
+xstar.dual().
 
 K is described by the discriminants D_i of its quadratic subfields, and G
 by one table of their characters chi_i(g) = +-1.  Two rules read it: the
@@ -20,15 +21,16 @@ D > 0 at infinity), so its fixed field is the largest subfield in which v
 splits completely.
 
 Euler factors and point counts read one polynomial per Galois element g:
-with B = Fr^{-1} on X_* when Fr = g, charpoly(B) by Faddeev-LeVerrier,
-once per torus.  At a good p of class g, charpoly(B)(p) is both
-p^d * E_p(1) and |T(F_p)| (Ono, "Arithmetic of algebraic tori", Ann. of
-Math. 74, 1961), so an euler row needs a second side that is not this
-polynomial: for a torus with an affine model, the model's count of points
-mod p at the first d + 1 good primes of each class that a sweep meets.
-d + 1 values pin a polynomial of degree d, so the rows of class g check a
-polynomial whose values were counted.  Biquadratic tori have no model, and
-their rows evaluate the polynomial alone.
+charpoly(g | X^*) by Faddeev-LeVerrier, once per torus.  In the dual basis
+g^{-1} acts on X_* by the transpose of g on X^*, so this is also
+charpoly(Fr^{-1} | X_*) when Fr = g.  At a good p of class g, its value at
+p is both p^d * E_p(1) and |T(F_p)| (Ono, "Arithmetic of algebraic tori",
+Ann. of Math. 74, 1961), so an euler row needs a second side that is not
+this polynomial: for a torus with an affine model, the model's count of
+points mod p at the first d + 1 good primes of each class that a sweep
+meets.  d + 1 values pin a polynomial of degree d, so the rows of class g
+check a polynomial whose values were counted.  Biquadratic tori have no
+model, and their rows evaluate the polynomial alone.
 
 The setup, once per torus, is |G| charpolys of d x d matrices (d - 1
 products each, on lists of rows, no IntMatrix).  Each prime then costs a
@@ -45,7 +47,7 @@ from functools import lru_cache
 from math import lcm, prod
 
 from .errors import UnsupportedTorusError
-from .exactcore import IntMatrix, charpoly, eval_poly, is_prime, kronecker_symbol
+from .exactcore import IntMatrix, Record, charpoly, eval_poly, is_prime, kronecker_symbol
 from .models import COUNT_BUDGET, cached_point_count, norm_form_model, unit_group_model
 from .quadfield import BiquadField, QuadField
 
@@ -56,7 +58,7 @@ FAMILY_TAGS = {"res-scalars": "res", "norm-one": "norm1", "quotient-by-gm": "quo
 TAG_FAMILIES = {v: k for k, v in FAMILY_TAGS.items()}
 
 
-class FiniteGroup(namedtuple("FiniteGroup", "labels table")):
+class FiniteGroup(Record, namedtuple("FiniteGroup", "labels table")):
     __slots__ = ()
 
     def __new__(cls, labels: tuple[str, ...], table: tuple[tuple[int, ...], ...]):
@@ -76,11 +78,6 @@ class FiniteGroup(namedtuple("FiniteGroup", "labels table")):
                     if table[table[i][j]][k] != table[i][table[j][k]]:
                         raise ValueError("table is not associative")
         return super().__new__(cls, labels, table)
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return cls(*iterable)
 
     @property
     def order(self) -> int:
@@ -109,7 +106,7 @@ _CHARACTERS = {
 }
 
 
-class GaloisLattice(namedtuple("GaloisLattice", "group rank mats")):
+class GaloisLattice(Record, namedtuple("GaloisLattice", "group rank mats")):
     __slots__ = ()
 
     def __new__(cls, group: FiniteGroup, rank: int, mats: tuple[IntMatrix, ...]):
@@ -128,11 +125,6 @@ class GaloisLattice(namedtuple("GaloisLattice", "group rank mats")):
                 if mats[i] * mats[j] != mats[group.table[i][j]]:
                     raise ValueError("action is not a homomorphism")
         return super().__new__(cls, group, rank, mats)
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return cls(*iterable)
 
     def dual(self) -> "GaloisLattice":
         G = self.group
@@ -174,9 +166,9 @@ def _aug_kernel_action(group: FiniteGroup) -> tuple[IntMatrix, ...]:
     return tuple(out)
 
 
-class TorusSpec(namedtuple("TorusSpec", "family field dim xstar xcochar model label")):
-    """field is a QuadField or BiquadField, xstar and xcochar the
-    GaloisLattices X^* and X_*, model an AffineModel or None."""
+class TorusSpec(namedtuple("TorusSpec", "family field dim xstar model label")):
+    """field is a QuadField or BiquadField, xstar the GaloisLattice X^*
+    (X_* is xstar.dual()), model an AffineModel or None."""
 
     __slots__ = ()
 
@@ -203,10 +195,11 @@ def build_torus(family: str, field: QuadField | BiquadField) -> TorusSpec:
         raise UnsupportedTorusError(f"unsupported field descriptor {field!r}")
     group = FiniteGroup.cyclic(2) if quad else FiniteGroup.klein_four()
     if family == "res-scalars":
-        xstar = xcochar = GaloisLattice(group, group.order, _perm_matrices(group))
+        xstar = GaloisLattice(group, group.order, _perm_matrices(group))
     else:
-        aug = GaloisLattice(group, group.order - 1, _aug_kernel_action(group))
-        xstar, xcochar = (aug.dual(), aug) if family == "norm-one" else (aug, aug.dual())
+        xstar = GaloisLattice(group, group.order - 1, _aug_kernel_action(group))
+        if family == "norm-one":
+            xstar = xstar.dual()
     if quad:
         # over quadratic K the quotient is Q-isomorphic to norm-one via
         # t -> t/s(t), so it shares the norm-form model
@@ -215,7 +208,7 @@ def build_torus(family: str, field: QuadField | BiquadField) -> TorusSpec:
     else:
         model, desc = None, f"{field.d1},{field.d2}"
     label = f"{FAMILY_TAGS[family]}:{desc}"
-    return TorusSpec(family, field, xstar.rank, xstar, xcochar, model, label)
+    return TorusSpec(family, field, xstar.rank, xstar, model, label)
 
 
 def is_good_prime(t: TorusSpec, p: int) -> bool:
@@ -232,9 +225,9 @@ def _frobenius_index(field: QuadField | BiquadField, p: int) -> int:
 
 @lru_cache(maxsize=512)
 def _frobenius_polynomials(t: TorusSpec) -> tuple[tuple[int, ...], ...]:
-    """For each Galois element g, charpoly(B) of B = g^{-1} on X_*, low
-    degree first, computed once per torus."""
-    return tuple(charpoly(t.xcochar.mats[t.group.inv(g)]) for g in range(t.group.order))
+    """For each Galois element g, charpoly(g | X^*), low degree first,
+    computed once per torus."""
+    return tuple(charpoly(m) for m in t.xstar.mats)
 
 
 def good_euler_terms(t: TorusSpec, primes, budget: int = COUNT_BUDGET, short=None):
@@ -297,19 +290,19 @@ def counting_budget(t: TorusSpec, short) -> int:
 
 
 def _class_polynomial_at(t: TorusSpec, p: int) -> int:
-    """charpoly(Fr_p^{-1} | X_*) at p, with no count of points."""
+    """charpoly(Fr_p | X^*) at p, with no count of points."""
     if not is_good_prime(t, p):
         raise ValueError(f"p = {p} is not a good prime for {t.label}")
     return eval_poly(_frobenius_polynomials(t)[_frobenius_index(t.field, p)], p)
 
 
 def euler_factor_at_one(t: TorusSpec, p: int) -> Fraction:
-    """det(1 - Fr_p^{-1} p^{-1} | X_* x Q), via the characteristic polynomial."""
+    """det(1 - Fr_p p^{-1} | X^* x Q), via the characteristic polynomial."""
     return Fraction(_class_polynomial_at(t, p), p ** t.dim)
 
 
 def point_count_Fp(t: TorusSpec, p: int) -> int:
-    """|T(F_p)| = det(p - Fr_p^{-1} | X_*): the characteristic polynomial at
+    """|T(F_p)| = det(p - Fr_p | X^*): the characteristic polynomial at
     p, not a count, so the density cross-check compares it with one."""
     return _class_polynomial_at(t, p)
 

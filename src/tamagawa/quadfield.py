@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
-from .exactcore import factorize, squarefree_part
+from .exactcore import Record, factorize, squarefree_part
 
 
 def is_fundamental_discriminant(D: int) -> bool:
@@ -37,7 +37,11 @@ def _check_d(d: int) -> None:
         raise ValueError(f"d = {d} must be a squarefree integer other than 0 and 1")
 
 
-class _Subfields:
+def _disc(d: int) -> int:
+    return d if d % 4 == 1 else 4 * d
+
+
+class _Subfields(Record):
     """What QuadField and BiquadField read off their subfield_discs."""
 
     __slots__ = ()
@@ -51,21 +55,14 @@ class QuadField(_Subfields, namedtuple("QuadField", "d D")):
 
     def __new__(cls, d: int, D: int):
         _check_d(d)
-        expected = d if d % 4 == 1 else 4 * d
-        if D != expected:
+        if D != _disc(d):
             raise ValueError("disc does not match d")
         return super().__new__(cls, d, D)
 
     @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return cls(*iterable)
-
-    @classmethod
     def from_d(cls, d: int) -> "QuadField":
         d = int(d)
-        D = d if d % 4 == 1 else 4 * d
-        return cls(d, D)
+        return cls(d, _disc(d))
 
     @property
     def is_imaginary(self) -> bool:
@@ -243,15 +240,21 @@ class BiquadField(_Subfields, namedtuple("BiquadField", "d1 d2 d3 D1 D2 D3")):
 
     __slots__ = ()
 
-    @classmethod
-    def from_pair(cls, d1: int, d2: int) -> "BiquadField":
+    def __new__(cls, d1: int, d2: int, d3: int, D1: int, D2: int, D3: int):
         _check_d(d1)
         _check_d(d2)
         if d1 == d2:
             raise ValueError("subfields coincide")
-        d3 = squarefree_part(d1 * d2)
-        discs = tuple(d if d % 4 == 1 else 4 * d for d in (d1, d2, d3))
-        return cls(d1, d2, d3, *discs)
+        if d3 * gcd(d1, d2) ** 2 != d1 * d2 or (D1, D2, D3) != tuple(map(_disc, (d1, d2, d3))):
+            raise ValueError("d3 or a disc does not match d1, d2")
+        return super().__new__(cls, d1, d2, d3, D1, D2, D3)
+
+    @classmethod
+    def from_pair(cls, d1: int, d2: int) -> "BiquadField":
+        # squarefree d1, d2 share only gcd^2 in d1 * d2; __new__ checks
+        # that they are squarefree, and nonzero, first
+        d3 = d1 * d2 // (gcd(d1, d2) or 1) ** 2
+        return cls(d1, d2, d3, *map(_disc, (d1, d2, d3)))
 
     @property
     def subfield_discs(self) -> tuple[int, int, int]:

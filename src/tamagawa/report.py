@@ -37,6 +37,8 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
+from .exactcore import Record
+
 SCHEMA_VERSION = 1
 
 PASS = "PASS"
@@ -63,7 +65,7 @@ class RenderedRow(namedtuple("RenderedRow", "verdict text")):
     __slots__ = ()
 
 
-class VerificationReport(namedtuple("VerificationReport", "identity inputs values verdict cause")):
+class VerificationReport(Record, namedtuple("VerificationReport", "identity inputs values verdict cause")):
     """One row of a report; `inputs` and `values` default to a fresh {}."""
 
     __slots__ = ()
@@ -78,11 +80,6 @@ class VerificationReport(namedtuple("VerificationReport", "identity inputs value
             raise ValueError("FAIL/INCONCLUSIVE reports need a cause")
         return super().__new__(cls, identity, {} if inputs is None else inputs,
                                {} if values is None else values, verdict, cause)
-
-    @classmethod
-    def _make(cls, iterable):
-        # namedtuple's own _make, which _replace calls, skips __new__
-        return cls(*iterable)
 
 
 _dumps = json.dumps

@@ -1,4 +1,4 @@
-"""Galois groups, character/cocharacter lattices, Frobenius data, Euler
+"""Galois groups, character lattices and their duals, Frobenius data, Euler
 factors vs point counts, decomposition subgroups."""
 
 from fractions import Fraction
@@ -106,7 +106,7 @@ def test_lattice_dual_is_involutive():
         # contragredient pairing: dual matrix of g is the transpose at g^{-1}
         for g in range(t.group.order):
             gi = t.group.inv(g)
-            assert t.xcochar.mats[g].entries == t.xstar.mats[gi].transpose().entries
+            assert t.xstar.dual().mats[g].entries == t.xstar.mats[gi].transpose().entries
 
 
 def test_family_ranks_and_q_rank():
@@ -133,8 +133,8 @@ DUALITY_IDS = ["-23", "5", "13,17", "-1,2", "-3,5"]
 def test_norm_one_and_quotient_are_dual_tori(field):
     # Z[G]/Z*N is the dual of the augmentation kernel, and Z[G] its own dual
     n1, qt, res = (build_torus(f, field) for f in ("norm-one", "quotient-by-gm", "res-scalars"))
-    assert n1.xcochar == qt.xstar
-    assert n1.xstar == qt.xcochar
+    assert n1.xstar.dual() == qt.xstar
+    assert n1.xstar == qt.xstar.dual()
     assert res.xstar.dual() == res.xstar
 
 
@@ -221,7 +221,7 @@ def test_interpolated_det_poly_equals_charpoly():
     # coefficients (the interpolation raises otherwise) and is the
     # characteristic polynomial
     for t in all_tori():
-        for b in t.xcochar.mats:
+        for b in t.xstar.dual().mats:
             assert interpolated_det_poly(b) == charpoly(b)
 
 
@@ -269,7 +269,7 @@ def test_euler_terms_against_per_prime_bareiss():
         terms = list(good_euler_terms(t, primes_up_to(2000)))
         assert [p for p, _, _ in terms] == good
         for p, scaled, count in terms:
-            b = t.xcochar.mats[t.group.inv(frobenius_element(t, p))]
+            b = t.xstar.dual().mats[t.group.inv(frobenius_element(t, p))]
             assert count == matrix_difference(scalar(t.dim, p), b).det()
             assert scaled == eval_poly(charpoly(b), p) == count
 
@@ -287,7 +287,7 @@ def test_good_primes():
 def test_euler_factor_positive_and_finite_order():
     t = build_torus("res-scalars", QuadField.from_d(-7))
     for p in (3, 5, 11):
-        frob = t.xcochar.mats[frobenius_element(t, p)]
+        frob = t.xstar.dual().mats[frobenius_element(t, p)]
         assert abs(frob.det()) == 1  # finite-order action
         assert euler_factor_at_one(t, p) > 0
         cp = charpoly(frob)
@@ -342,8 +342,7 @@ def test_character_rules_match_the_case_analysis():
 
 @pytest.mark.parametrize("field", [QuadField.from_d(-5), BiquadField.from_pair(13, 17)])
 def test_build_torus_validates_each_lattice_once(field, monkeypatch):
-    # Z[G] is its own dual; I_G and its dual serve norm-one and quot, in
-    # opposite roles
+    # Z[G] for res, I_G for quot, and I_G then its dual for norm-one
     calls = []
     real = GaloisLattice.__new__
 
@@ -356,11 +355,9 @@ def test_build_torus_validates_each_lattice_once(field, monkeypatch):
     for family in FAMILIES:
         calls.clear()
         built[family] = build_torus.__wrapped__(family, field)
-        assert len(calls) == {"res-scalars": 1, "norm-one": 2, "quotient-by-gm": 2}[family]
+        assert len(calls) == {"res-scalars": 1, "norm-one": 2, "quotient-by-gm": 1}[family]
     monkeypatch.undo()
-    for t in built.values():
-        assert t.xcochar == t.xstar.dual()
-    assert built["norm-one"].xstar == built["quotient-by-gm"].xcochar
+    assert built["norm-one"].xstar == built["quotient-by-gm"].xstar.dual()
 
 
 def test_euler_setup_builds_no_matrix(monkeypatch):
@@ -379,7 +376,13 @@ def test_euler_setup_builds_no_matrix(monkeypatch):
     assert calls == []
     monkeypatch.undo()
     assert polys == galois._frobenius_polynomials(t)
-    assert polys == tuple(charpoly(t.xcochar.mats[t.group.inv(g)]) for g in range(t.group.order))
+    assert polys == tuple(charpoly(m) for m in t.xstar.mats)
+    # charpoly(g | X^*) = charpoly(g^{-1} | X_*): in the dual basis g^{-1}
+    # acts on X_* by the transpose of g on X^*
+    for t in all_tori():
+        xcochar = t.xstar.dual()
+        assert galois._frobenius_polynomials(t) == tuple(
+            charpoly(xcochar.mats[t.group.inv(g)]) for g in range(t.group.order)), t.label
 
 
 def _counted_primes(monkeypatch):
@@ -415,7 +418,7 @@ def test_euler_terms_count_the_first_primes_of_each_class(monkeypatch, family, f
     assert len(terms) > 40
     for p, scaled, count in terms:
         assert scaled == count == eval_poly(charpoly(
-            t.xcochar.mats[t.group.inv(frobenius_element(t, p))]), p)
+            t.xstar.dual().mats[t.group.inv(frobenius_element(t, p))]), p)
 
 
 def test_euler_terms_yield_a_count_that_misses_its_polynomial(monkeypatch):

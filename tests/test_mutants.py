@@ -15,7 +15,7 @@ from collections import Counter
 
 import pytest
 
-from tamagawa import exactcore, galois, models
+from tamagawa import exactcore, galois, globalasm, models
 from tamagawa.cli import main
 from tamagawa.quadfield import QuadField
 
@@ -23,7 +23,7 @@ from tamagawa.quadfield import QuadField
 cohomology = importlib.import_module("tamagawa.cohomology")
 
 CACHES = (galois._frobenius_polynomials, models.cached_point_count,
-          cohomology._cohomology, cohomology.ono_constant)
+          cohomology._cohomology, cohomology.ono_constant, globalasm.c_gamma)
 
 
 @pytest.fixture(autouse=True)
@@ -81,9 +81,48 @@ def double_smith_invariants(monkeypatch):
     _patch_every_binding(monkeypatch, real, _doubled_smith(real))
 
 
+def double_c_gamma(monkeypatch):
+    real = globalasm.c_gamma
+
+    def doubled(torus):
+        c = real(torus)
+        return c._replace(value=2 * c.value)
+
+    _patch_every_binding(monkeypatch, real, doubled)
+
+
+def double_ono_constant(monkeypatch):
+    real = cohomology.ono_constant
+    _patch_every_binding(monkeypatch, real, lambda t: 2 * real(t))
+
+
+def _doubled_value_and_error(real):
+    def doubled(arg):
+        r = real(arg)
+        return r._replace(value=2 * r.value, abs_err=2 * r.abs_err)
+
+    return doubled
+
+
+def double_archimedean_volume(monkeypatch):
+    real = globalasm.archimedean_volume
+    _patch_every_binding(monkeypatch, real, _doubled_value_and_error(real))
+
+
+def double_l_value(monkeypatch):
+    real = globalasm.l_value
+    _patch_every_binding(monkeypatch, real, _doubled_value_and_error(real))
+
+
 MUTANTS = {"frobenius-swap": swap_quadratic_frobenius,
            "charpoly-constant": bump_class_one_constant,
-           "smith-doubled": double_smith_invariants}
+           "smith-doubled": double_smith_invariants,
+           "c-gamma-doubled": double_c_gamma,
+           "ono-constant-doubled": double_ono_constant,
+           "volume-doubled": double_archimedean_volume,
+           "l-value-doubled": double_l_value}
+
+NORM_ONE_TORI = ("norm1:-23", "norm1:13")
 
 # (mutant, argv, exit code, verdict counts or stderr)
 CELLS = [
@@ -111,6 +150,17 @@ CELLS = [
     ("smith-doubled", ("sha", "--torus", "norm1:-23"), 0, {"PASS": 1}),
     # #H^1 = 4 against a tau of 2
     ("smith-doubled", ("tnc", "--torus", "norm1:-23"), 1, {"FAIL": 1}),
+    # c_gamma = 3 on norm1:-23 and 1 on norm1:13, i(T) = 1 on both; the sha
+    # row compares c_gamma * i(T) with itself: blind until genus theory
+    # counts c_gamma a second way (ROADMAP item 5)
+    *((mutant, ("sha", "--torus", spec), 0, {"PASS": 1})
+      for mutant in ("c-gamma-doubled", "ono-constant-doubled")
+      for spec in NORM_ONE_TORI),
+    # tau, or the prediction #H^1 / i(T), off by a factor of 2
+    *((mutant, ("tnc", "--torus", spec), 1, {"FAIL": 1})
+      for mutant in ("c-gamma-doubled", "ono-constant-doubled", "volume-doubled",
+                     "l-value-doubled")
+      for spec in NORM_ONE_TORI),
 ]
 
 
@@ -123,8 +173,14 @@ def _verify(capsys, argv):
     return code, dict(Counter(row["verdict"] for row in rows))
 
 
+def _cell_id(mutant, argv):
+    # the torus joins the id where a mutant runs one identity on several
+    tori = {a[2] for m, a, _, _ in CELLS if (m, a[0]) == (mutant, argv[0])}
+    return f"{mutant}-{argv[0]}" + (f"-{argv[2]}" if len(tori) > 1 else "")
+
+
 @pytest.mark.parametrize("mutant,argv,code,outcome", CELLS,
-                         ids=[f"{m}-{a[0]}" for m, a, _, _ in CELLS])
+                         ids=[_cell_id(m, a) for m, a, _, _ in CELLS])
 def test_mutant_cell(capsys, monkeypatch, mutant, argv, code, outcome):
     assert _verify(capsys, argv)[0] == 0  # the real code passes
     MUTANTS[mutant](monkeypatch)

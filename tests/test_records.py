@@ -41,7 +41,7 @@ RECORDS = {
     AffineModel: (MODEL_FIELDS, {}),
     FiniteGroup: ((("e", "s"), ((0, 1), (1, 0))), {}),
     GaloisLattice: ((C2, 1, (I1, NEG1)), {}),
-    TorusSpec: (("norm-one", QuadField(-1, -4), 1, SIGN, SIGN.dual(), MODEL, "norm1:-1"), {}),
+    TorusSpec: (("norm-one", QuadField(-1, -4), 1, SIGN, MODEL, "norm1:-1"), {}),
     LocalDensity: ((Fraction(2), ((1, 2, Fraction(2)),)), {}),
     ArchVolume: (VOLUME_FIELDS, {}),
     CGammaResult: ((1, ()), {}),
@@ -59,6 +59,14 @@ INVALID = {
     QuadField: [((4, 16), "d = 4 must be a squarefree integer other than 0 and 1"),
                 ((1, 1), "d = 1 must be a squarefree integer other than 0 and 1"),
                 ((-1, -1), "disc does not match d")],
+    BiquadField: [((4, 4, 1, 16, 16, 1), "d = 4 must be a squarefree integer other than 0 and 1"),
+                  ((-1, 0, 0, -4, 0, 0), "d = 0 must be a squarefree integer other than 0 and 1"),
+                  ((5, 5, 1, 5, 5, 1), "subfields coincide"),
+                  ((4, 17, 221, 13, 17, 221),
+                   "d = 4 must be a squarefree integer other than 0 and 1"),
+                  ((13, 17, 13, 13, 17, 13), "d3 or a disc does not match d1, d2"),
+                  ((5, 17, 221, 13, 17, 221), "d3 or a disc does not match d1, d2"),
+                  ((-1, 5, -5, -4, 5, 5), "d3 or a disc does not match d1, d2")],
     FiniteGroup: [((("e", "s"), ((0, 1),)), "table shape mismatch"),
                   ((("e", "s"), ((0, 1), (1, 2))), "table not closed"),
                   ((("e", "s"), ((1, 0), (0, 1))), "element 0 is not an identity"),
