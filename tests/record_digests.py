@@ -7,6 +7,10 @@ unset, and writes argv -> [exit code, sha256 of the stdout bytes, stderr
 without its [timing] lines].  The corpus is every invocation of
 perfbench/reference.json, copied into the file so that the replay test does
 not read perfbench/, and the argv of EXTRA.  test_digests.py replays it.
+Both run from the repo root, so that a config path in an argv, and the
+stderr that names it, read the same wherever they are started.  Before the
+file is overwritten, stderr lists the argv that the new corpus adds, changes
+and drops.
 
 Re-record only on purpose: an entry may change only with a CHANGES.md line
 that names it.
@@ -26,7 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 DIGESTS = ROOT / "tests" / "data" / "report_digests.json"
 REFERENCE = ROOT / "perfbench" / "reference.json"
 
-# argv that test_cli.py also replays one by one, each under its own test id
+# argv whose exit code and stdout sha256 the tests pinned before the corpus
 PINNED = [
     "verify euler --torus res:5,-3 --pmax 2000",
     "verify euler --torus norm1:13,-19 --pmax 1000",
@@ -63,6 +67,29 @@ EXTRA = [
     *PINNED,
 ]
 
+CONFIG = "tests/data/config/"
+
+# every message that the flag table and the config merge build: bounds,
+# non-numbers and non-integers, the empty --out, a missing torus or
+# identity, the help text, and one config file per way a file is accepted
+# or rejected
+EXTRA += [
+    *(f"verify euler --torus norm1:-1 {flags}" for flags in (
+        "--pmax 2", "--pmax 10000001", "--kmax 0", "--tol 0", "--tol nan", "--tol inf",
+        "--budget 9999", "--budget 4611686018427387905", "--budget x", "--budget 1.5",
+        "--budget inf", "--jobs 0", "--kmax x", "--tol x", "--jobs 1.5", "--out=")),
+    "verify euler",
+    "verify --torus norm1:-1",
+    "verify --help",
+    f"verify --config {CONFIG}valid.json",
+    # the flags win over the file
+    f"verify --config {CONFIG}valid.json --torus norm1:-5 --pmax 5",
+    *(f"verify --config {CONFIG}{name}.json" for name in (
+        "unknown_key", "top_level_list", "syntax_error", "torus_not_string",
+        "out_not_string", "pmax_fraction", "tol_bool", "tol_overflow",
+        "integral_floats", "missing")),
+]
+
 
 def run(argv: str) -> list:
     """[exit code, sha256 of stdout, stderr without [timing] lines] of one
@@ -77,8 +104,16 @@ def run(argv: str) -> list:
 
 def main_record() -> int:
     os.environ.pop("TAMAGAWA_BUDGET", None)
+    os.chdir(ROOT)
     corpus = sorted(json.loads(REFERENCE.read_text())["invocations"]) + EXTRA
     entries = {argv: run(argv) for argv in corpus}
+    old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
+    for what, argvs in (("added", entries.keys() - old.keys()),
+                        ("changed", {a for a in entries.keys() & old.keys()
+                                     if entries[a] != old[a]}),
+                        ("dropped", old.keys() - entries.keys())):
+        for argv in sorted(argvs):
+            print(f"{what}: {argv}", file=sys.stderr)
     DIGESTS.parent.mkdir(exist_ok=True)
     DIGESTS.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
     print(f"{len(entries)} entries written to {DIGESTS}", file=sys.stderr)
