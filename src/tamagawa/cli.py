@@ -18,7 +18,8 @@ the value as `--flag value` or `--flag=value`.  A value may look like a
 negative number (`-5`, `-.5`); any other token that starts with `-` is an
 option.  --torus repeats; for every other flag the last value wins.  `--`
 ends the options; -h/--help prints the help.  One table, _FLAGS, gives the
-flags, their converters and their help lines.
+flags, their converters, their help lines and the numeric defaults, and from
+these RunConfig's fields and the keys of the config file.
 
 --jobs is accepted and validated but changes nothing: all work runs in one
 thread.  It and the output path are excluded from the config echo, timings
@@ -82,8 +83,57 @@ BUDGET_CEILING = 2**62
 PMAX_CEILING = 10**7
 
 
-class RunConfig(namedtuple("RunConfig", "identity tori pmax kmax tol budget jobs out",
-                           defaults=(97, 3, 1e-6, COUNT_BUDGET, 1, None))):
+# The verify flags in help order: name -> (metavar, converter, help line[,
+# default]).  A flag without a metavar takes no value; one without a
+# converter keeps its value as given.  A flag with a default is a number and
+# a RunConfig field, and its help line shows the default at the {}: tol's is
+# a string, so that the help reads 1e-6, not 1e-06.
+_FLAGS = {
+    "--help": (None, None, "show this help message and exit"),
+    "--torus": ("SPEC", None, "torus spec family:d or family:d1,d2 (norm1, res, quot)"),
+    "--pmax": ("N", int, "good-prime bound (default {})", 97),
+    "--kmax": ("K", int, "lifting level bound (default {})", 3),
+    "--tol": ("TOL", float, "analytic tolerance (default {})", "1e-6"),
+    "--budget": ("N", None, f"enumeration budget (default {{}}, env {BUDGET_ENV})", COUNT_BUDGET),
+    "--jobs": ("N", int, "accepted for compatibility; changes nothing (default {})", 1),
+    "--out": ("PATH", None, "write the JSON report here (atomic)"),
+    "--config": ("PATH", None, "JSON config file; flags win on conflict"),
+}
+
+
+def _config_number(key: str, raw):
+    """The value of the numeric field `key` as a flag, the config file, the
+    table or TAMAGAWA_BUDGET gives it: a number or a numeric string.  tol is
+    the one real field.  A bool, or a fraction in an integral field, is an
+    error rather than coerced (int(9.9) == 9, float(True) == 1.0)."""
+    if isinstance(raw, str):
+        try:
+            raw = int(raw)
+        except ValueError:
+            try:
+                raw = float(raw)
+            except ValueError:
+                raise ConfigError(f"{key}: not a number: {raw!r}") from None
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ConfigError(f"{key}: not a number: {raw!r}")
+    if key == "tol":
+        try:
+            return float(raw)
+        except OverflowError:
+            raise ConfigError(f"{key}: out of range: {raw!r}") from None
+    if isinstance(raw, float):
+        if not raw.is_integer():
+            raise ConfigError(f"{key}: not an integer: {raw!r}")
+        return int(raw)
+    return raw
+
+
+# the numeric fields in table order, each with its default as the table writes it
+_NUMBERS = {name[2:]: flag[3] for name, flag in _FLAGS.items() if flag[3:]}
+
+
+class RunConfig(namedtuple("RunConfig", ["identity", "tori", *_NUMBERS, "out"], defaults=(
+        *(_config_number(key, default) for key, default in _NUMBERS.items()), None))):
     __slots__ = ()
 
     def validate(self):
@@ -266,33 +316,6 @@ def run_all(torus: TorusSpec, cfg: RunConfig):
         print(f"[skipped] {torus.label} all: {'; '.join(skipped)}", file=sys.stderr)
 
 
-def _config_number(key: str, raw, integral: bool):
-    """The value of a numeric field as a flag, the config file or
-    TAMAGAWA_BUDGET gives it: a number or a numeric string.  A bool, or a
-    fraction in an integral field, is an error rather than coerced
-    (int(9.9) == 9, float(True) == 1.0)."""
-    if isinstance(raw, str):
-        try:
-            raw = int(raw)
-        except ValueError:
-            try:
-                raw = float(raw)
-            except ValueError:
-                raise ConfigError(f"{key}: not a number: {raw!r}") from None
-    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
-        raise ConfigError(f"{key}: not a number: {raw!r}")
-    if not integral:
-        try:
-            return float(raw)
-        except OverflowError:
-            raise ConfigError(f"{key}: out of range: {raw!r}") from None
-    if isinstance(raw, float):
-        if not raw.is_integer():
-            raise ConfigError(f"{key}: not an integer: {raw!r}")
-        return int(raw)
-    return raw
-
-
 def _merge_config(args) -> RunConfig:
     file_cfg = {}
     if args.config:
@@ -306,9 +329,7 @@ def _merge_config(args) -> RunConfig:
                 f"config: {args.config} line {exc.lineno}: {exc.msg}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config: top level must be an object")
-        allowed = {"identity", "torus", "pmax", "kmax", "tol", "budget",
-                   "jobs", "out"}
-        unknown = set(file_cfg) - allowed
+        unknown = file_cfg.keys() - {"identity", "torus", *RunConfig._fields[2:]}
         if unknown:
             raise ConfigError(f"config: unknown field(s) {sorted(unknown)}")
 
@@ -316,31 +337,21 @@ def _merge_config(args) -> RunConfig:
         flag = getattr(args, key)
         return file_cfg.get(key, default) if flag is None else flag
 
-    def number(key, default, integral=True):
-        return _config_number(key, pick(key, default), integral)
-
     torus_specs = args.torus or file_cfg.get("torus") or []
     if isinstance(torus_specs, str):
         torus_specs = [torus_specs]
     if not isinstance(torus_specs, list) or not all(isinstance(s, str) for s in torus_specs):
         raise ConfigError("torus: expected a spec string or a list of them")
+    defaults = RunConfig._field_defaults
     env_budget = os.environ.get(BUDGET_ENV)
-    default_budget = COUNT_BUDGET
     if env_budget is not None:
         try:
-            default_budget = _config_number("budget", env_budget, integral=True)
+            defaults = {**defaults, "budget": _config_number("budget", env_budget)}
         except ConfigError as exc:
             raise ConfigError(f"budget: bad {BUDGET_ENV}={env_budget!r}") from exc
-    cfg = RunConfig(
-        identity=pick("identity"),
-        tori=tuple(torus_specs),
-        pmax=number("pmax", 97),
-        kmax=number("kmax", 3),
-        tol=number("tol", 1e-6, integral=False),
-        budget=number("budget", default_budget),
-        jobs=number("jobs", 1),
-        out=pick("out"),
-    )
+    cfg = RunConfig(pick("identity"), tuple(torus_specs),
+                    *(_config_number(key, pick(key, defaults[key])) for key in _NUMBERS),
+                    pick("out"))
     if cfg.out is not None and not isinstance(cfg.out, str):
         raise ConfigError("out: expected a file path string")
     if cfg.out == "":
@@ -353,26 +364,10 @@ class UsageError(Exception):
     """An argv that the grammar rejects: exit 64, with the usage on stderr."""
 
 
-# The verify flags in help order: name -> (metavar, converter, help line).  A
-# flag without a metavar takes no value; one without a converter keeps its
-# value as given.
-_FLAGS = {
-    "--help": (None, None, "show this help message and exit"),
-    "--torus": ("SPEC", None, "torus spec family:d or family:d1,d2 (norm1, res, quot)"),
-    "--pmax": ("N", int, "good-prime bound (default 97)"),
-    "--kmax": ("K", int, "lifting level bound (default 3)"),
-    "--tol": ("TOL", float, "analytic tolerance (default 1e-6)"),
-    "--budget": ("N", None, f"enumeration budget (default {COUNT_BUDGET}, env {BUDGET_ENV})"),
-    "--jobs": ("N", int, "accepted for compatibility; changes nothing (default 1)"),
-    "--out": ("PATH", None, "write the JSON report here (atomic)"),
-    "--config": ("PATH", None, "JSON config file; flags win on conflict"),
-}
-
-
 def _usage() -> str:
     head = "usage: tamagawa verify"
     lines, line = [], head
-    for part in ("[-h]", *(f"[{name} {meta}]" for name, (meta, _, _) in _FLAGS.items() if meta),
+    for part in ("[-h]", *(f"[{name} {meta}]" for name, (meta, *_) in _FLAGS.items() if meta),
                  "[IDENTITY]"):
         if len(line) + 1 + len(part) > 79:
             lines.append(line)
@@ -382,8 +377,9 @@ def _usage() -> str:
 
 
 def _help() -> str:
-    rows = "".join(f"  {'-h, --help' if meta is None else f'{name} {meta}':<15}{text}\n"
-                   for name, (meta, _, text) in _FLAGS.items())
+    rows = "".join(f"  {'-h, --help' if meta is None else f'{name} {meta}':<15}"
+                   f"{text.format(*default)}\n"
+                   for name, (meta, _, text, *default) in _FLAGS.items())
     return (f"{_usage()}\nVerify local-global invariants of algebraic tori attached to "
             f"quadratic\nand biquadratic fields.\n\nIDENTITY: {', '.join(IDENTITY_CHOICES)}"
             f"\n\noptions:\n{rows}\n"
