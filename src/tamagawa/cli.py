@@ -85,9 +85,8 @@ PMAX_CEILING = 10**7
 
 # The verify flags in help order: name -> (metavar, converter, help line[,
 # default]).  A flag without a metavar takes no value; one without a
-# converter keeps its value as given.  A flag with a default is a number and
-# a RunConfig field, and its help line shows the default at the {}: tol's is
-# a string, so that the help reads 1e-6, not 1e-06.
+# converter keeps its value as given.  A flag with a default is a numeric
+# RunConfig field, and its help line shows the default ("1e-6", not 1e-06).
 _FLAGS = {
     "--help": (None, None, "show this help message and exit"),
     "--torus": ("SPEC", None, "torus spec family:d or family:d1,d2 (norm1, res, quot)"),
@@ -128,12 +127,12 @@ def _config_number(key: str, raw):
     return raw
 
 
-# the numeric fields in table order, each with its default as the table writes it
-_NUMBERS = {name[2:]: flag[3] for name, flag in _FLAGS.items() if flag[3:]}
+# the numeric fields in table order, each with its default
+_NUMBERS = {n[2:]: _config_number(n[2:], flag[3]) for n, flag in _FLAGS.items() if flag[3:]}
 
 
-class RunConfig(namedtuple("RunConfig", ["identity", "tori", *_NUMBERS, "out"], defaults=(
-        *(_config_number(key, default) for key, default in _NUMBERS.items()), None))):
+class RunConfig(namedtuple("RunConfig", ["identity", "tori", *_NUMBERS, "out"],
+                           defaults=(*_NUMBERS.values(), None))):
     __slots__ = ()
 
     def validate(self):
@@ -210,7 +209,9 @@ def run_lifting(torus: TorusSpec, cfg: RunConfig):
     for p in primes_up_to(min(cfg.pmax, CROSS_CHECK_PMAX)):
         if not is_good_prime(torus, p):
             continue
-        counts = [count for _, count in islice(level_counts(model, p, cfg.budget), cfg.kmax)]
+        # islice's stop may not exceed sys.maxsize; no budget admits over 31 levels
+        levels = islice(level_counts(model, p, cfg.budget), min(cfg.kmax, sys.maxsize))
+        counts = [count for _, count in levels]
         inputs = {"torus": torus.label, "p": p}
         values = {"counts": counts, "levels": len(counts)}
         if len(counts) < 2:
@@ -320,9 +321,10 @@ def _merge_config(args) -> RunConfig:
     file_cfg = {}
     if args.config:
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except OSError as exc:
+        # JSON is UTF-8, and a deep enough nesting exhausts the decoder's recursion
+        except (OSError, UnicodeDecodeError, RecursionError) as exc:
             raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(

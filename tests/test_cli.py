@@ -11,6 +11,7 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 import threading
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
@@ -42,7 +43,6 @@ from tamagawa.report import (
     worst_exit_code,
     write_report_atomic,
 )
-from record_digests import DIGESTS, PINNED, run
 
 
 def run_cli(capsys, *argv):
@@ -725,15 +725,6 @@ def test_euler_run_triggers_no_collection(capsys):
     assert capsys.readouterr().out.count('"identity": "euler"') > 800
 
 
-# sha256 of stdout and the exit code, recorded with the renderer that ran
-# `json.dumps` over the `to_jsonable` tree
-@pytest.mark.parametrize("argv", PINNED, ids=[a.removeprefix("verify ") for a in PINNED])
-def test_report_bytes_are_pinned(monkeypatch, argv):
-    monkeypatch.delenv("TAMAGAWA_BUDGET", raising=False)
-    # exit code, stdout sha256 and stderr as the report-byte corpus holds them
-    assert run(argv) == json.loads(DIGESTS.read_text())[argv]
-
-
 def test_euler_names_rows_on_a_class_polynomial_counted_short(capsys):
     # res:-163's split class starts at 41, and 41^3 exceeds --budget 10000:
     # the report keeps every byte it had before the note (sha256 of stdout
@@ -871,6 +862,86 @@ def test_non_finite_tol_exits_64(capsys, tmp_path):
     cfg.write_text('{"tol": 1e400}')
     code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
     assert (code, out) == (64, "") and "config error: tol" in err
+
+
+@pytest.mark.parametrize("content", [
+    b'\xff\xfe{"pmax": 7}',  # a UTF-16 byte-order mark: JSON is UTF-8
+    b'{"pmax": ' + b"[" * 100_000,  # deeper than the decoder can recurse
+], ids=["not-utf8", "nested-too-deeply"])
+def test_unreadable_config_exits_64(capsys, tmp_path, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(content)
+    code, out, err = run_cli(capsys, "verify", "euler", "--torus", "norm1:-1",
+                             "--config", str(cfg))
+    assert (code, out) == (64, "")
+    assert err.startswith(f"config error: config: cannot read {cfg}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("identity", ["lifting", "all"])
+def test_kmax_beyond_sys_maxsize_cuts_no_level(capsys, identity):
+    # islice takes no stop above sys.maxsize, and no budget admits over 31
+    # levels: the rows are those of --kmax 31
+    argv = ("verify", identity, "--torus", "norm1:-1", "--pmax", "5")
+    code, doc, _ = run_json(capsys, *argv, "--kmax", str(10**20))
+    assert code == 0 and doc["config_echo"]["kmax"] == 10**20
+    assert doc["reports"] == run_json(capsys, *argv, "--kmax", "31")[1]["reports"]
+
+
+# JSON texts for the config fuzzer: the values of each field that let a run
+# go through, and the pool from which at most two fields, or an unknown key,
+# draw instead: small ints, fractions, bools, numeric and other strings,
+# lists, null and a number beyond a float
+CONFIG_RUNNABLE = {
+    "identity": ('"euler"', '"lifting"', '"density"', '"globalinv"', '"sha"', '"tnc"',
+                 '"all"'),
+    "torus": ('"norm1:-1"', '"norm1:-7"', '"quot:-5"', '["norm1:5", "quot:13"]'),
+    "pmax": ("3", "13", "60", "7.0", '"5"'),
+    "kmax": ("1", "3", "100000000000000000000"),
+    "tol": ("1e-3", '"1e-3"', "0.5"),
+    "budget": ("10000", "1e5", '"1000000"'),
+    "jobs": ("1", "3"),
+    "out": ("null", '"report.json"'),
+}
+CONFIG_POOL = ("0", "1", "3", "13", "60", "-1", "100000000000000000000", "2.5", "7.0",
+               "1e-3", "true", "false", '"5"', '"1e-3"', '"x"', '""', '"bad"', "[]", "[5]",
+               '["norm1:-1"]', "null", "1e400")
+
+
+@st.composite
+def config_texts(draw):
+    keys = ["identity", "torus",
+            *draw(st.lists(st.sampled_from(RunConfig._fields[2:]), unique=True))]
+    wild = draw(st.lists(st.sampled_from((*keys, "zz")), unique=True, max_size=2))
+    return "{%s}" % ", ".join(
+        f'"{key}": {draw(st.sampled_from(CONFIG_POOL if key in wild else CONFIG_RUNNABLE[key]))}'
+        for key in keys + ["zz"] * ("zz" in wild))
+
+
+def _run_in(directory, argv):
+    """(exit code, stdout, stderr without [timing] lines) of `argv` run with
+    `directory` as the working directory, where a drawn --out lands."""
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(directory)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        os.chdir(cwd)
+    kept = [line for line in err.getvalue().splitlines() if not line.startswith("[timing] ")]
+    return code, out.getvalue(), kept
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(text=config_texts())
+def test_config_fuzz_exit_codes_and_messages(text):
+    with tempfile.TemporaryDirectory() as directory:
+        Path(directory, "cfg.json").write_text(text)
+        code, out, err = _run_in(directory, ["verify", "--config", "cfg.json"])
+        assert code in (0, 1, 2, 64), err
+        if code == 64:
+            assert out == "" and len(err) == 1 and err[0].startswith("config error: "), err
+        assert _run_in(directory, ["verify", "--config", "cfg.json"]) == (code, out, err)
 
 
 def _reject_constant(name):

@@ -15,6 +15,6 @@ def test_report_digests_hold(monkeypatch):
     monkeypatch.delenv("TAMAGAWA_BUDGET", raising=False)
     monkeypatch.chdir(ROOT)
     corpus = json.loads(Path(DIGESTS).read_text())
-    assert len(corpus) == 106
+    assert len(corpus) == 108
     got = {argv: run(argv) for argv in corpus}
     assert {argv: entry for argv, entry in got.items() if entry != corpus[argv]} == {}
