@@ -4,9 +4,9 @@
 
 Runs every argv of the corpus once, in one process, with TAMAGAWA_BUDGET
 unset, and writes argv -> [exit code, sha256 of the stdout bytes, stderr
-without its [timing] lines].  The corpus is every invocation of
-perfbench/reference.json, copied into the file so that the replay test does
-not read perfbench/, and the argv of EXTRA.  test_digests.py replays it.
+without its [timing] lines].  The corpus, corpus_argv(), is every invocation
+of perfbench/reference.json and the argv of EXTRA.  test_digests.py replays
+the file and checks that it holds exactly these argv.
 Both run from the repo root, so that a config path in an argv, and the
 stderr that names it, read the same wherever they are started.  Before the
 file is overwritten, stderr lists the argv that the new corpus adds, changes
@@ -92,6 +92,18 @@ EXTRA += [
     # exited 1 with a traceback
     f"verify --config {CONFIG}not_utf8.json",
     "verify lifting --torus norm1:-1 --kmax 100000000000000000000 --pmax 5",
+    # flag values that only the config merge reads: an unknown identity, and
+    # numbers in the forms that the config file accepts
+    "verify bogus --torus norm1:-1",
+    "verify euler --torus norm1:-1 --pmax 1e2",
+    "verify euler --torus norm1:-1 --pmax 97.0 --kmax 3.0 --jobs 1.0",
+    # real fields with hy > 1, where norm_one_unit takes the long way
+    "verify tnc --torus norm1:41",
+    "verify tnc --torus quot:41",
+    # the [uncounted] stderr line
+    "verify euler --torus res:-163 --budget 10000",
+    # a d whose factoring needs _brent_split
+    "verify euler --torus norm1:100000980001501 --pmax 5",
 ]
 
 
@@ -106,11 +118,16 @@ def run(argv: str) -> list:
     return [code, hashlib.sha256(out.getvalue().encode()).hexdigest(), "".join(kept)]
 
 
+def corpus_argv() -> list:
+    """The argv of the corpus in recording order: perfbench's invocations,
+    then EXTRA."""
+    return sorted(json.loads(REFERENCE.read_text())["invocations"]) + EXTRA
+
+
 def main_record() -> int:
     os.environ.pop("TAMAGAWA_BUDGET", None)
     os.chdir(ROOT)
-    corpus = sorted(json.loads(REFERENCE.read_text())["invocations"]) + EXTRA
-    entries = {argv: run(argv) for argv in corpus}
+    entries = {argv: run(argv) for argv in corpus_argv()}
     old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
     for what, argvs in (("added", entries.keys() - old.keys()),
                         ("changed", {a for a in entries.keys() & old.keys()
