@@ -17,9 +17,10 @@ Long options only, each in full or as an unambiguous prefix (`--tor`), with
 the value as `--flag value` or `--flag=value`.  A value may look like a
 negative number (`-5`, `-.5`); any other token that starts with `-` is an
 option.  --torus repeats; for every other flag the last value wins.  `--`
-ends the options; -h/--help prints the help.  One table, _FLAGS, gives the
-flags, their converters, their help lines and the numeric defaults, and from
-these RunConfig's fields and the keys of the config file.
+ends the options; -h/--help prints the help.  A flag value stays the string
+given until _merge_config, which reads it as it reads the config file's.
+One table, _FLAGS, gives the flags, their help lines and the numeric
+defaults, and from these RunConfig's fields and the keys of the config file.
 
 --jobs is accepted and validated but changes nothing: all work runs in one
 thread.  It and the output path are excluded from the config echo, timings
@@ -83,20 +84,19 @@ BUDGET_CEILING = 2**62
 PMAX_CEILING = 10**7
 
 
-# The verify flags in help order: name -> (metavar, converter, help line[,
-# default]).  A flag without a metavar takes no value; one without a
-# converter keeps its value as given.  A flag with a default is a numeric
+# The verify flags in help order: name -> (metavar, help line[, default]).
+# A flag without a metavar takes no value; one with a default is a numeric
 # RunConfig field, and its help line shows the default ("1e-6", not 1e-06).
 _FLAGS = {
-    "--help": (None, None, "show this help message and exit"),
-    "--torus": ("SPEC", None, "torus spec family:d or family:d1,d2 (norm1, res, quot)"),
-    "--pmax": ("N", int, "good-prime bound (default {})", 97),
-    "--kmax": ("K", int, "lifting level bound (default {})", 3),
-    "--tol": ("TOL", float, "analytic tolerance (default {})", "1e-6"),
-    "--budget": ("N", None, f"enumeration budget (default {{}}, env {BUDGET_ENV})", COUNT_BUDGET),
-    "--jobs": ("N", int, "accepted for compatibility; changes nothing (default {})", 1),
-    "--out": ("PATH", None, "write the JSON report here (atomic)"),
-    "--config": ("PATH", None, "JSON config file; flags win on conflict"),
+    "--help": (None, "show this help message and exit"),
+    "--torus": ("SPEC", "torus spec family:d or family:d1,d2 (norm1, res, quot)"),
+    "--pmax": ("N", "good-prime bound (default {})", 97),
+    "--kmax": ("K", "lifting level bound (default {})", 3),
+    "--tol": ("TOL", "analytic tolerance (default {})", "1e-6"),
+    "--budget": ("N", f"enumeration budget (default {{}}, env {BUDGET_ENV})", COUNT_BUDGET),
+    "--jobs": ("N", "accepted for compatibility; changes nothing (default {})", 1),
+    "--out": ("PATH", "write the JSON report here (atomic)"),
+    "--config": ("PATH", "JSON config file; flags win on conflict"),
 }
 
 
@@ -128,7 +128,7 @@ def _config_number(key: str, raw):
 
 
 # the numeric fields in table order, each with its default
-_NUMBERS = {n[2:]: _config_number(n[2:], flag[3]) for n, flag in _FLAGS.items() if flag[3:]}
+_NUMBERS = {n[2:]: _config_number(n[2:], flag[2]) for n, flag in _FLAGS.items() if flag[2:]}
 
 
 class RunConfig(namedtuple("RunConfig", ["identity", "tori", *_NUMBERS, "out"],
@@ -137,7 +137,10 @@ class RunConfig(namedtuple("RunConfig", ["identity", "tori", *_NUMBERS, "out"],
 
     def validate(self):
         if self.identity not in IDENTITY_CHOICES:
-            raise ConfigError(f"identity: unknown identity {self.identity!r}")
+            raise ConfigError(
+                "identity: " + ("an identity is required" if self.identity is None
+                                else f"invalid choice: {self.identity!r}")
+                + f" (choose from {', '.join(IDENTITY_CHOICES)})")
         if not self.tori:
             raise ConfigError("torus: at least one --torus is required")
         if self.pmax < 3:
@@ -323,23 +326,21 @@ def _merge_config(args) -> RunConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        # JSON is UTF-8, and a deep enough nesting exhausts the decoder's recursion
-        except (OSError, UnicodeDecodeError, RecursionError) as exc:
-            raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"config: {args.config} line {exc.lineno}: {exc.msg}") from exc
+        # JSON is UTF-8, an integer has at most 4300 digits, and a deep
+        # enough nesting exhausts the decoder's recursion
+        except (OSError, ValueError, RecursionError) as exc:
+            raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError("config: top level must be an object")
         unknown = file_cfg.keys() - {"identity", "torus", *RunConfig._fields[2:]}
         if unknown:
             raise ConfigError(f"config: unknown field(s) {sorted(unknown)}")
-
-    def pick(key, default=None):
-        flag = getattr(args, key)
-        return file_cfg.get(key, default) if flag is None else flag
-
-    torus_specs = args.torus or file_cfg.get("torus") or []
+    # a flag wins over the file
+    given = {**file_cfg, **{k: v for k, v in vars(args).items() if v is not None}}
+    torus_specs = given.get("torus") or []
     if isinstance(torus_specs, str):
         torus_specs = [torus_specs]
     if not isinstance(torus_specs, list) or not all(isinstance(s, str) for s in torus_specs):
@@ -351,9 +352,9 @@ def _merge_config(args) -> RunConfig:
             defaults = {**defaults, "budget": _config_number("budget", env_budget)}
         except ConfigError as exc:
             raise ConfigError(f"budget: bad {BUDGET_ENV}={env_budget!r}") from exc
-    cfg = RunConfig(pick("identity"), tuple(torus_specs),
-                    *(_config_number(key, pick(key, defaults[key])) for key in _NUMBERS),
-                    pick("out"))
+    cfg = RunConfig(given.get("identity"), tuple(torus_specs),
+                    *(_config_number(key, given.get(key, defaults[key])) for key in _NUMBERS),
+                    given.get("out"))
     if cfg.out is not None and not isinstance(cfg.out, str):
         raise ConfigError("out: expected a file path string")
     if cfg.out == "":
@@ -381,7 +382,7 @@ def _usage() -> str:
 def _help() -> str:
     rows = "".join(f"  {'-h, --help' if meta is None else f'{name} {meta}':<15}"
                    f"{text.format(*default)}\n"
-                   for name, (meta, _, text, *default) in _FLAGS.items())
+                   for name, (meta, text, *default) in _FLAGS.items())
     return (f"{_usage()}\nVerify local-global invariants of algebraic tori attached to "
             f"quadratic\nand biquadratic fields.\n\nIDENTITY: {', '.join(IDENTITY_CHOICES)}"
             f"\n\noptions:\n{rows}\n"
@@ -431,17 +432,11 @@ def _check_help(option: str, value) -> None:
         raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
 
 
-def _identity(tok: str) -> str:
-    if tok not in IDENTITY_CHOICES:
-        raise UsageError(f"argument identity: invalid choice: {tok!r} "
-                         f"(choose from {', '.join(IDENTITY_CHOICES)})")
-    return tok
-
-
 def parse_args(argv):
     """The flags of a `verify` argv, as attributes named after them plus
-    `identity`, each None where not given; None when -h/--help asks for the
-    help text.  A rejected argv raises UsageError.
+    `identity`, each None where not given and else the string given (a list
+    of them for --torus); None when -h/--help asks for the help text.  A
+    rejected argv raises UsageError.
 
     The grammar, outcomes and order of checks are those of the two argparse
     parsers this replaces (the top level and its `verify` subparser).  The
@@ -477,7 +472,7 @@ def _parse_verify(argv, extras):
         i += 1
         if option is None:
             if identity_at is None:
-                args["identity"], identity_at = _identity(tok), i - 1
+                args["identity"], identity_at = tok, i - 1
             else:
                 extras.append(tok)
             continue
@@ -492,13 +487,6 @@ def _parse_verify(argv, extras):
             value, i = argv[i], i + 1
         if value in (None, "--"):  # --flag=-- gives no value, as --flag -- does
             raise UsageError(f"argument {name}: expected one argument")
-        convert = _FLAGS[name][1]
-        if convert is not None:
-            try:
-                value = convert(value)
-            except ValueError:
-                raise UsageError(f"argument {name}: invalid {convert.__name__} "
-                                 f"value: {value!r}") from None
         if name == "--torus":
             args["torus"] = (args["torus"] or []) + [value]
         else:
@@ -509,7 +497,7 @@ def _parse_verify(argv, extras):
         rest = argv[end + 1:]
         if identity_at is None:
             if rest:
-                args["identity"] = _identity(rest.pop(0))
+                args["identity"] = rest.pop(0)
         elif identity_at < end - 1:
             rest.insert(0, "--")
         extras += rest

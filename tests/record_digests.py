@@ -88,9 +88,10 @@ EXTRA += [
         "unknown_key", "top_level_list", "syntax_error", "torus_not_string",
         "out_not_string", "pmax_fraction", "tol_bool", "tol_overflow",
         "integral_floats", "missing")),
-    # a config file that is not UTF-8, and a kmax beyond islice's stop: both
-    # exited 1 with a traceback
+    # a config file that is not UTF-8, one with an integer of 5000 digits, and
+    # a kmax beyond islice's stop: each exited 1 with a traceback
     f"verify --config {CONFIG}not_utf8.json",
+    f"verify --config {CONFIG}long_int.json",
     "verify lifting --torus norm1:-1 --kmax 100000000000000000000 --pmax 5",
     # flag values that only the config merge reads: an unknown identity, and
     # numbers in the forms that the config file accepts

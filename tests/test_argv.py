@@ -1,5 +1,6 @@
 """The `verify` argv grammar: `cli.parse_args` against the two argparse
-parsers it replaced, kept here as the oracle."""
+parsers it replaced, kept here as the oracle.  Neither converts a value:
+each stays the string given, for the config merge to read."""
 
 import argparse
 import io
@@ -38,17 +39,17 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     verify = sub.add_parser("verify", help="run a verification identity")
-    verify.add_argument("identity", nargs="?", choices=cli.IDENTITY_CHOICES)
+    verify.add_argument("identity", nargs="?")
     verify.add_argument("--torus", action="append",
                         help="torus spec family:d or family:d1,d2 "
                              "(families: norm1, res, quot)")
-    verify.add_argument("--pmax", type=int, help="good-prime bound (default 97)")
-    verify.add_argument("--kmax", type=int, help="lifting level bound (default 3)")
-    verify.add_argument("--tol", type=float, help="analytic tolerance (default 1e-6)")
+    verify.add_argument("--pmax", help="good-prime bound (default 97)")
+    verify.add_argument("--kmax", help="lifting level bound (default 3)")
+    verify.add_argument("--tol", help="analytic tolerance (default 1e-6)")
     verify.add_argument("--budget",
                         help=f"enumeration budget (default {COUNT_BUDGET}, "
                              f"env {cli.BUDGET_ENV})")
-    verify.add_argument("--jobs", type=int,
+    verify.add_argument("--jobs",
                         help="accepted for compatibility; changes nothing (default 1)")
     verify.add_argument("--out", help="write the JSON report here (atomic)")
     verify.add_argument("--config", help="JSON config file; flags win on conflict")
@@ -56,8 +57,7 @@ def build_parser():
 
 
 def _values(namespace):
-    # repr tells 1 from 1.0 and matches nan with nan
-    return repr(sorted(vars(namespace).items()))
+    return sorted(vars(namespace).items())
 
 
 def oracle(argv):

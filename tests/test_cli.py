@@ -388,13 +388,14 @@ def test_bad_config_exits_64(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("verify", "euler", "--torus", "norm1:-1", "--pmax", "abc"),
-        ("verify", "euler", "--torus", "norm1:-1", "--jobs", "x"),
-        ("verify", "bogus", "--torus", "norm1:-1"),
+        ("verify", "euler", "--torus", "norm1:-1", "--zzz", "1"),
+        ("verify", "euler", "--torus", "norm1:-1", "--t", "x"),
+        ("verify", "euler", "euler", "--torus", "norm1:-1"),
     ],
 )
 def test_usage_errors_exit_64(capsys, argv):
-    # a usage error exits 64, never 2, the INCONCLUSIVE code
+    # a usage error, which only the grammar gives (an unknown or ambiguous
+    # option, a surplus positional), exits 64, never 2, the INCONCLUSIVE code
     code, out, err = run_cli(capsys, *argv)
     assert code == 64
     assert out == ""
@@ -867,7 +868,8 @@ def test_non_finite_tol_exits_64(capsys, tmp_path):
 @pytest.mark.parametrize("content", [
     b'\xff\xfe{"pmax": 7}',  # a UTF-16 byte-order mark: JSON is UTF-8
     b'{"pmax": ' + b"[" * 100_000,  # deeper than the decoder can recurse
-], ids=["not-utf8", "nested-too-deeply"])
+    b'{"pmax": ' + b"1" * 5000 + b"}",  # more digits than int() converts
+], ids=["not-utf8", "nested-too-deeply", "int-too-long"])
 def test_unreadable_config_exits_64(capsys, tmp_path, content):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(content)
@@ -942,6 +944,28 @@ def test_config_fuzz_exit_codes_and_messages(text):
         if code == 64:
             assert out == "" and len(err) == 1 and err[0].startswith("config error: "), err
         assert _run_in(directory, ["verify", "--config", "cfg.json"]) == (code, out, err)
+
+
+# raw values as a flag and a config string both carry them: numbers in
+# every form _config_number reads or rejects, an identity and non-values
+SOURCE_RAWS = ("abc", "1.5", "1e2", "97.0", "0", "-3", "1e400", "nan", " 7 ", "1_0", "",
+               "bogus")
+
+
+@settings(deadline=None, max_examples=60, derandomize=True)
+@given(key=st.sampled_from(("identity", *RunConfig._fields[2:-1])),
+       raw=st.sampled_from(SOURCE_RAWS))
+def test_a_value_gives_the_same_bytes_from_a_flag_and_the_config_file(key, raw):
+    # the parser keeps a value as the string given, and the config merge
+    # converts and checks it as it does the file's: same exit, stdout, stderr
+    base = ["verify", "--torus", "norm1:-1", *["euler"] * (key != "identity")]
+    pmax = {} if key == "pmax" else {"pmax": 20}
+    flag = raw if key == "identity" else f"--{key}={raw}"
+    with tempfile.TemporaryDirectory() as directory:
+        Path(directory, "cfg.json").write_text(json.dumps({**pmax, key: raw}))
+        by_file = _run_in(directory, [*base, "--config", "cfg.json"])
+        by_flag = _run_in(directory, [*base, *(f"--{k}={v}" for k, v in pmax.items()), flag])
+    assert by_flag == by_file
 
 
 def _reject_constant(name):
