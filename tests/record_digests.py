@@ -4,7 +4,10 @@
 
 Runs every argv of the corpus once, in one process, with TAMAGAWA_BUDGET
 unset, and writes argv -> [exit code, sha256 of the stdout bytes, stderr
-without its [timing] lines].  The corpus, corpus_argv(), is every invocation
+without its [timing] lines].  An argv that names {tmp} runs with a fresh
+temporary directory in its place, which its stderr names as {tmp} again;
+a run that writes a report leaves exactly its --out file there, holding
+stdout's bytes, and any other run leaves the directory empty.  The corpus, corpus_argv(), is every invocation
 of perfbench/reference.json and the argv of EXTRA.  test_digests.py replays
 the file and checks that it holds exactly these argv.
 Both run from the repo root, so that a config path in an argv, and the
@@ -21,6 +24,7 @@ import io
 import json
 import os
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -107,14 +111,35 @@ EXTRA += [
     "verify euler --torus norm1:100000980001501 --pmax 5",
 ]
 
+# the report file: written whole, next to what stdout gets; a missing
+# directory or a directory as the target (exit 73, the report still on
+# stdout); a run that fails before its report writes no file
+EXTRA += [
+    "verify euler --torus norm1:-1 --pmax 20 --out {tmp}/r.json",
+    "verify euler --torus norm1:-1 --pmax 20 --out {tmp}/missing/r.json",
+    "verify euler --torus norm1:-1 --pmax 20 --out {tmp}",
+    "verify euler --torus bad --out {tmp}/r.json",
+]
+
 
 def run(argv: str) -> list:
     """[exit code, sha256 of stdout, stderr without [timing] lines] of one
-    in-process run of `argv`, split on spaces."""
+    in-process run of `argv`, split on spaces, with {tmp} in a temporary
+    directory.  Raises AssertionError if that directory does not hold what
+    the run should have written: the --out file, with stdout's bytes, after
+    a report (exit 0, 1 or 2), and nothing otherwise."""
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv.split())
-    kept = [line for line in err.getvalue().splitlines(keepends=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([tok.replace("{tmp}", tmp) for tok in argv.split()])
+        written = {path.relative_to(tmp).as_posix(): path.read_bytes()
+                   for path in Path(tmp).rglob("*") if path.is_file()}
+    if "{tmp}" in argv:
+        out_path = argv.split("--out ")[1].split()[0].replace("{tmp}/", "")
+        expected = {out_path: out.getvalue().encode()} if code in (0, 1, 2) else {}
+        assert written == expected, f"{argv}: wrote {sorted(written)}"
+    kept = [line.replace(tmp, "{tmp}")
+            for line in err.getvalue().splitlines(keepends=True)
             if not line.startswith("[timing] ")]
     return [code, hashlib.sha256(out.getvalue().encode()).hexdigest(), "".join(kept)]
 
