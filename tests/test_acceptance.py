@@ -7,7 +7,7 @@ import math
 import time
 from fractions import Fraction
 
-from tamagawa.cli import RunConfig, run_sha
+from tamagawa.cli import run_sha
 from tamagawa.cohomology import cohomology, h0_torsion_dual, ono_constant
 from tamagawa.galois import (
     INF,
@@ -26,6 +26,7 @@ from tamagawa.globalasm import (
 )
 from tamagawa.localmeasure import bad_prime_density
 from tamagawa.models import count_points_mod
+from tamagawa.options import RunConfig
 from tamagawa.quadfield import BiquadField, QuadField, reduced_forms
 from oracles import is_cyclic_subset, local_density_good, partial_l_value
 

@@ -1,4 +1,4 @@
-"""The `verify` argv grammar: `cli.parse_args` against the two argparse
+"""The `verify` argv grammar: `options.parse_args` against the two argparse
 parsers it replaced, kept here as the oracle.  Neither converts a value:
 each stays the string given, for the config merge to read."""
 
@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tamagawa import cli
+from tamagawa import cli, options
 from tamagawa.models import COUNT_BUDGET
 
 
@@ -23,7 +23,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
     def _get_values(self, action, arg_strings):
-        # argparse stores a --flag=-- value as []; cli.parse_args rejects it
+        # argparse stores a --flag=-- value as []; options.parse_args rejects it
         # where it stands, as it does --flag --
         value = super()._get_values(action, arg_strings)
         if value == [] and action.nargs is None:
@@ -48,7 +48,7 @@ def build_parser():
     verify.add_argument("--tol", help="analytic tolerance (default 1e-6)")
     verify.add_argument("--budget",
                         help=f"enumeration budget (default {COUNT_BUDGET}, "
-                             f"env {cli.BUDGET_ENV})")
+                             f"env {options.BUDGET_ENV})")
     verify.add_argument("--jobs",
                         help="accepted for compatibility; changes nothing (default 1)")
     verify.add_argument("--out", help="write the JSON report here (atomic)")
@@ -73,8 +73,8 @@ def oracle(argv):
 
 def outcome(argv):
     try:
-        args = cli.parse_args(argv)
-    except cli.UsageError:
+        args = options.parse_args(argv)
+    except options.UsageError:
         return ("error",)
     return ("help",) if args is None else ("values", _values(args))
 
@@ -85,7 +85,7 @@ PREFIXES = ("--tor", "--t", "--bud", "--he", "--h", "--c", "--")
 VALUES = ("-5", "-.5", "-1e-6", " 7 ", "1_0", "abc", "norm1:-1", "", "--", "-",
           "-h", "-x", "nan", "1e400")
 TOKENS = st.one_of(
-    st.sampled_from(("verify", "verif", "", *cli.IDENTITY_CHOICES, "bogus",
+    st.sampled_from(("verify", "verif", "", *options.IDENTITY_CHOICES, "bogus",
                      *FLAGS, *PREFIXES, "-", "-h", "-x", *VALUES)),
     st.builds("{}={}".format, st.sampled_from(FLAGS + PREFIXES + ("-h",)),
               st.sampled_from(VALUES + ("h", "hh", "x"))),

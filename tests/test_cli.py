@@ -23,7 +23,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tamagawa import cli, exactcore, galois, globalasm, models, report
-from tamagawa.cli import RunConfig, main, parse_torus, run_euler
+from tamagawa.cli import main, parse_torus, run_euler
 from tamagawa.cohomology import ono_constant
 from tamagawa.errors import ConfigError
 from tamagawa.exactcore import AbelianGroupInvariants, charpoly, primes_up_to
@@ -31,6 +31,7 @@ from tamagawa.galois import euler_factor_at_one, is_good_prime, point_count_Fp
 from tamagawa.globalasm import c_gamma
 from tamagawa.localmeasure import LocalDensity
 from tamagawa.models import cached_point_count
+from tamagawa.options import RunConfig
 from tamagawa.report import (
     FAIL,
     IDENTITIES,
@@ -477,7 +478,7 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          f"import sys; sys.path.insert(0, {src!r}); import tamagawa.cli; "
-         "tamagawa.cli.parse_args(['verify', 'euler', '--torus', 'norm1:-1']); "
+         "tamagawa.options.parse_args(['verify', 'euler', '--torus', 'norm1:-1']); "
          "print(sorted({'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'} "
          "& set(sys.modules)))"],
         capture_output=True, text=True, check=True)

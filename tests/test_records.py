@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from tamagawa.cli import RunConfig
 from tamagawa.exactcore import AbelianGroupInvariants, IntMatrix
 from tamagawa.galois import FiniteGroup, GaloisLattice, TorusSpec
 from tamagawa.globalasm import ArchVolume, CGammaResult
 from tamagawa.localmeasure import LocalDensity
 from tamagawa.models import AffineModel
+from tamagawa.options import RunConfig
 from tamagawa.quadfield import BiquadField, ClassGroupData, QuadField, UnitData
 from tamagawa.report import FAIL, PASS, Real, VerificationReport
 
