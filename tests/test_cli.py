@@ -485,6 +485,28 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
+def test_the_modules_compiled_last_parse_in_less_memory_than_the_others():
+    # with no bytecode to read (PYTHONDONTWRITEBYTECODE), each import compiles
+    # its module from source, and the parser holds the whole token stream and
+    # AST meanwhile.  cli and options compile last, on top of every module
+    # they import, so their parse sets the peak memory of a start-up: each
+    # stays below 0.8 of the largest parse of the others.  The bound is
+    # another module's peak, not a byte count, which other CPython versions
+    # would move.
+    peaks = {}
+    for path in Path(cli.__file__).parent.glob("*.py"):
+        source = path.read_text(encoding="utf-8")
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec")
+            peaks[path.name] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    last = {name: peaks.pop(name) for name in ("cli.py", "options.py")}
+    largest = max(peaks, key=peaks.get)
+    assert all(peak < 0.8 * peaks[largest] for peak in last.values()), (last, largest, peaks)
+
+
 def _console(*argv, **kwargs):
     """`python -m tamagawa ARGV`: main(None), reading sys.argv."""
     src = str(Path(__file__).resolve().parents[1] / "src")
