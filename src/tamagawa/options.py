@@ -50,19 +50,42 @@ _FLAGS = {
 }
 
 
+class _LongInt(namedtuple("_LongInt", ["digits"])):
+    """A decimal integer of more digits than int() converts
+    (sys.get_int_max_str_digits()).  It is no number: a numeric field
+    rejects it as out of range, and any other field as of the wrong type."""
+    __slots__ = ()
+
+    def __repr__(self):
+        return f"an integer of {self.digits} digits"
+
+
+def _number(text: str):
+    """`text` as int() reads it, else as float() does, else `text` itself;
+    a _LongInt for a decimal integer that int() refuses for its length.
+    json.load reads the config file's integers with it."""
+    try:
+        return int(text)
+    except ValueError:
+        digits = text.strip()
+        digits = digits[1:] if digits[:1] in ("+", "-") else digits
+        if digits.isdecimal():  # int() reads every other decimal integer
+            return _LongInt(len(digits))
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def _config_number(key: str, raw):
     """The value of the numeric field `key` as a flag, the config file, the
     table or TAMAGAWA_BUDGET gives it: a number or a numeric string.  tol is
     the one real field.  A bool, or a fraction in an integral field, is an
     error rather than coerced (int(9.9) == 9, float(True) == 1.0)."""
     if isinstance(raw, str):
-        try:
-            raw = int(raw)
-        except ValueError:
-            try:
-                raw = float(raw)
-            except ValueError:
-                raise ConfigError(f"{key}: not a number: {raw!r}") from None
+        raw = _number(raw)
+    if isinstance(raw, _LongInt):
+        raise ConfigError(f"{key}: out of range: {raw!r}")
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ConfigError(f"{key}: not a number: {raw!r}")
     if key == "tol":
@@ -125,12 +148,12 @@ def _merge_config(args) -> RunConfig:
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                file_cfg = json.load(fh)
+                file_cfg = json.load(fh, parse_int=_number)
         except json.JSONDecodeError as exc:
             raise ConfigError(
                 f"config: {args.config} line {exc.lineno}: {exc.msg}") from exc
-        # JSON is UTF-8, an integer has at most 4300 digits, and a deep
-        # enough nesting exhausts the decoder's recursion
+        # JSON is UTF-8, and a deep enough nesting exhausts the decoder's
+        # recursion
         except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"config: cannot read {args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
@@ -148,9 +171,12 @@ def _merge_config(args) -> RunConfig:
     defaults = RunConfig._field_defaults
     env_budget = os.environ.get(BUDGET_ENV)
     if env_budget is not None:
+        budget = _number(env_budget)
         try:
-            defaults = {**defaults, "budget": _config_number("budget", env_budget)}
+            defaults = {**defaults, "budget": _config_number("budget", budget)}
         except ConfigError as exc:
+            if isinstance(budget, _LongInt):  # the same line as from a flag
+                raise
             raise ConfigError(f"budget: bad {BUDGET_ENV}={env_budget!r}") from exc
     cfg = RunConfig(given.get("identity"), tuple(torus_specs),
                     *(_config_number(key, given.get(key, defaults[key])) for key in _NUMBERS),

@@ -891,8 +891,7 @@ def test_non_finite_tol_exits_64(capsys, tmp_path):
 @pytest.mark.parametrize("content", [
     b'\xff\xfe{"pmax": 7}',  # a UTF-16 byte-order mark: JSON is UTF-8
     b'{"pmax": ' + b"[" * 100_000,  # deeper than the decoder can recurse
-    b'{"pmax": ' + b"1" * 5000 + b"}",  # more digits than int() converts
-], ids=["not-utf8", "nested-too-deeply", "int-too-long"])
+], ids=["not-utf8", "nested-too-deeply"])
 def test_unreadable_config_exits_64(capsys, tmp_path, content):
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(content)
@@ -901,6 +900,45 @@ def test_unreadable_config_exits_64(capsys, tmp_path, content):
     assert (code, out) == (64, "")
     assert err.startswith(f"config error: config: cannot read {cfg}: ")
     assert err.count("\n") == 1
+
+
+LONG_INT = "1" * 5000  # more digits than int() converts; float() reads inf
+
+
+@pytest.mark.parametrize("key, source", [
+    ("budget", "flag"), ("budget", "config-string"), ("budget", "config-int"),
+    ("budget", "env"), ("pmax", "flag"), ("tol", "flag"),
+])
+def test_an_integer_too_long_to_convert_is_out_of_range(capsys, monkeypatch, tmp_path,
+                                                        key, source):
+    # every source gives the one line, with no advice on interpreter settings
+    argv = ["verify", "euler", "--torus", "norm1:-1"]
+    cfg = tmp_path / "cfg.json"
+    if source == "flag":
+        argv += [f"--{key}", LONG_INT]
+    elif source == "env":
+        monkeypatch.setenv("TAMAGAWA_BUDGET", LONG_INT)
+    else:
+        value = f'"{LONG_INT}"' if source == "config-string" else LONG_INT
+        cfg.write_text(f'{{"{key}": {value}}}')
+        argv += ["--config", str(cfg)]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (
+        64, "", f"config error: {key}: out of range: an integer of 5000 digits\n")
+
+
+@pytest.mark.parametrize("key, message", [
+    ("out", "out: expected a file path string"),
+    ("torus", "torus: expected a spec string or a list of them"),
+    ("identity", "identity: invalid choice: an integer of 5000 digits "
+                 "(choose from euler, lifting, globalinv, density, sha, tnc, all)"),
+])
+def test_a_long_config_integer_where_no_number_goes_is_a_type_error(capsys, tmp_path,
+                                                                   key, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(f'{{"identity": "euler", "torus": "norm1:-1", "{key}": {LONG_INT}}}')
+    code, out, err = run_cli(capsys, "verify", "--config", str(cfg))
+    assert (code, out, err) == (64, "", f"config error: {message}\n")
 
 
 @pytest.mark.parametrize("identity", ["lifting", "all"])
