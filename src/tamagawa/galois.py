@@ -45,6 +45,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
+from operator import mul
 
 from .errors import UnsupportedTorusError
 from .exactcore import IntMatrix, Record, charpoly, eval_poly, is_prime, kronecker_symbol
@@ -120,9 +121,14 @@ class GaloisLattice(Record, namedtuple("GaloisLattice", "group rank mats")):
                 raise ValueError("rank mismatch")
             if m.det() not in (1, -1):
                 raise ValueError("action matrix is not unimodular")
+        # each product mats[i] * mats[j], entry by entry, from rows and
+        # columns sliced once per matrix
+        rows = [[m.entries[r * rank:(r + 1) * rank] for r in range(rank)] for m in mats]
+        cols = [[m.entries[c::rank] for c in range(rank)] for m in mats]
         for i in range(group.order):
             for j in range(group.order):
-                if mats[i] * mats[j] != mats[group.table[i][j]]:
+                product = tuple([sum(map(mul, row, col)) for row in rows[i] for col in cols[j]])
+                if product != mats[group.table[i][j]].entries:
                     raise ValueError("action is not a homomorphism")
         return super().__new__(cls, group, rank, mats)
 
