@@ -69,8 +69,9 @@ def _number(text: str):
     except ValueError:
         digits = text.strip()
         digits = digits[1:] if digits[:1] in ("+", "-") else digits
-        if digits.isdecimal():  # int() reads every other decimal integer
-            return _LongInt(len(digits))
+        # int()'s grammar: decimal digits, one "_" at most between two
+        if all(part.isdecimal() for part in digits.split("_")):
+            return _LongInt(len(digits.replace("_", "")))  # refused for its length
     try:
         return float(text)
     except ValueError:

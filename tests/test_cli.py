@@ -927,12 +927,23 @@ def test_an_integer_too_long_to_convert_is_out_of_range(capsys, monkeypatch, tmp
         64, "", f"config error: {key}: out of range: an integer of 5000 digits\n")
 
 
+@pytest.mark.parametrize("raw, message", [
+    ("_".join(LONG_INT), "out of range: an integer of 5000 digits"),  # "_" is no digit
+    (f" -{LONG_INT} ", "out of range: an integer of 5000 digits"),
+    ("1__0", "not a number: '1__0'"),  # not int()'s grammar, however short
+    ("1_", "not a number: '1_'"),
+])
+def test_a_long_integer_is_read_by_int_grammar(capsys, raw, message):
+    code, out, err = run_cli(capsys, "verify", "euler", "--torus", "norm1:-1", f"--pmax={raw}")
+    assert (code, out, err) == (64, "", f"config error: pmax: {message}\n")
+
+
 @pytest.mark.parametrize("key, message", [
     ("out", "out: expected a file path string"),
     ("torus", "torus: expected a spec string or a list of them"),
     ("identity", "identity: invalid choice: an integer of 5000 digits "
                  "(choose from euler, lifting, globalinv, density, sha, tnc, all)"),
-])
+], ids=["out", "torus", "identity"])
 def test_a_long_config_integer_where_no_number_goes_is_a_type_error(capsys, tmp_path,
                                                                    key, message):
     cfg = tmp_path / "cfg.json"
