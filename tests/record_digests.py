@@ -7,9 +7,10 @@ unset, and writes argv -> [exit code, sha256 of the stdout bytes, stderr
 without its [timing] lines].  An argv that names {tmp} runs with a fresh
 temporary directory in its place, which its stderr names as {tmp} again;
 a run that writes a report leaves exactly its --out file there, holding
-stdout's bytes, and any other run leaves the directory empty.  The corpus, corpus_argv(), is every invocation
-of perfbench/reference.json and the argv of EXTRA.  test_digests.py replays
-the file and checks that it holds exactly these argv.
+stdout's bytes, and any other run leaves the directory empty.  The corpus,
+corpus_argv(), is every invocation of perfbench/reference.json and the
+argv of EXTRA.  test_digests.py replays the file and checks that it holds
+exactly these argv.
 Both run from the repo root, so that a config path in an argv, and the
 stderr that names it, read the same wherever they are started.  Before the
 file is overwritten, stderr lists the argv that the new corpus adds, changes
