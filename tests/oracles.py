@@ -7,14 +7,16 @@ and the vertical stack (`vstack`), class numbers from L(1, chi_D),
 factorization by trial division, the Frobenius element and the decomposition
 groups by cases over the field type, the good-prime density, the partial
 L-value and the Tamagawa product over a larger set of places, the norm form,
-the triple-loop matrix product, the determinant by cofactor expansion,
-det(x*I - B) interpolated from Bareiss determinants, the norm-one lattice
-by conjugation, and small helpers on group tables and matrices."""
+the matrix product from rows and columns sliced once (`matmul`) and by the
+triple loop, the determinant by Bareiss elimination (`det`) and by cofactor
+expansion, det(x*I - B) interpolated from Bareiss determinants, the
+norm-one lattice by conjugation, and small helpers on group tables and
+matrices."""
 
 import math
 from collections import namedtuple
 from fractions import Fraction
-from operator import add, sub
+from operator import add, mul as times, sub
 
 from tamagawa.cohomology import bar_boundary
 from tamagawa.exactcore import (
@@ -184,7 +186,7 @@ def cohomology_in_kernel_coordinates(lattice, n: int) -> AbelianGroupInvariants:
     k = dn.cols - r
     if n == 0:
         return AbelianGroupInvariants(k, ())
-    proj = snf.vinv * bar_boundary(lattice, n - 1)
+    proj = matmul(snf.vinv, bar_boundary(lattice, n - 1))
     assert not any(proj.entries[:r * proj.cols]), "d o d != 0 in kernel coordinates"
     return invariants_from_relations(k, IntMatrix(k, proj.cols, proj.entries[r * proj.cols:]))
 
@@ -259,7 +261,7 @@ def interpolated_det_poly(b: IntMatrix) -> tuple[int, ...]:
     polynomial has integer coefficients if and only if every k! divides
     its k-th difference: the sums stay in integers."""
     n = b.rows
-    diffs = [matrix_difference(scalar(n, x), b).det() for x in range(n + 1)]
+    diffs = [det(matrix_difference(scalar(n, x), b)) for x in range(n + 1)]
     coeffs = [0] * (n + 1)
     basis = [1]  # x(x-1)...(x-k+1), low degree first
     for k in range(n + 1):
@@ -274,6 +276,48 @@ def interpolated_det_poly(b: IntMatrix) -> tuple[int, ...]:
         basis = [(basis[i - 1] if i else 0) - k * (basis[i] if i < len(basis) else 0)
                  for i in range(len(basis) + 1)]
     return tuple(coeffs)
+
+
+def matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """a * b, each entry a dot product of a row of a with a column of b,
+    both sliced once."""
+    if a.cols != b.rows:
+        raise ValueError("shape mismatch in product")
+    n, m, k = a.rows, b.cols, a.cols
+    a_rows = [a.entries[i * k:(i + 1) * k] for i in range(n)]
+    b_cols = [b.entries[j::m] for j in range(m)]
+    return IntMatrix(n, m, tuple([sum(map(times, row, col)) for row in a_rows for col in b_cols]))
+
+
+def det(m: IntMatrix) -> int:
+    """Determinant by fraction-free Bareiss elimination."""
+    if m.rows != m.cols:
+        raise ValueError("det of non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = rows(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k]:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = a[k][k]
+        rowk = a[k]
+        for i in range(k + 1, n):
+            rowi = a[i]
+            aik = rowi[k]
+            for j in range(k + 1, n):
+                rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // prev
+            rowi[k] = 0
+        prev = pivot
+    return sign * a[n - 1][n - 1]
 
 
 def det_by_cofactors(rows) -> int:
@@ -310,7 +354,7 @@ def norm_one_action_by_conjugation(group) -> tuple[IntMatrix, ...]:
     uinv = IntMatrix.from_rows([[1 if j <= i else 0 for j in range(n)] for i in range(n)])
     out = []
     for p in _perm_matrices(group):
-        conj = u * p * uinv
+        conj = matmul(matmul(u, p), uinv)
         assert all(entry(conj, i, 0) == (1 if i == 0 else 0) for i in range(n)), \
             "sum vector is not fixed by the action"
         out.append(IntMatrix.from_rows([[entry(conj, i, j) for j in range(1, n)]

@@ -110,6 +110,10 @@ EXTRA += [
     "verify euler --torus res:-163 --budget 10000",
     # a d whose factoring needs _brent_split
     "verify euler --torus norm1:100000980001501 --pmax 5",
+    # runs that check nothing: every prime up to --pmax is bad, so the
+    # report has no rows, and the run exits 0
+    "verify euler --torus norm1:-3 --pmax 3",
+    "verify lifting --torus norm1:-15 --pmax 5",
 ]
 
 # the report file: written whole, next to what stdout gets; a missing

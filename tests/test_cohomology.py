@@ -33,6 +33,7 @@ from oracles import (
     entry,
     invariants_from_relations,
     kernel_basis,
+    matmul,
     matrix_difference,
     matrix_sum,
     snf_with_transforms,
@@ -65,7 +66,7 @@ def _cyclic_cohomology_oracle(lattice, n):
     power = ident
     for _ in range(group.order):
         norm = matrix_sum(norm, power)
-        power = a * power
+        power = matmul(a, power)
     gm1 = matrix_difference(a, ident)
 
     def quotient_orders(ker_gens, image_mat):
@@ -93,7 +94,7 @@ def _cyclic_cohomology_oracle(lattice, n):
             coords.append(x)
         rel = IntMatrix.from_rows(coords).transpose() if coords else zeros(
             ker_gens.cols, 0)
-        full = res.v * rel if coords else rel
+        full = matmul(res.v, rel) if coords else rel
         return invariants_from_relations(ker_gens.cols, full)
 
     if n == 0:
@@ -122,11 +123,12 @@ def _lattices_for_oracle():
     c3 = FiniteGroup.cyclic(3)
     # rotation lattice for C3: the quotient-by-gm action on Z^2
     rot = IntMatrix.from_rows([[0, -1], [1, -1]])
-    out.append(("C3 rotation", GaloisLattice(c3, 2, (IntMatrix.identity(2), rot, rot * rot))))
+    out.append(("C3 rotation",
+                GaloisLattice(c3, 2, (IntMatrix.identity(2), rot, matmul(rot, rot)))))
     out.append(("trivial C3", trivial_lattice(c3, 1)))
     c4 = FiniteGroup.cyclic(4)
     i4 = IntMatrix.from_rows([[0, -1], [1, 0]])
-    mats = (IntMatrix.identity(2), i4, i4 * i4, i4 * i4 * i4)
+    mats = (IntMatrix.identity(2), i4, matmul(i4, i4), matmul(matmul(i4, i4), i4))
     out.append(("C4 rotation", GaloisLattice(c4, 2, mats)))
     out.append(("trivial C4", trivial_lattice(c4, 1)))
     return out
@@ -175,7 +177,7 @@ def test_bar_boundary_squares_to_zero():
     ]
     for lattice, degrees in cases:
         for n in degrees:
-            prod = bar_boundary(lattice, n) * bar_boundary(lattice, n - 1)
+            prod = matmul(bar_boundary(lattice, n), bar_boundary(lattice, n - 1))
             assert not any(prod.entries), (lattice, n)
 
 
