@@ -243,46 +243,6 @@ class IntMatrix(Record, namedtuple("IntMatrix", "rows cols entries")):
         e, nc = self.entries, self.cols
         return IntMatrix(nc, self.rows, tuple([x for j in range(nc) for x in e[j::nc]]))
 
-    def __mul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch in product")
-        n, m, k = self.rows, other.cols, self.cols
-        a = self.entries
-        rows = [a[i * k:(i + 1) * k] for i in range(n)]
-        cols = [other.entries[j::m] for j in range(m)]
-        return IntMatrix(n, m, tuple([sum(map(mul, row, col)) for row in rows for col in cols]))
-
-    def det(self) -> int:
-        """Fraction-free Bareiss elimination."""
-        if self.rows != self.cols:
-            raise ValueError("det of non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
-        e = self.entries
-        a = [list(e[i * n:(i + 1) * n]) for i in range(n)]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k]:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            pivot = a[k][k]
-            for i in range(k + 1, n):
-                aik = a[i][k]
-                rowi = a[i]
-                rowk = a[k]
-                for j in range(k + 1, n):
-                    rowi[j] = (rowi[j] * pivot - aik * rowk[j]) // prev
-                rowi[k] = 0
-            prev = pivot
-        return sign * a[n - 1][n - 1]
-
 
 def smith_normal_form(m: IntMatrix) -> tuple[int, ...]:
     """The nonzero invariant factors d_1 | d_2 | ... of m, all positive.

@@ -119,12 +119,11 @@ class GaloisLattice(Record, namedtuple("GaloisLattice", "group rank mats")):
         for m in mats:
             if m.rows != rank or m.cols != rank:
                 raise ValueError("rank mismatch")
-            if m.det() not in (1, -1):
-                raise ValueError("action matrix is not unimodular")
         # each product mats[i] * mats[j], entry by entry, from rows and
         # columns sliced once per matrix
         rows = [[m.entries[r * rank:(r + 1) * rank] for r in range(rank)] for m in mats]
         cols = [[m.entries[c::rank] for c in range(rank)] for m in mats]
+        # each g has an h with g h = e, so mats[g] mats[h] = I: det(mats[g]) = +-1
         for i in range(group.order):
             for j in range(group.order):
                 product = tuple([sum(map(mul, row, col)) for row in rows[i] for col in cols[j]])

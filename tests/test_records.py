@@ -76,7 +76,7 @@ INVALID = {
     GaloisLattice: [((C2, 1, (I1,)), "one matrix per group element required"),
                     ((C2, 1, (NEG1, I1)), "identity must act as the identity matrix"),
                     ((C2, 1, (I1, IntMatrix.identity(2))), "rank mismatch"),
-                    ((C2, 1, (I1, IntMatrix(1, 1, (2,)))), "action matrix is not unimodular"),
+                    ((C2, 1, (I1, IntMatrix(1, 1, (2,)))), "action is not a homomorphism"),
                     ((C3, 1, (I1, NEG1, NEG1)), "action is not a homomorphism")],
 }
 
