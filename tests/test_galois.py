@@ -100,13 +100,8 @@ def test_lattice_action_is_homomorphism(d, family, data):
     assert matmul(ml, mr).entries == t.xstar.mats[mul(t.group, g, h)].entries
 
 
-def _square(n):
-    return st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n).map(
-        lambda flat: IntMatrix(n, n, tuple(flat)))
-
-
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.sampled_from((2, 4)), st.integers(1, 3).flatmap(_square))
+@given(st.sampled_from((2, 4)), st.integers(1, 3).flatmap(lambda n: _matrix(n, n, 2)))
 @example(2, IntMatrix(1, 1, (2,)))
 @example(2, IntMatrix(2, 2, (1, 1, 0, 1)))  # determinant 1, but not of order 2
 @example(2, IntMatrix(1, 1, (-1,)))
@@ -258,8 +253,8 @@ def test_interpolated_det_poly_equals_charpoly():
             assert interpolated_det_poly(b) == charpoly(b)
 
 
-def _matrix(rows, cols):
-    return st.lists(st.integers(-30, 30), min_size=rows * cols, max_size=rows * cols).map(
+def _matrix(rows, cols, bound=30):
+    return st.lists(st.integers(-bound, bound), min_size=rows * cols, max_size=rows * cols).map(
         lambda flat: IntMatrix(rows, cols, tuple(flat)))
 
 

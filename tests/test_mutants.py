@@ -142,6 +142,10 @@ CELLS = [
     ("charpoly-constant", ("euler", "--torus", "norm1:-1", "--pmax", "97"), 1,
      {"PASS": 22, "FAIL": 2}),
     ("charpoly-constant", ("density", "--torus", "norm1:-1"), 1, {"PASS": 3, "FAIL": 3}),
+    # the good-factor check counts points at 3, of class 1, first
+    ("charpoly-constant", ("tnc", "--torus", "norm1:-1"), 70,
+     "internal error: good factor mismatch at p=3 for norm1:-1: "
+     "density 4/3 vs Euler factor 2\n"),
     # H^1 = Z/4 on both sides of the row, which read one Smith form: blind
     # until a second count of (X^* x Q/Z)^G (ROADMAP item 4)
     ("smith-doubled", ("globalinv", "--torus", "norm1:-23"), 0, {"PASS": 1}),
