@@ -7,11 +7,12 @@ and the vertical stack (`vstack`), class numbers from L(1, chi_D),
 factorization by trial division, the Frobenius element and the decomposition
 groups by cases over the field type, the good-prime density, the partial
 L-value and the Tamagawa product over a larger set of places, the norm form,
-the matrix product from rows and columns sliced once (`matmul`) and by the
-triple loop, the determinant by Bareiss elimination (`det`) and by cofactor
-expansion, det(x*I - B) interpolated from Bareiss determinants, the
-norm-one lattice by conjugation, and small helpers on group tables and
-matrices."""
+the affine models' point counts mod p^k from a table of squares mod 4p^k at
+every p (`count_points_mod_4m`), the matrix product from rows and columns
+sliced once (`matmul`) and by the triple loop, the determinant by Bareiss
+elimination (`det`) and by cofactor expansion, det(x*I - B) interpolated
+from Bareiss determinants, the norm-one lattice by conjugation, and small
+helpers on group tables and matrices."""
 
 import math
 from collections import namedtuple
@@ -430,6 +431,24 @@ def norm(field: QuadField, a: int, b: int) -> int:
     """N(a + b*w) for the ring basis (1, w) of the field's integers."""
     D = field.D
     return a * a + D * a * b + ((D * D - D) // 4) * b * b
+
+
+def count_points_mod_4m(model, p: int, k: int) -> int:
+    """`count_points_mod` with no budget and no fold: every fibre counted
+    as #{u mod 2m : u^2 = Dy^2 + 4c mod 4m}, the route valid at every p,
+    where the package counts mod m itself at odd p."""
+    q = p ** k
+
+    def fibre_sum(m, c):
+        n = 4 * m
+        table = [0] * n
+        for u in range(2 * m):
+            table[u * u % n] += 1
+        return sum(table[(model.D * y * y + 4 * c) % n] for y in range(m))
+
+    if model.kind == "unit-group":
+        return q * q - (q // p) ** 2 * fibre_sum(p, 0)
+    return fibre_sum(q, 1)
 
 
 _BIQUAD_FROBENIUS = {(1, 1): 0, (1, -1): 1, (-1, 1): 2, (-1, -1): 3}

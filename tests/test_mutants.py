@@ -114,13 +114,24 @@ def double_l_value(monkeypatch):
     _patch_every_binding(monkeypatch, real, _doubled_value_and_error(real))
 
 
+def bump_deep_counts(monkeypatch):
+    # every count mod p^k with k >= 2 gains one point
+    real = models.count_points_mod
+
+    def bumped(model, p, k, budget=models.COUNT_BUDGET):
+        return real(model, p, k, budget) + (k >= 2)
+
+    _patch_every_binding(monkeypatch, real, bumped)
+
+
 MUTANTS = {"frobenius-swap": swap_quadratic_frobenius,
            "charpoly-constant": bump_class_one_constant,
            "smith-doubled": double_smith_invariants,
            "c-gamma-doubled": double_c_gamma,
            "ono-constant-doubled": double_ono_constant,
            "volume-doubled": double_archimedean_volume,
-           "l-value-doubled": double_l_value}
+           "l-value-doubled": double_l_value,
+           "count-off-by-one": bump_deep_counts}
 
 NORM_ONE_TORI = ("norm1:-23", "norm1:13")
 
@@ -165,6 +176,13 @@ CELLS = [
       for mutant in ("c-gamma-doubled", "ono-constant-doubled", "volume-doubled",
                      "l-value-doubled")
       for spec in NORM_ONE_TORI),
+    # count(2) = p^d * count(1) + 1 at every good p <= 13
+    ("count-off-by-one", ("lifting", "--torus", "norm1:-1"), 1, {"FAIL": 5}),
+    # the ratios count(k) / p^(k*d) never repeat, so no density
+    # stabilizes, at the bad prime 2 or at the cross-checked good primes
+    ("count-off-by-one", ("density", "--torus", "norm1:-1"), 2, {"INCONCLUSIVE": 6}),
+    # tau needs the density at 2
+    ("count-off-by-one", ("tnc", "--torus", "norm1:-1"), 2, {"INCONCLUSIVE": 1}),
 ]
 
 
