@@ -32,12 +32,11 @@ from .errors import (
 )
 from .exactcore import primes_up_to
 from .galois import (
-    TAG_FAMILIES,
     TorusSpec,
-    build_torus,
     counting_budget,
     good_euler_terms,
     is_good_prime,
+    parse_torus,
 )
 from .globalasm import c_gamma, verify_tnc
 from .localmeasure import (
@@ -55,7 +54,6 @@ from .options import (
     _merge_config,
     parse_args,
 )
-from .quadfield import BiquadField, QuadField
 from .report import (
     FAIL,
     INCONCLUSIVE,
@@ -66,33 +64,6 @@ from .report import (
     worst_exit_code,
     write_report_atomic,
 )
-
-
-def _decimal(s: str) -> int:
-    """`s` as an int if it is [+-]?[0-9]+: int() alone also reads "1_3",
-    " +13 " and the digits of other scripts."""
-    digits = s[1:] if s[:1] in ("+", "-") else s
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"d must be ASCII decimal, not {s!r}")
-    return int(s)
-
-
-def parse_torus(spec: str) -> TorusSpec:
-    try:
-        tag, _, ds = spec.partition(":")
-        if tag not in TAG_FAMILIES:
-            raise ValueError(f"unknown family tag {tag!r}, expected one of "
-                             f"{sorted(TAG_FAMILIES)}")
-        parts = [_decimal(x) for x in ds.split(",")] if ds else []
-        if len(parts) == 1:
-            field = QuadField.from_d(parts[0])
-        elif len(parts) == 2:
-            field = BiquadField.from_pair(parts[0], parts[1])
-        else:
-            raise ValueError("expected family:d or family:d1,d2")
-        return build_torus(TAG_FAMILIES[tag], field)
-    except (ValueError, UnsupportedTorusError) as exc:
-        raise ConfigError(f"torus: cannot parse {spec!r}: {exc}") from exc
 
 
 def run_euler(torus: TorusSpec, cfg: RunConfig):

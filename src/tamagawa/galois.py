@@ -6,6 +6,11 @@ Three families over a quadratic or biquadratic field K with G = Gal(K/Q):
   norm-one        X^* = Z[G] / Z*(sum of group elements)
   quotient-by-gm  X^* = augmentation kernel I_G of Z[G]
 
+A torus is named by the tag of its family (res, norm1, quot) and its field:
+`tag:d` over Q(sqrt(d)) and `tag:d1,d2` over Q(sqrt(d1), sqrt(d2)), each d
+squarefree and in ASCII decimal with an optional sign, [+-]?[0-9]+.
+build_torus writes this label and parse_torus reads it; --torus takes it.
+
 Under the G-invariant pairing <g, h> = [g = h] on Z[G], Z[G] is its own dual
 (P_h^T = P_{h^{-1}}), and Z[G] / Z*(sum) is the dual of I_G: the norm-one
 torus and the quotient by G_m are dual tori.  So norm-one's X^* is built as
@@ -47,7 +52,7 @@ from functools import lru_cache
 from math import lcm, prod
 from operator import mul
 
-from .errors import UnsupportedTorusError
+from .errors import ConfigError, UnsupportedTorusError
 from .exactcore import IntMatrix, Record, charpoly, eval_poly, is_prime, kronecker_symbol
 from .models import COUNT_BUDGET, cached_point_count, norm_form_model, unit_group_model
 from .quadfield import BiquadField, QuadField
@@ -214,6 +219,34 @@ def build_torus(family: str, field: QuadField | BiquadField) -> TorusSpec:
         model, desc = None, f"{field.d1},{field.d2}"
     label = f"{FAMILY_TAGS[family]}:{desc}"
     return TorusSpec(family, field, xstar.rank, xstar, model, label)
+
+
+def _decimal(s: str) -> int:
+    """`s` as an int if it is [+-]?[0-9]+: int() alone also reads "1_3",
+    " +13 " and the digits of other scripts."""
+    digits = s[1:] if s[:1] in ("+", "-") else s
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"d must be ASCII decimal, not {s!r}")
+    return int(s)
+
+
+def parse_torus(spec: str) -> TorusSpec:
+    """The torus of the label `spec`; a ConfigError if it names none."""
+    try:
+        tag, _, ds = spec.partition(":")
+        if tag not in TAG_FAMILIES:
+            raise ValueError(f"unknown family tag {tag!r}, expected one of "
+                             f"{sorted(TAG_FAMILIES)}")
+        parts = [_decimal(x) for x in ds.split(",")] if ds else []
+        if len(parts) == 1:
+            field = QuadField.from_d(parts[0])
+        elif len(parts) == 2:
+            field = BiquadField.from_pair(parts[0], parts[1])
+        else:
+            raise ValueError("expected family:d or family:d1,d2")
+        return build_torus(TAG_FAMILIES[tag], field)
+    except (ValueError, UnsupportedTorusError) as exc:
+        raise ConfigError(f"torus: cannot parse {spec!r}: {exc}") from exc
 
 
 def is_good_prime(t: TorusSpec, p: int) -> bool:

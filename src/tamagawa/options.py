@@ -19,14 +19,12 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from collections import namedtuple
 from types import SimpleNamespace
 
 from .errors import ConfigError
 from .models import COUNT_BUDGET
 
-BUDGET_ENV = "TAMAGAWA_BUDGET"
 # the documented upper ends of --budget and --pmax (README, exit codes): a
 # larger value is a configuration error, exit 64.  The sieve up to pmax takes
 # pmax bytes, and 10^7 is some 664k euler rows, a report of a few hundred MB
@@ -43,7 +41,7 @@ _FLAGS = {
     "--pmax": ("N", "good-prime bound (default {})", 97),
     "--kmax": ("K", "lifting level bound (default {})", 3),
     "--tol": ("TOL", "analytic tolerance (default {})", "1e-6"),
-    "--budget": ("N", f"enumeration budget (default {{}}, env {BUDGET_ENV})", COUNT_BUDGET),
+    "--budget": ("N", "enumeration budget (default {})", COUNT_BUDGET),
     "--jobs": ("N", "accepted for compatibility; changes nothing (default {})", 1),
     "--out": ("PATH", "write the JSON report here (atomic)"),
     "--config": ("PATH", "JSON config file; flags win on conflict"),
@@ -79,10 +77,10 @@ def _number(text: str):
 
 
 def _config_number(key: str, raw):
-    """The value of the numeric field `key` as a flag, the config file, the
-    table or TAMAGAWA_BUDGET gives it: a number or a numeric string.  tol is
-    the one real field.  A bool, or a fraction in an integral field, is an
-    error rather than coerced (int(9.9) == 9, float(True) == 1.0)."""
+    """The value of the numeric field `key` as a flag, the config file or the
+    table gives it: a number or a numeric string.  tol is the one real field.
+    A bool, or a fraction in an integral field, is an error rather than
+    coerced (int(9.9) == 9, float(True) == 1.0)."""
     if isinstance(raw, str):
         raw = _number(raw)
     if isinstance(raw, _LongInt):
@@ -169,18 +167,9 @@ def _merge_config(args) -> RunConfig:
         torus_specs = [torus_specs]
     if not isinstance(torus_specs, list) or not all(isinstance(s, str) for s in torus_specs):
         raise ConfigError("torus: expected a spec string or a list of them")
-    defaults = RunConfig._field_defaults
-    env_budget = os.environ.get(BUDGET_ENV)
-    if env_budget is not None:
-        budget = _number(env_budget)
-        try:
-            defaults = {**defaults, "budget": _config_number("budget", budget)}
-        except ConfigError as exc:
-            if isinstance(budget, _LongInt):  # the same line as from a flag
-                raise
-            raise ConfigError(f"budget: bad {BUDGET_ENV}={env_budget!r}") from exc
     cfg = RunConfig(given.get("identity"), tuple(torus_specs),
-                    *(_config_number(key, given.get(key, defaults[key])) for key in _NUMBERS),
+                    *(_config_number(key, given.get(key, default))
+                      for key, default in _NUMBERS.items()),
                     given.get("out"))
     if cfg.out is not None and not isinstance(cfg.out, str):
         raise ConfigError("out: expected a file path string")

@@ -2,14 +2,13 @@
 
     PYTHONPATH=src python3 tests/record_digests.py
 
-Runs every argv of the corpus once, in one process, with TAMAGAWA_BUDGET
-unset, and writes argv -> [exit code, sha256 of the stdout bytes, stderr
-without its [timing] lines].  An argv that names {tmp} runs with a fresh
-temporary directory in its place, which its stderr names as {tmp} again;
-a run that writes a report leaves exactly its --out file there, holding
-stdout's bytes, and any other run leaves the directory empty.  The corpus,
-corpus_argv(), is every invocation of perfbench/reference.json and the
-argv of EXTRA.  test_digests.py replays the file and checks that it holds
+Runs every argv of the corpus once, in one process, and writes argv ->
+[exit code, sha256 of the stdout bytes, stderr without its [timing]
+lines].  An argv that names {tmp} runs with a fresh temporary directory in
+its place, which its stderr names as {tmp} again; a run that writes a
+report leaves exactly its --out file there, holding stdout's bytes, and
+any other run leaves the directory empty.  The corpus, corpus_argv(), is
+every invocation of perfbench/reference.json and the argv of EXTRA.  test_digests.py replays the file and checks that it holds
 exactly these argv.
 Both run from the repo root, so that a config path in an argv, and the
 stderr that names it, read the same wherever they are started.  Before the
@@ -156,7 +155,6 @@ def corpus_argv() -> list:
 
 
 def main_record() -> int:
-    os.environ.pop("TAMAGAWA_BUDGET", None)
     os.chdir(ROOT)
     entries = {argv: run(argv) for argv in corpus_argv()}
     old = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}

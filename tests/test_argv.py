@@ -46,9 +46,7 @@ def build_parser():
     verify.add_argument("--pmax", help="good-prime bound (default 97)")
     verify.add_argument("--kmax", help="lifting level bound (default 3)")
     verify.add_argument("--tol", help="analytic tolerance (default 1e-6)")
-    verify.add_argument("--budget",
-                        help=f"enumeration budget (default {COUNT_BUDGET}, "
-                             f"env {options.BUDGET_ENV})")
+    verify.add_argument("--budget", help=f"enumeration budget (default {COUNT_BUDGET})")
     verify.add_argument("--jobs",
                         help="accepted for compatibility; changes nothing (default 1)")
     verify.add_argument("--out", help="write the JSON report here (atomic)")

@@ -12,7 +12,6 @@ from record_digests import DIGESTS, ROOT, corpus_argv, run
 
 
 def test_report_digests_hold(monkeypatch):
-    monkeypatch.delenv("TAMAGAWA_BUDGET", raising=False)
     monkeypatch.chdir(ROOT)
     corpus = json.loads(Path(DIGESTS).read_text())
     assert set(corpus) == set(corpus_argv())

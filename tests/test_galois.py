@@ -22,6 +22,7 @@ from tamagawa.galois import (
     euler_factor_at_one,
     good_euler_terms,
     is_good_prime,
+    parse_torus,
     point_count_Fp,
     trivial_lattice,
 )
@@ -502,6 +503,24 @@ def test_build_torus_rejections():
         build_torus("norm-one", "not-a-field")
     with pytest.raises(UnsupportedTorusError):
         build_torus("bogus-family", QuadField.from_d(-1))
+
+
+# d of both signs, with D = d = 1 mod 4 and D = 4d = 0 mod 4, and a
+# biquadratic pair of each sign pattern
+LABEL_FIELDS = (*map(QuadField.from_d, (-1, -3, -5, -7, 2, 5, 13, 21)),
+                BiquadField.from_pair(13, 17), BiquadField.from_pair(-1, 5),
+                BiquadField.from_pair(-3, -7))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_parse_torus_reads_the_label_build_torus_writes(family):
+    for field in LABEL_FIELDS:
+        t = build_torus(family, field)
+        assert parse_torus(t.label) == t
+        # a + before a positive d reads as the label without it
+        tag, _, ds = t.label.partition(":")
+        plus = ",".join(d if d.startswith("-") else f"+{d}" for d in ds.split(","))
+        assert parse_torus(f"{tag}:{plus}").label == t.label
 
 
 def test_trivial_lattice():

@@ -17,7 +17,7 @@ import pytest
 
 from tamagawa import exactcore, galois, globalasm, models
 from tamagawa.cli import main
-from tamagawa.quadfield import QuadField
+from tamagawa.quadfield import QuadField, _Subfields
 
 # the package's `cohomology` is the function of that name
 cohomology = importlib.import_module("tamagawa.cohomology")
@@ -124,6 +124,22 @@ def bump_deep_counts(monkeypatch):
     _patch_every_binding(monkeypatch, real, bumped)
 
 
+def drop_largest_ramified_prime(monkeypatch):
+    # a field with two or more ramified primes loses its largest.  One with
+    # a single ramified prime keeps it: t = 0 would make c_gamma's
+    # h >> (t - 1) raise, a state no quadratic field reaches.  The method is
+    # patched on the class, which no module attribute binds
+    real = _Subfields.ramified_primes
+
+    def dropped(field):
+        primes = real(field)
+        return primes[:-1] if len(primes) > 1 else primes
+
+    for cache in CACHES:
+        cache.cache_clear()
+    monkeypatch.setattr(_Subfields, "ramified_primes", dropped)
+
+
 MUTANTS = {"frobenius-swap": swap_quadratic_frobenius,
            "charpoly-constant": bump_class_one_constant,
            "smith-doubled": double_smith_invariants,
@@ -131,9 +147,12 @@ MUTANTS = {"frobenius-swap": swap_quadratic_frobenius,
            "ono-constant-doubled": double_ono_constant,
            "volume-doubled": double_archimedean_volume,
            "l-value-doubled": double_l_value,
-           "count-off-by-one": bump_deep_counts}
+           "count-off-by-one": bump_deep_counts,
+           "ramified-dropped": drop_largest_ramified_prime}
 
 NORM_ONE_TORI = ("norm1:-23", "norm1:13")
+# fields with two or three ramified primes, imaginary and real
+RAMIFIED_TORI = ("norm1:-5", "quot:-5", "norm1:-21", "norm1:21")
 
 # (mutant, argv, exit code, verdict counts or stderr)
 CELLS = [
@@ -183,6 +202,22 @@ CELLS = [
     ("count-off-by-one", ("density", "--torus", "norm1:-1"), 2, {"INCONCLUSIVE": 6}),
     # tau needs the density at 2
     ("count-off-by-one", ("tnc", "--torus", "norm1:-1"), 2, {"INCONCLUSIVE": 1}),
+    # the sha row reports c_gamma = h+ / 2^(t-1), doubled, and compares it
+    # with itself; tau is blind too: c_gamma doubles, the product of the
+    # densities loses the dropped prime's, which is 2, and chi_D(p) = 0
+    # leaves L_S(1) as it was.  Blind until genus theory counts c_gamma a
+    # second way (ROADMAP item 5)
+    *(("ramified-dropped", (identity, "--torus", spec), 0, {"PASS": 1})
+      for identity in ("sha", "tnc") for spec in RAMIFIED_TORI),
+    # density loses the dropped prime's row, 5 PASS where the real code has
+    # 6, and nothing FAILs: blind until the bad primes are found a second
+    # way (ROADMAP item 22)
+    *(("ramified-dropped", ("density", "--torus", spec), 0, {"PASS": 5})
+      for spec in RAMIFIED_TORI),
+    # every row of all passes, one density row fewer: blind until item 22
+    # catches the missing density row or item 5 the sha and tnc rows
+    *(("ramified-dropped", ("all", "--torus", spec), 0, {"PASS": rows})
+      for spec, rows in zip(RAMIFIED_TORI, (35, 35, 33, 33))),
 ]
 
 
