@@ -40,8 +40,9 @@ model, and their rows evaluate the polynomial alone.
 The setup, once per torus, is |G| charpolys of d x d matrices (d - 1
 products each, on lists of rows, no IntMatrix).  Each prime then costs a
 dict lookup of its Frobenius class by its residue mod the field's
-conductor (Kronecker symbols once per residue) and one polynomial
-evaluation; the first d + 1 of each class also cost one count in O(p).
+conductor (each subfield character once per residue mod its |D_i|) and
+one polynomial evaluation; the first d + 1 of each class also cost one
+count in O(p).
 """
 
 from __future__ import annotations
@@ -137,9 +138,12 @@ class GaloisLattice(Record, namedtuple("GaloisLattice", "group rank mats")):
         return super().__new__(cls, group, rank, mats)
 
     def dual(self) -> "GaloisLattice":
+        """The contragredient lattice: g acts by the transpose of g^{-1}.
+        Its group law is not checked again: it holds by construction, as
+        rho((gh)^{-1})^T = (rho(h^{-1}) rho(g^{-1}))^T = rho(g^{-1})^T rho(h^{-1})^T."""
         G = self.group
-        return GaloisLattice(G, self.rank,
-                             tuple(self.mats[G.inv(g)].transpose() for g in range(G.order)))
+        mats = tuple(self.mats[G.inv(g)].transpose() for g in range(G.order))
+        return super().__new__(GaloisLattice, G, self.rank, mats)
 
 
 def trivial_lattice(group: FiniteGroup, rank: int = 1) -> GaloisLattice:
@@ -193,7 +197,21 @@ class TorusSpec(namedtuple("TorusSpec", "family field dim xstar model label")):
         return self.field.ramified_primes()
 
     def bad_primes(self) -> tuple[int, ...]:
-        return tuple(sorted({2, *self.ramified_primes()}))
+        """2 and the ramified primes, checked a second way: dividing each
+        subfield discriminant by every ramified prime, as often as it
+        divides, must leave +-1.  A prime missing from the set leaves a
+        cofactor, an internal error."""
+        ramified = self.ramified_primes()
+        for D in self.field.subfield_discs:
+            m = D
+            for p in ramified:
+                while m % p == 0:
+                    m //= p
+            if abs(m) != 1:
+                raise ArithmeticError(
+                    f"the ramified primes {ramified} of {self.label} leave "
+                    f"{abs(m)} of its subfield discriminant {D}")
+        return tuple(sorted({2, *ramified}))
 
 
 @lru_cache(maxsize=512)
@@ -253,12 +271,27 @@ def is_good_prime(t: TorusSpec, p: int) -> bool:
     return is_prime(p) and (2 * t.splitting_disc()) % p != 0
 
 
+# each Galois element by the values of the first two subfield characters,
+# which fix it: over a biquadratic field D1 D2 / D3 is the square of a
+# product of ramified primes, so (D3|p) = (D1|p)(D2|p) at an unramified p
+_CLASSES = {n: {row[:2]: g for g, row in enumerate(rows)} for n, rows in _CHARACTERS.items()}
+
+
+@lru_cache(maxsize=4096)
+def _character(D: int, r: int) -> int:
+    """(D|p) for every prime p = r mod |D|, 0 < r < |D|: for a fundamental
+    discriminant D, n -> (D|n) is a Dirichlet character mod |D|, so it is
+    computed once per residue class."""
+    return kronecker_symbol(D, r)
+
+
 def _frobenius_index(field: QuadField | BiquadField, p: int) -> int:
-    """Index of the Frobenius at a prime p known to be unramified in K."""
+    """Index of the Frobenius at a prime p known to be unramified in K: the
+    element whose characters are the (D_i|p), each read from p mod |D_i|."""
     discs = field.subfield_discs
     # from a list: tuple() of a generator resizes its result, and each
-    # call would leave a 3-tuple on the interpreter's free list
-    return _CHARACTERS[len(discs)].index(tuple([kronecker_symbol(D, p) for D in discs]))
+    # call would leave a tuple on the interpreter's free list
+    return _CLASSES[len(discs)][tuple([_character(D, p % abs(D)) for D in discs[:2]])]
 
 
 @lru_cache(maxsize=512)
@@ -276,12 +309,14 @@ def good_euler_terms(t: TorusSpec, primes, budget: int = COUNT_BUDGET, short=Non
     sweep meets, where p^nvars is within `budget`, and that polynomial's
     value everywhere else.
 
-    Frobenius's class is looked up by p mod the lcm of the |D_i|, which is
-    |D| over a quadratic field and lcm(|D1|, |D2|) over a biquadratic one,
-    so each residue class pays for its Kronecker symbols once.  This is
-    exact: for a discriminant D, n -> (D|n) is a Dirichlet character mod
-    |D|, so (D|p) = (D|q) for positive p = q mod |D|, and the class is a
-    function of the (D_i|p).
+    Frobenius's class, with its polynomial's coefficients, is looked up by
+    p mod the lcm of the |D_i|, which is |D| over a quadratic field and
+    lcm(|D1|, |D2|) over a biquadratic one.  A residue met for the first
+    time reads each character (D_i|p) by p mod |D_i|, so each Kronecker
+    symbol is computed once per residue class mod its |D_i|, and only D1's
+    and D2's: their product is D3's.  This is exact: for a discriminant D,
+    n -> (D|n) is a Dirichlet character mod |D|, so (D|p) = (D|q) for
+    positive p = q mod |D|, and the class is a function of the (D_i|p).
 
     A class whose count stops short of d + 1 at the budget leaves the rows
     of its later primes on the polynomial alone: each appends (p, g, n) to
@@ -297,12 +332,16 @@ def good_euler_terms(t: TorusSpec, primes, budget: int = COUNT_BUDGET, short=Non
     for p in primes:
         if two_disc % p == 0:
             continue
-        r = p % period
         try:
-            g = by_residue[r]
+            g, coeffs = by_residue[p % period]
         except KeyError:
-            g = by_residue[r] = _frobenius_index(field, p)
-        value = eval_poly(polys[g], p)
+            g = _frobenius_index(field, p)
+            g, coeffs = by_residue[p % period] = g, polys[g][::-1]
+        # the class's polynomial at p by Horner's rule, high degree first,
+        # inline: it saves a call of eval_poly per row
+        value = 0
+        for c in coeffs:
+            value = value * p + c
         if value <= 0:
             raise ArithmeticError("point count must be positive")
         if uncounted[g]:

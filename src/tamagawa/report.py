@@ -22,8 +22,9 @@ decodes that buffer for a caller that wants a str.  Rows of one shape
 %-format, `row_format`, that holds every key, brace and indent, so a row
 renders only its values.  The euler rows, one per good prime and nearly
 all of a report's bytes, are made by `euler_rows` as the runner computes
-them: each is filled into the bytes format of its verdict, and a run of
-them comes as one `RenderedRow`, whose bytes are appended as they are.
+them: a run of PASS rows is filled with one % into the bytes format of
+that many rows, a FAIL row into its own, and each comes as one
+`RenderedRow`, whose bytes are appended as they are.
 """
 
 from __future__ import annotations
@@ -159,36 +160,47 @@ def row_format(identity, verdict, has_cause, input_keys, value_keys):
 def euler_rows(label, dim, terms):
     """The euler rows of the torus `label` of dimension d = `dim`, from its
     good-prime terms (p, p^d * E_p(1), |T(F_p)|): a row PASSes when the two
-    counts agree.  Each row is filled into the bytes %-format of its
-    verdict, E_p(1) and the density as "a/b" in lowest terms, as Fraction
-    reduces them.  A run of up to EULER_CHUNK PASS rows comes as one
-    `RenderedRow`, joined as a report separates rows; a FAIL row comes
-    alone."""
+    counts agree.  E_p(1) and the density are "a/b" in lowest terms.  The
+    scaled factor charpoly(Fr)(p) is congruent to charpoly(Fr)(0) =
+    det(-Fr) = +-1 mod p, since Fr has finite order, so it is prime to p^d
+    and a PASS row writes its counts over p^d as they are; a FAIL row
+    reduces both fractions.
+    A run of EULER_CHUNK PASS rows is filled into one bytes %-format of that
+    many rows, joined as a report separates them, and comes as one
+    `RenderedRow`, as does a shorter run before a FAIL row or at the end; a
+    FAIL row comes alone."""
     keys = ("torus", "p"), ("euler_factor", "point_count", "density")
     # the slots in sorted key order: [cause,] p, torus, density,
     # euler_factor, point_count
     fill = ("%d", _quote(label).replace("%", "%%"), '"%d/%d"', '"%d/%d"', "%d")
     ok = (row_format("euler", PASS, False, *keys)[0] % fill).encode()
     bad = (row_format("euler", FAIL, True, *keys)[0] % ("%s", *fill)).encode()
-    run = []
+    # six values per PASS row; the format of a full run is built once
+    size = 6 * EULER_CHUNK
+    full = _NEXT_ROW.join([ok] * EULER_CHUNK)
+
+    def run_of(args):
+        fmt = full if len(args) == size else _NEXT_ROW.join([ok] * (len(args) // 6))
+        return RenderedRow(PASS, fmt % tuple(args))
+
+    args = []
     for p, scaled, count in terms:
         pd = p ** dim
-        g = math.gcd(scaled, pd)
-        a, b = scaled // g, pd // g
         if scaled == count:
-            run.append(ok % (p, a, b, a, b, count))
-            if len(run) < EULER_CHUNK:
-                continue
-            yield RenderedRow(PASS, _NEXT_ROW.join(run))
-        else:
-            if run:
-                yield RenderedRow(PASS, _NEXT_ROW.join(run))
-            h = math.gcd(count, pd)
-            cause = _quote(f"p^d * E_p(1) = {scaled} != {count}").encode()
-            yield RenderedRow(FAIL, bad % (cause, p, count // h, pd // h, a, b, count))
-        run = []
-    if run:
-        yield RenderedRow(PASS, _NEXT_ROW.join(run))
+            args += p, scaled, pd, scaled, pd, count
+            if len(args) == size:
+                yield run_of(args)
+                args = []
+            continue
+        if args:
+            yield run_of(args)
+            args = []
+        g = math.gcd(scaled, pd)
+        h = math.gcd(count, pd)
+        cause = _quote(f"p^d * E_p(1) = {scaled} != {count}").encode()
+        yield RenderedRow(FAIL, bad % (cause, p, count // h, pd // h, scaled // g, pd // g, count))
+    if args:
+        yield run_of(args)
 
 
 def _fill(obj, names):

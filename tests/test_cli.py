@@ -1407,25 +1407,63 @@ def test_euler_computes_one_charpoly_per_galois_element(capsys, monkeypatch):
 
 def test_euler_evaluates_one_polynomial_per_row(capsys, monkeypatch):
     # each row evaluates its class's polynomial at p once, and res:5,-3, a
-    # biquadratic torus, has no model to count.  Every binding of eval_poly
-    # is wrapped
-    calls = []
-    real = exactcore.eval_poly
+    # biquadratic torus, has no model to count.  Each coefficient is an int
+    # that counts the additions it takes part in, and one evaluation by
+    # Horner's rule, by eval_poly or inline, adds each of the d + 1 once.
+    # Every binding of _frobenius_polynomials returns such coefficients
+    added = []
 
-    def counting(coeffs, x):
-        calls.append(x)
-        return real(coeffs, x)
+    class Counted(int):
+        def __add__(self, other):
+            added.append(int(self))
+            return int(self) + other
+
+        __radd__ = __add__
+
+    real = galois._frobenius_polynomials
+
+    def counted(t):
+        return tuple(tuple(map(Counted, poly)) for poly in real(t))
 
     for module in [m for name, m in sys.modules.items() if name.startswith("tamagawa.")]:
         for attr, value in list(vars(module).items()):
             if value is real:
-                monkeypatch.setattr(module, attr, counting)
+                monkeypatch.setattr(module, attr, counted)
     code, out, _ = run_cli(
         capsys, "verify", "euler", "--torus", "res:5,-3", "--pmax", "2000")
     assert code == 0
     rows = len(json.loads(out)["reports"])
     assert rows > 250
-    assert len(calls) == rows
+    assert len(added) == 5 * rows
+
+
+def test_euler_computes_each_character_once_per_residue_of_its_discriminant(capsys,
+                                                                           monkeypatch):
+    # norm1:5,26 has subfield discriminants 5, 104 and 520.  The class is
+    # fixed by the first two characters, the third being their product, and
+    # each is a character mod its |D_i|: at most phi(5) + phi(104) = 52
+    # Kronecker symbols, where three per residue mod lcm = 520 make 468.
+    # Every binding of kronecker_symbol is wrapped, and galois's caches start
+    # empty
+    calls = []
+    real = exactcore.kronecker_symbol
+
+    def counting(a, n):
+        calls.append((a, n))
+        return real(a, n)
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("tamagawa.")]:
+        for attr, value in list(vars(module).items()):
+            if value is real:
+                monkeypatch.setattr(module, attr, counting)
+    for value in vars(galois).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    code, out, _ = run_cli(
+        capsys, "verify", "euler", "--torus", "norm1:5,26", "--pmax", "1267")
+    assert code == 0
+    assert len(json.loads(out)["reports"]) == 202
+    assert 0 < len(calls) <= 4 + 48
 
 
 @pytest.mark.parametrize("spec", ["res:5,-3", "norm1:-7", "quot:13", "norm1:13,17",

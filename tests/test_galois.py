@@ -2,6 +2,7 @@
 factors vs point counts, decomposition subgroups."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,7 +11,14 @@ from hypothesis import strategies as st
 from tamagawa import galois
 from tamagawa.cohomology import cohomology, q_rank
 from tamagawa.errors import UnsupportedTorusError
-from tamagawa.exactcore import IntMatrix, charpoly, eval_poly, primes_up_to, squarefree_part
+from tamagawa.exactcore import (
+    IntMatrix,
+    charpoly,
+    eval_poly,
+    kronecker_symbol,
+    primes_up_to,
+    squarefree_part,
+)
 from tamagawa.galois import (
     FAMILIES,
     INF,
@@ -313,6 +321,24 @@ def test_good_primes():
     assert not is_good_prime(t23, 2)  # 2 divides 2*disc always
 
 
+@pytest.mark.parametrize("field", [QuadField.from_d(-7), BiquadField.from_pair(5, 26)])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_class_polynomials_are_prime_to_every_good_p(family, field):
+    # euler_rows writes a PASS row's p^d * E_p(1) over p^d unreduced: every
+    # class g has finite order, so charpoly(g)(0) = det(-g) = +-1, and its
+    # value at p is congruent to +-1 mod p
+    t = build_torus(family, field)
+    polys = galois._frobenius_polynomials(t)
+    assert len(polys) == t.group.order
+    for poly in polys:
+        assert poly[0] in (1, -1)
+    good = [p for p in primes_up_to(997) if is_good_prime(t, p)]
+    assert len(good) > 150
+    for p in good:
+        for poly in polys:
+            assert gcd(eval_poly(poly, p), p) == 1
+
+
 def test_euler_factor_positive_and_finite_order():
     t = build_torus("res-scalars", QuadField.from_d(-7))
     for p in (3, 5, 11):
@@ -369,9 +395,22 @@ def test_character_rules_match_the_case_analysis():
                 assert galois._frobenius_index(k, v) == frobenius_index_by_cases(k, v), (k, v)
 
 
+def test_a_subfield_character_is_read_from_the_residue_of_p():
+    # for a fundamental discriminant D, n -> (D|n) is a character mod |D|,
+    # so _character(D, p mod |D|) is (D|p) at every prime p not dividing D
+    discs = {QuadField.from_d(d).D for d in range(-60, 61)
+             if d not in (0, 1) and squarefree_part(d) == d}
+    assert len(discs) == 73
+    for D in discs:
+        for p in primes_up_to(1500):
+            if D % p:
+                assert galois._character(D, p % abs(D)) == kronecker_symbol(D, p), (D, p)
+
+
 @pytest.mark.parametrize("field", [QuadField.from_d(-5), BiquadField.from_pair(13, 17)])
 def test_build_torus_validates_each_lattice_once(field, monkeypatch):
-    # Z[G] for res, I_G for quot, and I_G then its dual for norm-one
+    # Z[G] for res and I_G for quot and norm-one: the dual that norm-one
+    # takes of I_G is a homomorphism by construction and is not checked again
     calls = []
     real = GaloisLattice.__new__
 
@@ -384,9 +423,20 @@ def test_build_torus_validates_each_lattice_once(field, monkeypatch):
     for family in FAMILIES:
         calls.clear()
         built[family] = build_torus.__wrapped__(family, field)
-        assert len(calls) == {"res-scalars": 1, "norm-one": 2, "quotient-by-gm": 1}[family]
+        assert len(calls) == 1
     monkeypatch.undo()
     assert built["norm-one"].xstar == built["quotient-by-gm"].xstar.dual()
+
+
+@pytest.mark.parametrize("field", [QuadField.from_d(-5), BiquadField.from_pair(13, 17)])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_unchecked_dual_passes_the_checking_constructor(family, field):
+    # dual() skips the group-law check, which its inverse-transpose passes
+    # by construction: the checking constructor accepts every dual that
+    # build_torus makes or can take, over C2 and V4
+    for lattice in (build_torus(family, field).xstar.dual(),
+                    build_torus(family, field).xstar.dual().dual()):
+        assert GaloisLattice(lattice.group, lattice.rank, lattice.mats) == lattice
 
 
 def test_euler_setup_builds_no_matrix(monkeypatch):

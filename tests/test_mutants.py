@@ -203,21 +203,21 @@ CELLS = [
     # tau needs the density at 2
     ("count-off-by-one", ("tnc", "--torus", "norm1:-1"), 2, {"INCONCLUSIVE": 1}),
     # the sha row reports c_gamma = h+ / 2^(t-1), doubled, and compares it
-    # with itself; tau is blind too: c_gamma doubles, the product of the
-    # densities loses the dropped prime's, which is 2, and chi_D(p) = 0
+    # with itself; tau would be blind too: c_gamma doubles, the product of
+    # the densities loses the dropped prime's, which is 2, and chi_D(p) = 0
     # leaves L_S(1) as it was.  Blind until genus theory counts c_gamma a
     # second way (ROADMAP item 5)
-    *(("ramified-dropped", (identity, "--torus", spec), 0, {"PASS": 1})
-      for identity in ("sha", "tnc") for spec in RAMIFIED_TORI),
-    # density loses the dropped prime's row, 5 PASS where the real code has
-    # 6, and nothing FAILs: blind until the bad primes are found a second
-    # way (ROADMAP item 22)
-    *(("ramified-dropped", ("density", "--torus", spec), 0, {"PASS": 5})
+    *(("ramified-dropped", ("sha", "--torus", spec), 0, {"PASS": 1})
       for spec in RAMIFIED_TORI),
-    # every row of all passes, one density row fewer: blind until item 22
-    # catches the missing density row or item 5 the sha and tnc rows
-    *(("ramified-dropped", ("all", "--torus", spec), 0, {"PASS": rows})
-      for spec, rows in zip(RAMIFIED_TORI, (35, 35, 33, 33))),
+    # bad_primes() divides each subfield discriminant by the ramified
+    # primes, and the dropped one is left over: density and tnc read the
+    # bad primes, and all reaches its density rows first
+    *(("ramified-dropped", (identity, "--torus", spec), 70,
+       f"internal error: the ramified primes {kept} of {spec} leave {left} "
+       f"of its subfield discriminant {D}\n")
+      for identity in ("density", "tnc", "all")
+      for spec, kept, left, D in zip(RAMIFIED_TORI, ((2,), (2,), (2, 3), (3,)),
+                                     (5, 5, 7, 7), (-20, -20, -84, 21))),
 ]
 
 
