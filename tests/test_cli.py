@@ -3,7 +3,6 @@ byte-identical output across worker counts."""
 
 import gc
 import hashlib
-import importlib
 import io
 import json
 import math
@@ -23,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tamagawa import cli, exactcore, galois, globalasm, models, report
+from tamagawa import cli, cohomology, exactcore, galois, globalasm, models, report
 from tamagawa.cli import main, parse_torus, run_euler
 from tamagawa.cohomology import ono_constant
 from tamagawa.errors import ConfigError
@@ -32,7 +31,7 @@ from tamagawa.galois import euler_factor_at_one, is_good_prime, point_count_Fp
 from tamagawa.globalasm import c_gamma
 from tamagawa.localmeasure import LocalDensity
 from tamagawa.models import cached_point_count
-from tamagawa.options import RunConfig
+from tamagawa.options import IDENTITY_CHOICES, RunConfig
 from tamagawa.report import (
     FAIL,
     IDENTITIES,
@@ -1066,8 +1065,7 @@ FUZZ_TORI = ("norm1:-1", "norm1:-7", "norm1:5", "norm1:-1,2", "res:-3", "res:2",
 
 @settings(deadline=None, max_examples=40)
 @given(
-    identity=st.sampled_from(("euler", "lifting", "density", "globalinv", "sha",
-                              "tnc", "all")),
+    identity=st.sampled_from(IDENTITY_CHOICES),
     torus=st.sampled_from(FUZZ_TORI),
     tol=st.sampled_from((1e-3, 1e-6, 1e-12, 1e-13, math.inf, math.nan, 0.0)),
     budget=st.integers(10**3, 10**6),
@@ -1235,15 +1233,13 @@ def test_c_gamma_rejects_biquadratic_quot_before_i_t(capsys):
 
 def test_all_skips_h3_where_c_gamma_has_no_route(capsys, monkeypatch):
     # i(T) reads H^3(G, Z); c_gamma, which raises first, makes it moot
-    # the package re-exports the function under the module's name
-    cohomology_module = importlib.import_module("tamagawa.cohomology")
     degrees = []
 
-    def counting(M, n, real=cohomology_module.cohomology):
+    def counting(M, n, real=cohomology.cohomology):
         degrees.append(n)
         return real(M, n)
 
-    for module in (cohomology_module, globalasm, cli):
+    for module in (cohomology, globalasm, cli):
         monkeypatch.setattr(module, "cohomology", counting)
     code, _, _ = run_cli(capsys, "verify", "all", "--torus", "norm1:13,17")
     assert code == 0
@@ -1252,7 +1248,6 @@ def test_all_skips_h3_where_c_gamma_has_no_route(capsys, monkeypatch):
 
 def test_tnc_computes_each_quantity_once(capsys, monkeypatch):
     # one tnc row reads c_gamma, i(T) and H^1 once each
-    cohomology_module = importlib.import_module("tamagawa.cohomology")
     calls = dict.fromkeys(("c_gamma", "ono_constant", "cohomology"), 0)
     for name in calls:
         real = getattr(globalasm, name)
@@ -1261,7 +1256,7 @@ def test_tnc_computes_each_quantity_once(capsys, monkeypatch):
             calls[name] += 1
             return real(*args, **kwargs)
 
-        for module in (cohomology_module, globalasm, cli):
+        for module in (cohomology, globalasm, cli):
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, counting)
     code, _, _ = run_cli(capsys, "verify", "tnc", "--torus", "norm1:-23")
@@ -1360,10 +1355,9 @@ def test_all_computes_i_t_once_and_reduces_d0_at_most_twice(capsys, monkeypatch)
     # H_0 torsion dual read d^0's Smith form from the cached H^0 and H^1.
     # Every binding of each counted function is wrapped, and the caches
     # start empty, so a call no wrapper sees cannot hide a recount
-    cohomology_module = importlib.import_module("tamagawa.cohomology")
-    d0 = cohomology_module.bar_boundary(parse_torus("norm1:-23").xstar, 0)
+    d0 = cohomology.bar_boundary(parse_torus("norm1:-23").xstar, 0)
     knots, reductions = [], []
-    real_knot = cohomology_module._knot_group_order
+    real_knot = cohomology._knot_group_order
     real_snf = exactcore.smith_normal_form
 
     def counting_knot(t):
@@ -1382,7 +1376,7 @@ def test_all_computes_i_t_once_and_reduces_d0_at_most_twice(capsys, monkeypatch)
                 monkeypatch.setattr(module, attr, counting_knot)
             elif value is real_snf:
                 monkeypatch.setattr(module, attr, counting_snf)
-    cohomology_module._cohomology.cache_clear()
+    cohomology._cohomology.cache_clear()
     ono_constant.cache_clear()
     code, _, _ = run_cli(capsys, "verify", "all", "--torus", "norm1:-23")
     assert code == 0

@@ -2,11 +2,11 @@
 against the periodic resolution for cyclic groups, Shapiro vanishing, and
 the knot-group constants checked against local square classes."""
 
-import importlib
 from math import gcd
 
 import pytest
 
+import tamagawa.cohomology as cohomology_module
 from tamagawa.cohomology import (
     bar_boundary,
     cohomology,
@@ -222,21 +222,19 @@ def test_cohomology_matches_kernel_coordinates(field, family, side):
 def test_rank_excess_is_an_arithmetic_error(monkeypatch):
     # a "complex" of full-rank maps has d^1 d^0 != 0, which shows as
     # rank d^1 + rank d^0 > cols d^1
-    module = importlib.import_module("tamagawa.cohomology")
-
     def full_rank(lattice, n):
         rows = lattice.rank * lattice.group.order ** (n + 1)
         cols = lattice.rank * lattice.group.order ** n
         return IntMatrix(rows, cols, tuple(int(i == j) for i in range(rows) for j in range(cols)))
 
-    monkeypatch.setattr(module, "bar_boundary", full_rank)
-    module._cohomology.cache_clear()
+    monkeypatch.setattr(cohomology_module, "bar_boundary", full_rank)
+    cohomology_module._cohomology.cache_clear()
     try:
         sign = _sign_lattice()
         with pytest.raises(ArithmeticError, match="d o d != 0"):
             cohomology(sign, 1)
     finally:
-        module._cohomology.cache_clear()
+        cohomology_module._cohomology.cache_clear()
 
 
 def test_norm_one_h1():

@@ -8,19 +8,15 @@ A mutant replaces the function at every binding, the defining module's and
 each `from ... import` copy, so no caller keeps the real one, and the
 caches that could hold a result of the real one are cleared."""
 
-import importlib
 import json
 import sys
 from collections import Counter
 
 import pytest
 
-from tamagawa import exactcore, galois, globalasm, models
+from tamagawa import cohomology, exactcore, galois, globalasm, localmeasure, models
 from tamagawa.cli import main
 from tamagawa.quadfield import QuadField, _Subfields
-
-# the package's `cohomology` is the function of that name
-cohomology = importlib.import_module("tamagawa.cohomology")
 
 CACHES = (galois._frobenius_polynomials, models.cached_point_count,
           cohomology._cohomology, cohomology.ono_constant, globalasm.c_gamma)
@@ -124,6 +120,16 @@ def bump_deep_counts(monkeypatch):
     _patch_every_binding(monkeypatch, real, bumped)
 
 
+def double_bad_prime_density(monkeypatch):
+    real = localmeasure.bad_prime_density
+
+    def doubled(torus, p, budget=models.COUNT_BUDGET):
+        d = real(torus, p, budget)
+        return d._replace(value=2 * d.value)
+
+    _patch_every_binding(monkeypatch, real, doubled)
+
+
 def drop_largest_ramified_prime(monkeypatch):
     # a field with two or more ramified primes loses its largest.  One with
     # a single ramified prime keeps it: t = 0 would make c_gamma's
@@ -148,6 +154,7 @@ MUTANTS = {"frobenius-swap": swap_quadratic_frobenius,
            "volume-doubled": double_archimedean_volume,
            "l-value-doubled": double_l_value,
            "count-off-by-one": bump_deep_counts,
+           "density-doubled": double_bad_prime_density,
            "ramified-dropped": drop_largest_ramified_prime}
 
 NORM_ONE_TORI = ("norm1:-23", "norm1:13")
@@ -202,6 +209,15 @@ CELLS = [
     ("count-off-by-one", ("density", "--torus", "norm1:-1"), 2, {"INCONCLUSIVE": 6}),
     # tau needs the density at 2
     ("count-off-by-one", ("tnc", "--torus", "norm1:-1"), 2, {"INCONCLUSIVE": 1}),
+    # the density row reports the brute-force density and compares it with
+    # nothing: blind until the local period checks it (ROADMAP item 6).  The
+    # good-prime rows do not call bad_prime_density
+    ("density-doubled", ("density", "--torus", "norm1:-1"), 0, {"PASS": 6}),
+    # tau doubles against #H^1 / i(T) = 2
+    *(("density-doubled", ("tnc", "--torus", spec), 1, {"FAIL": 1})
+      for spec in ("norm1:-1", "norm1:-23")),
+    # the tnc row fails, and every other row of all passes
+    ("density-doubled", ("all", "--torus", "norm1:-1"), 1, {"PASS": 37, "FAIL": 1}),
     # the sha row reports c_gamma = h+ / 2^(t-1), doubled, and compares it
     # with itself; tau would be blind too: c_gamma doubles, the product of
     # the densities loses the dropped prime's, which is 2, and chi_D(p) = 0
