@@ -79,9 +79,10 @@ class FiniteGroup(Record, namedtuple("FiniteGroup", "labels table")):
         for i in range(n):
             if all(table[i][j] != 0 for j in range(n)):
                 raise ValueError(f"element {i} has no inverse")
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
+        # a product with element 0 in it holds by the identity check above
+        for i in range(1, n):
+            for j in range(1, n):
+                for k in range(1, n):
                     if table[table[i][j]][k] != table[i][table[j][k]]:
                         raise ValueError("table is not associative")
         return super().__new__(cls, labels, table)
@@ -129,9 +130,10 @@ class GaloisLattice(Record, namedtuple("GaloisLattice", "group rank mats")):
         # columns sliced once per matrix
         rows = [[m.entries[r * rank:(r + 1) * rank] for r in range(rank)] for m in mats]
         cols = [[m.entries[c::rank] for c in range(rank)] for m in mats]
-        # each g has an h with g h = e, so mats[g] mats[h] = I: det(mats[g]) = +-1
-        for i in range(group.order):
-            for j in range(group.order):
+        # each g has an h with g h = e, so mats[g] mats[h] = I: det(mats[g]) = +-1;
+        # a product with mats[0] = I in it holds by the identity check above
+        for i in range(1, group.order):
+            for j in range(1, group.order):
                 product = tuple([sum(map(mul, row, col)) for row in rows[i] for col in cols[j]])
                 if product != mats[group.table[i][j]].entries:
                     raise ValueError("action is not a homomorphism")

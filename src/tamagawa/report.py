@@ -17,14 +17,15 @@ unused.  The report is pure ASCII, since every key and string goes through
 `encode_basestring_ascii` or `json.dumps`, so it is built once, in one
 bytearray, which the CLI writes to stdout and --out in one piece: no list
 of rows, no joined str and no encoded copy is made.  `render_report`
-decodes that buffer for a caller that wants a str.  Rows of one shape
-(identity, verdict, whether there is a cause, the keys) share one cached
-%-format, `row_format`, that holds every key, brace and indent, so a row
-renders only its values.  The euler rows, one per good prime and nearly
-all of a report's bytes, are made by `euler_rows` as the runner computes
-them: a run of PASS rows is filled with one % into the bytes format of
-that many rows, a FAIL row into its own, and each comes as one
-`RenderedRow`, whose bytes are appended as they are.
+decodes that buffer for a caller that wants a str.  One function,
+`_render`, writes every key, brace and indent of a row: a row renders as
+its document {identity, inputs, values, verdict[, cause]}.  The euler
+rows, one per good prime and nearly all of a report's bytes, are made by
+`euler_rows` as the runner computes them, from a PASS and a FAIL bytes
+%-format that `_render` writes once per torus with `_Slot`s for values: a
+run of PASS rows is filled with one % into the format of that many rows, a
+FAIL row into its own, and each comes as one `RenderedRow`, whose bytes
+are appended as they are.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ import os
 import stat
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
 
 from .exactcore import Record
 
@@ -59,9 +59,9 @@ class Real(namedtuple("Real", "value abs_err")):
 
 class RenderedRow(namedtuple("RenderedRow", "verdict text")):
     """One row, or a run of rows of one verdict joined as a report separates
-    them, already filled into its shape's `row_format` as ASCII bytes by a
-    runner that renders its rows as it computes them.  A report appends the
-    bytes as they are; `verdict` is that of every row in them."""
+    them, already rendered as ASCII bytes by a runner that renders its rows
+    as it computes them.  A report appends the bytes as they are; `verdict`
+    is that of every row in them."""
 
     __slots__ = ()
 
@@ -87,6 +87,13 @@ _dumps = json.dumps
 _quote = json.encoder.encode_basestring_ascii
 
 
+class _Slot(str):
+    """Raw text that `_render` writes as it is, unquoted: a %-conversion of
+    a template, or a str already quoted and %-escaped."""
+
+    __slots__ = ()
+
+
 def _render(obj, nl: str) -> str:
     """`obj` as `json.dumps(..., sort_keys=True, indent=2)` renders its JSON
     form at the depth whose line break and indent is `nl`."""
@@ -97,6 +104,8 @@ def _render(obj, nl: str) -> str:
         return int.__repr__(obj)
     if kind is Fraction:
         return f'"{obj.numerator}/{obj.denominator}"'
+    if kind is _Slot:
+        return obj
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None or isinstance(obj, (bool, float)):
@@ -126,35 +135,17 @@ def _render(obj, nl: str) -> str:
 _ROW_NL = "\n    "
 _FIRST_ROW = _ROW_NL.encode()
 _NEXT_ROW = b"," + _FIRST_ROW
-_FIELD_NL = _ROW_NL + "  "
-_ENTRY_NL = _FIELD_NL + "  "
 # PASS euler rows per RenderedRow: a run joined in one piece passes through
 # the runners and the renderer once, and stays small beside the report
 EULER_CHUNK = 32
 
 
-def _slots(keys):
-    """A field's %-format and the keys that fill its slots; None: one slot
-    for the field.  A non-str key also takes one slot, so that keys equal as
-    values but not as str (1, 1.0, True) never share a format."""
-    if keys is None or any(type(k) is not str for k in keys):
-        return "%s", None
-    names = sorted(keys)
-    return ("{" + _ENTRY_NL + ("," + _ENTRY_NL).join(
-        [_quote(k).replace("%", "%%") + ": %s" for k in names]) + _FIELD_NL + "}"
-        if names else "{}"), names
-
-
-@lru_cache(maxsize=256)
-def row_format(identity, verdict, has_cause, input_keys, value_keys):
-    """One row's text as a %-format, the keys in `json.dumps`'s sorted order,
-    and the keys of inputs and of values that fill its slots."""
-    inputs, input_names = _slots(input_keys)
-    values, value_names = _slots(value_keys)
-    fields = ['"cause": %s'] if has_cause else []
-    fields += ['"identity": ' + _quote(identity).replace("%", "%%"), '"inputs": ' + inputs,
-               '"values": ' + values, '"verdict": ' + _quote(verdict).replace("%", "%%")]
-    return "{" + _FIELD_NL + ("," + _FIELD_NL).join(fields) + _ROW_NL + "}", input_names, value_names
+def _render_row(identity, inputs, values, verdict, cause=None) -> str:
+    """One row as its document {identity, inputs, values, verdict[, cause]}."""
+    row = {"identity": identity, "inputs": inputs, "values": values, "verdict": verdict}
+    if cause is not None:
+        row["cause"] = cause
+    return _render(row, _ROW_NL)
 
 
 def euler_rows(label, dim, terms):
@@ -169,12 +160,13 @@ def euler_rows(label, dim, terms):
     many rows, joined as a report separates them, and comes as one
     `RenderedRow`, as does a shorter run before a FAIL row or at the end; a
     FAIL row comes alone."""
-    keys = ("torus", "p"), ("euler_factor", "point_count", "density")
-    # the slots in sorted key order: [cause,] p, torus, density,
-    # euler_factor, point_count
-    fill = ("%d", _quote(label).replace("%", "%%"), '"%d/%d"', '"%d/%d"', "%d")
-    ok = (row_format("euler", PASS, False, *keys)[0] % fill).encode()
-    bad = (row_format("euler", FAIL, True, *keys)[0] % ("%s", *fill)).encode()
+    # the conversions in sorted key order: [cause,] p, density, euler_factor,
+    # point_count; the label, %-escaped, converts nothing
+    integer, ratio = _Slot("%d"), _Slot('"%d/%d"')
+    inputs = {"torus": _Slot(_quote(label).replace("%", "%%")), "p": integer}
+    values = {"euler_factor": ratio, "point_count": integer, "density": ratio}
+    ok = _render_row("euler", inputs, values, PASS).encode()
+    bad = _render_row("euler", inputs, values, FAIL, _Slot("%s")).encode()
     # six values per PASS row; the format of a full run is built once
     size = 6 * EULER_CHUNK
     full = _NEXT_ROW.join([ok] * EULER_CHUNK)
@@ -203,18 +195,12 @@ def euler_rows(label, dim, terms):
         yield run_of(args)
 
 
-def _fill(obj, names):
-    if names is None:
-        return [_render(obj, _FIELD_NL)]
-    return [_render(obj[k], _ENTRY_NL) for k in names]
-
-
 def render_report_bytes(reports, config_echo=None) -> bytearray:
     """The report document as `json.dumps(..., sort_keys=True, indent=2)`
-    renders its JSON form, in ASCII: each row fills the cached format of
-    its shape, or comes filled as a `RenderedRow`.  `reports` is read once,
-    so a generator's rows are rendered as they come and none is kept; each
-    row's bytes are appended to the one buffer as it comes."""
+    renders its JSON form, in ASCII: `_render` writes each row, or it comes
+    rendered as a `RenderedRow`.  `reports` is read once, so a generator's
+    rows are rendered as they come and none is kept; each row's bytes are
+    appended to the one buffer as it comes."""
     buf = bytearray(b'{\n  "config_echo": ')
     buf += _render(config_echo or {}, "\n  ").encode()
     buf += b',\n  "reports": ['
@@ -225,15 +211,7 @@ def render_report_bytes(reports, config_echo=None) -> bytearray:
         if type(rep) is RenderedRow:
             buf += rep.text
             continue
-        inputs, values, cause = rep.inputs, rep.values, rep.cause
-        fmt, input_names, value_names = row_format(
-            rep.identity, rep.verdict, cause is not None,
-            tuple(inputs) if isinstance(inputs, dict) else None,
-            tuple(values) if isinstance(values, dict) else None)
-        args = [] if cause is None else [_render(cause, _FIELD_NL)]
-        args += _fill(inputs, input_names)
-        args += _fill(values, value_names)
-        buf += (fmt % tuple(args)).encode()
+        buf += _render_row(*rep).encode()
     buf += b"\n  ]" if sep is _NEXT_ROW else b"]"
     buf += b',\n  "version": %d\n}\n' % SCHEMA_VERSION
     return buf

@@ -113,6 +113,10 @@ EXTRA += [
     # report has no rows, and the run exits 0
     "verify euler --torus norm1:-3 --pmax 3",
     "verify lifting --torus norm1:-15 --pmax 5",
+    # runs over more than one torus: rows of several shapes, a [skipped]
+    # line and a [timing] line per torus; a PASS torus and an INCONCLUSIVE one
+    "verify all --torus norm1:-1 --torus quot:-5 --torus norm1:2,3",
+    "verify density --torus norm1:-89 --torus norm1:-131",
 ]
 
 # the report file: written whole, next to what stdout gets; a missing

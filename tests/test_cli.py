@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -245,7 +246,8 @@ def _euler_row(p, density, verdict=PASS, cause=None):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_reports, max_size=3),
        st.one_of(st.none(), st.dictionaries(st.text(max_size=4), _trees, max_size=4)))
-# rows of one shape, with other values, reuse one cached format
+# euler rows built as VerificationReports: three of one shape, then FAIL rows
+# whose density is a float and a list
 @example([_euler_row(p, Fraction(p - 1, p)) for p in (7, 11, 13)]
          + [_euler_row(17, 2.5, FAIL, "x"), _euler_row(19, [1, {"a": None}], FAIL, "y")], None)
 # keys that %-formatting would read as conversions
@@ -261,10 +263,6 @@ def _euler_row(p, density, verdict=PASS, cause=None):
           VerificationReport("euler", {True: "bool"}, {1: 1})], None)
 def test_render_matches_json_dumps_of_jsonable(reports, echo):
     assert render_report(reports, echo) == old_render(reports, echo)
-
-
-def test_row_format_cache_is_bounded():
-    assert 0 < report.row_format.cache_info().maxsize < math.inf
 
 
 @settings(max_examples=100, deadline=None)
@@ -1501,26 +1499,55 @@ def test_euler_rows_join_runs_of_pass_rows_only(monkeypatch):
     assert render_report(rows) == render_report(want)
 
 
-def test_euler_rows_are_not_built_or_walked_one_by_one(capsys, monkeypatch):
-    # ~300 rows, each filled into its cached format by the runner: neither a
-    # VerificationReport nor a walk of _render per row, only the config echo's
-    renders, reports = [], []
-    render, new = report._render, VerificationReport.__new__
+def _recording_renders(monkeypatch):
+    """The (obj, nl, text) of every `_render` call, nested ones included."""
+    calls, render = [], report._render
 
-    def counting_render(obj, nl):
-        renders.append(obj)
-        return render(obj, nl)
+    def recording_render(obj, nl):
+        text = render(obj, nl)
+        calls.append((obj, nl, text))
+        return text
+
+    monkeypatch.setattr(report, "_render", recording_render)
+    return calls
+
+
+def test_euler_rows_are_not_built_or_walked_one_by_one(capsys, monkeypatch):
+    # each row is filled into its torus's PASS or FAIL template by the
+    # runner: neither a VerificationReport nor a walk of _render per row, so
+    # ~40 rows take as many renders as ~300: the config echo's and the two
+    # templates'
+    renders, reports, new = _recording_renders(monkeypatch), [], VerificationReport.__new__
 
     def counting_new(cls, *args, **kwargs):
         reports.append(args)
         return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(report, "_render", counting_render)
     monkeypatch.setattr(VerificationReport, "__new__", counting_new)
-    code, out, _ = run_cli(capsys, "verify", "euler", "--torus", "res:5,-3", "--pmax", "2000")
-    assert code == 0
-    assert out.count('"identity": "euler"') > 250
-    assert len(renders) <= 12 and reports == []
+    counts, rows = [], []
+    for pmax in ("200", "2000"):
+        renders.clear()
+        code, out, _ = run_cli(capsys, "verify", "euler", "--torus", "res:5,-3", "--pmax", pmax)
+        assert code == 0
+        counts.append(len(renders))
+        rows.append(out.count('"identity": "euler"'))
+    assert rows[0] < 50 and rows[1] > 250
+    assert counts[0] == counts[1] and reports == []
+
+
+def test_euler_templates_hold_one_conversion_per_value(monkeypatch):
+    # PASS: p, density, euler_factor, point_count (two each for the
+    # fractions); FAIL: the cause too; the label's % converts nothing
+    renders = _recording_renders(monkeypatch)
+    rows = list(report.euler_rows("norm1:-3,%d", 1, [(5, 4, 4), (7, 6, 8)]))
+    ok, bad = [text for _, nl, text in renders if nl == report._ROW_NL]
+    assert '"verdict": "PASS"' in ok and '"verdict": "FAIL"' in bad
+    for template, n in ((ok, 6), (bad, 7)):
+        marks = re.findall(r"%[%a-z]", template)
+        assert len(marks) - marks.count("%%") == n and "%%d" in template
+        assert template % ((0,) * n)
+    assert [r.verdict for r in rows] == [PASS, FAIL]
+    assert all(b'"torus": "norm1:-3,%d"' in r.text for r in rows)
 
 
 def test_all_counts_each_level_once(capsys, monkeypatch):
